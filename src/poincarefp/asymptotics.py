@@ -11,7 +11,8 @@ determinant of the ratio matrix, whose limit is the Vandermonde product
 of the spectrum.  Envelope checks compare the iterate's derivative mass
 against the case-dependent exponentially weighted integral of the
 independent term, judging stability under window extension instead of
-asserting an unspecified big-O constant.
+asserting an unspecified big-O constant.  The envelope is an exponential
+convolution, evaluated by ``kernelquad`` for a whole window of t at once.
 """
 
 from __future__ import annotations
@@ -19,18 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from . import chebgrid
+from . import chebgrid, kernelquad
 from .errors import QuadratureFailure
-from .hypotheses import _integral_with_tail
+from .multipoly import Poly
 from .problem import ProblemSpec
 from .reduction import OmegaTable, build_derivative_polynomials
 from .solver import IterateGrid
 from .spectral import Spectrum
 
 ENVELOPE_FLOOR = 1e-300
-QUAD_LIMIT = 200
 
 
 def _r_mass(problem: ProblemSpec, lam: float, s):
@@ -54,8 +53,9 @@ def admissible_beta_interval(spectrum: Spectrum, i: int) -> tuple[float, float]:
 
 
 def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
-             t: float, tol: float = 1e-10) -> float:
-    """Case integral of e^{-beta (t - s)} |Omega_0(lambda_i, s, r(s))|.
+             t, tol: float = 1e-10):
+    """Case integral of e^{-beta (t - s)} |Omega_0(lambda_i, s, r(s))|,
+    for scalar or array t.
 
     i = 1 integrates over (t, inf), middle indices over (t0, inf), i = n
     over (t0, t); beta must lie in the case interval.
@@ -71,19 +71,18 @@ def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
     elif not lo <= beta < hi:
         raise ValueError(f"beta {beta} outside [{lo}, {hi}[ for i = {i}")
 
-    def f(s):
-        return np.exp(-beta * (t - s)) * _r_mass(problem, lam, s)
-
-    if i == n:
-        value, _ = integrate.quad(f, problem.t0, t, epsabs=tol, epsrel=tol,
-                                  limit=QUAD_LIMIT)
-        return value
+    terms = []
+    if i != 1:
+        terms.append(kernelquad.ExpTerm(-beta, True))
+    if i != n:
+        terms.append(kernelquad.ExpTerm(-beta, False))
     # infinite upper limit: the integrand decays at rate -beta minus the
     # decay of the perturbation mass itself; -beta can be 0 at the left
     # endpoint, in which case only the r-decay helps.
     rate = max(-beta, 1e-3)
-    lower = t if i == 1 else problem.t0
-    return _integral_with_tail(f, lower, rate, tol)
+    return kernelquad.exp_integrals(
+        lambda s: _r_mass(problem, lam, s), t, problem.t0, terms, rate, tol
+    ).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,11 @@ def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
     lo = max(window[0], problem.t0)
     hi = min(window[1], solution.t_max)
     ts = np.linspace(lo, hi, points)
+    envs = envelope(problem, spectrum, i, beta, ts, tol)
     samples = []
     sup = 0.0
     mass_seen = 0.0
-    for t in ts:
-        env = envelope(problem, spectrum, i, beta, float(t), tol)
+    for t, env in zip(ts, envs.tolist()):
         mass = float(np.abs(solution.jet(float(t))).sum())
         mass_seen = max(mass_seen, mass)
         if env < ENVELOPE_FLOOR:
@@ -169,6 +168,7 @@ class FundamentalSystem:
     spectrum: Spectrum
     grids: tuple[IterateGrid, ...]  # index i-1 -> z_{lambda_i}
     cumulative: tuple[np.ndarray, ...]  # int z at the grid nodes
+    polys: tuple[Poly, ...]  # P_0 .. P_n with y^(j) = P_j * y
 
     def log_y(self, i: int, t) -> float:
         """log y_i(t); y_i(t0) = 1 by construction."""
@@ -189,14 +189,13 @@ class FundamentalSystem:
         n = self.problem.n
         if not 0 <= j <= n - 1:
             raise ValueError(f"derivative order {j} outside 0..{n - 1}")
-        polys = build_derivative_polynomials(n)
         grid = self.grids[i - 1]
         point = [0.0] * (2 * n + 2)
         point[0] = self.spectrum.lam[i - 1]
         jet = grid.jet(float(t))
         for k, val in enumerate(jet):
             point[n + 1 + k] = float(val)
-        return float(polys[j].evaluate(point))
+        return float(self.polys[j].evaluate(point))
 
     def ratio_matrix(self, t) -> np.ndarray:
         n = self.problem.n
@@ -230,6 +229,7 @@ def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
         spectrum=spectrum,
         grids=tuple(solutions),
         cumulative=tuple(cumulative),
+        polys=tuple(build_derivative_polynomials(problem.n)),
     )
 
 
@@ -269,17 +269,14 @@ def log_refined_estimate(problem: ProblemSpec, table: OmegaTable,
         jet = solution.jet(s)
         return table.evaluate_F(lam, problem.r_list(s), list(jet))
 
-    value, _ = integrate.quad(f, problem.t0, min(t, solution.t_max),
-                              epsabs=1e-10, epsrel=1e-10, limit=QUAD_LIMIT)
+    value = kernelquad.integral(f, problem.t0, min(t, solution.t_max))
     if t > solution.t_max:
         alpha0 = (0,) * (problem.n - 1)
 
         def f_tail(s):
             return table.omega_value(alpha0, lam, problem.r_list(s))
 
-        tail, _ = integrate.quad(f_tail, solution.t_max, t, epsabs=1e-10,
-                                 epsrel=1e-10, limit=QUAD_LIMIT)
-        value += tail
+        value += kernelquad.integral(f_tail, solution.t_max, t)
     return lam * (t - problem.t0) + value / pi_i
 
 

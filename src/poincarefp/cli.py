@@ -286,13 +286,15 @@ def _solve_all(config: Config):
     return results
 
 
-def cmd_solve(config: Config) -> int:
+def _solve_stage(config: Config):
+    """Solve every root and write its z CSV and certificate; returns
+    (exit code, results or None)."""
     problem = config.problem
     try:
         results = _solve_all(config)
     except PoincarefpError as exc:
         print(f"solve failed: {exc}")
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     for i, (operator, grid, cert) in results.items():
         columns = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
         rows = [
@@ -309,18 +311,24 @@ def cmd_solve(config: Config) -> int:
             f"residual {_fmt(cert.final_residual)}; wrote {csv_path} and "
             f"{cert_path}"
         )
-    return EXIT_OK
+    return EXIT_OK, results
 
 
-def cmd_verify(config: Config) -> int:
+def cmd_solve(config: Config) -> int:
+    return _solve_stage(config)[0]
+
+
+def cmd_verify(config: Config, results=None) -> int:
+    """Diagnostics on the solves in ``results`` (root index -> (operator,
+    grid, certificate)); solves every root first when none are given."""
     problem = config.problem
     spectrum = find_roots(problem.a)
-    table = build_reduced_rhs(problem.a, problem.n)
-    try:
-        results = _solve_all(config)
-    except PoincarefpError as exc:
-        print(f"verify: solve stage failed: {exc}")
-        return EXIT_FAIL
+    if results is None:
+        try:
+            results = _solve_all(config)
+        except PoincarefpError as exc:
+            print(f"verify: solve stage failed: {exc}")
+            return EXIT_FAIL
     fs = asymptotics.build_fundamental_system(
         problem, spectrum, [results[i][1] for i in range(1, problem.n + 1)]
     )
@@ -384,14 +392,22 @@ def cmd_all(config: Config) -> int:
     """Chain every stage.  Hard failures (bad roots, a solve that does
     not converge) stop the pipeline; adverse hypothesis or diagnostic
     verdicts are results, so they are recorded and the chain continues,
-    with the worst code returned at the end."""
+    with the worst code returned at the end.  Verify reuses the solves
+    of the solve stage."""
     worst = EXIT_OK
+    results = None
+
+    def solve(cfg):
+        nonlocal results
+        code, results = _solve_stage(cfg)
+        return code
+
     for name, command, gating in (
         ("roots", cmd_roots, True),
         ("reduce", cmd_reduce, True),
         ("check", cmd_check, False),
-        ("solve", cmd_solve, True),
-        ("verify", cmd_verify, False),
+        ("solve", solve, True),
+        ("verify", lambda cfg: cmd_verify(cfg, results), False),
     ):
         print(f"== {name} ==")
         code = command(config)

@@ -25,12 +25,15 @@ attaches the Heaviside factors the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import optimize
 
 from .spectral import ShiftedSpectrum
 
 JUMP_TOL = 1e-10
+SIGN_SAMPLES = 2048  # scan points per side when bracketing sign changes
 
 
 def upsilon(values, ell: int) -> float:
@@ -54,7 +57,6 @@ def upsilon(values, ell: int) -> float:
 class GreenKernel:
     gamma: ShiftedSpectrum
     upsilon0: float
-    weights: tuple[float, ...]  # G_l = (-1)^l * Upsilon_l, kept for reporting
     case_index: int
     coeffs: tuple[float, ...]  # c_l = 1 / prod_{j != l}(gamma_l - gamma_j)
     causal: tuple[bool, ...]  # True: term lives on t >= s
@@ -68,26 +70,27 @@ class GreenKernel:
         return self.jump_sign * (1.0 if self.causal[ell] else -1.0)
 
     def derivative(self, t, s, j: int):
-        """d^j g / dt^j at (t, s); t scalar, s scalar or array.
+        """d^j g / dt^j at (t, s); t and s scalars or arrays that
+        broadcast against each other.
 
         Orders up to n-2 are the kernel contract (the n-2 one jumps at
         t = s, where the t > s branch is returned); higher orders are
         one-sided values used by diagnostics.
         """
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
+        u = np.asarray(t, dtype=float) - np.asarray(s, dtype=float)
+        out = np.zeros(u.shape)
         for ell, gam in enumerate(self.gamma.gamma):
             if self.causal[ell]:
-                mask = t >= s
+                mask = u >= 0
             else:
-                mask = s > t
+                mask = u < 0
             if not np.any(mask):
                 continue
             term = (
                 self.term_sign(ell)
                 * self.coeffs[ell]
                 * gam ** j
-                * np.exp(gam * (t - s[mask]))
+                * np.exp(gam * u[mask])
             )
             out[mask] += term
         if out.ndim == 0:
@@ -101,9 +104,65 @@ class GreenKernel:
             total = total + np.abs(self.derivative(t, s, j))
         return total
 
+    @cached_property
+    def sign_changes(self) -> tuple[float, ...]:
+        """Every u = t - s != 0 where some g^(j), j = 0..n-2, changes
+        sign.  On either side of the diagonal g^(j) is an exponential sum
+        in |u| with negative rates: gamma_l for u > 0, -gamma_l for
+        u < 0."""
+        gams = self.gamma.gamma
+        changes = []
+        for j in range(self.n - 1):
+            for side, orient in ((True, 1.0), (False, -1.0)):
+                idx = [ell for ell in range(len(gams))
+                       if self.causal[ell] == side]
+                amps = [self.term_sign(ell) * self.coeffs[ell]
+                        * gams[ell] ** j for ell in idx]
+                rates = [orient * gams[ell] for ell in idx]
+                changes += [orient * v for v in _sign_changes(amps, rates)]
+        return tuple(sorted(changes))
+
     def decay_rate(self) -> float:
         """Slowest decay rate away from the diagonal."""
         return min(abs(g) for g in self.gamma.gamma)
+
+
+def _sign_changes(amps, rates) -> list[float]:
+    """Every v > 0 where h(v) = sum_l amps[l] e^{rates[l] v} changes sign,
+    for rates < 0.
+
+    Past V, the slowest term outweighs the sum of all the others, so
+    every sign change lies in (0, V]; it is bracketed on a uniform scan
+    and refined by Brent's method.
+    """
+    amps = np.asarray(amps, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    if len(amps) < 2:
+        return []
+    lead = int(np.argmax(rates))
+    rest = np.arange(len(rates)) != lead
+    ratio = np.abs(amps[rest]).sum() / abs(amps[lead])
+    gap = rates[lead] - rates[rest].max()
+    if ratio <= 1.0:
+        return []
+    # a sign change can sit exactly at the bound, so scan a little past it
+    v = np.linspace(0.0, 1.1 * np.log(ratio) / gap, SIGN_SAMPLES)
+
+    def h(x):
+        return float(np.dot(amps, np.exp(rates * x)))
+
+    vals = amps @ np.exp(rates[:, None] * v[None, :])
+    nonzero = np.flatnonzero(vals)
+    out = []
+    for a, b in zip(nonzero[:-1], nonzero[1:]):
+        if vals[a] * vals[b] >= 0:
+            continue
+        fa, fb = h(v[a]), h(v[b])
+        if fa * fb < 0:
+            out.append(optimize.brentq(h, v[a], v[b], xtol=1e-14))
+        else:  # the scan saw a rounding-level value at one end
+            out.append(v[a] if abs(fa) <= abs(fb) else v[b])
+    return out
 
 
 def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:
@@ -129,19 +188,11 @@ def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:
         raise ValueError(f"kernel jump magnitude {jump} is not 1")
     jump_sign = 1.0 if jump > 0 else -1.0
 
-    u0 = upsilon(gams, 0)
-    weights = tuple((-1.0) ** ell * upsilon(gams, ell) for ell in range(1, d + 1))
     return GreenKernel(
         gamma=gamma,
-        upsilon0=u0,
-        weights=weights,
+        upsilon0=upsilon(gams, 0),
         case_index=gamma.case_index,
         coeffs=tuple(coeffs),
         causal=causal,
         jump_sign=jump_sign,
     )
-
-
-def kernel_derivative(kernel: GreenKernel, t, s, j: int):
-    """Module-level alias matching the operation name."""
-    return kernel.derivative(t, s, j)

@@ -12,10 +12,12 @@ Three groups of conditions are checked for a chosen root index i:
         where M collects all coefficient masses of order >= 1 and phi_1
         is the gap-product bound of the kernel.
 
-All integrals are evaluated by adaptive quadrature on a finite window
-plus an explicit exponential tail bound; an integrand that refuses to
-decay marks the corresponding quantity divergent and the verdict
-indeterminate instead of silently truncating.
+Every quantity is an integral of a fixed function of s against
+exponentials in t - s, so each one is evaluated by ``kernelquad`` for the
+whole t-grid at once: the perturbation data are sampled, vectorised,
+on a composite Gauss-Legendre panel rule cut off where the tail drops below
+the tolerance.  An integrand that refuses to decay marks the quantity
+divergent and the verdict indeterminate instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
+from . import kernelquad
 from .errors import QuadratureFailure
 from .green import GreenKernel, build_kernel, upsilon
 from .problem import ProblemSpec
@@ -33,85 +35,36 @@ from .spectral import Spectrum, find_roots, shift_spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
-TAIL_SAFETY = 0.01  # tail bound must be this fraction of the tolerance
-QUAD_LIMIT = 200
-
-
-def _tail_cutoff(f, lo: float, rate: float, tol: float) -> float:
-    """Smallest probe point T >= lo with |f(T)| / rate below the tail
-    budget; raises QuadratureFailure if doubling the window never gets
-    there."""
-    budget = TAIL_SAFETY * tol
-    span = max(10.0, 10.0 / rate)
-    prev = np.inf
-    for _ in range(40):
-        cut = lo + span
-        with np.errstate(over="ignore"):
-            probe = abs(f(cut))
-        if probe / rate < budget:
-            return cut
-        if not np.isfinite(probe) or probe > prev:
-            break  # growing integrand: no finite cutoff exists
-        prev = probe
-        span *= 2.0
-    raise QuadratureFailure(
-        f"integrand tail at {lo + span} is not below {budget}"
-    )
-
-
-def _integral_with_tail(f, lo: float, rate: float, tol: float) -> float:
-    """int_lo^inf f(s) ds for |f| decaying at exponential rate ``rate``."""
-    cut = _tail_cutoff(f, lo, rate, tol)
-    value, _ = integrate.quad(f, lo, cut, epsabs=tol, epsrel=tol,
-                              limit=QUAD_LIMIT)
-    return value
 
 
 def compute_R(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
-              t: float, tol: float = 1e-10) -> float:
+              t, tol: float = 1e-10):
     """R(t) = sum_j |int g^(j)(t, s) Omega_0(mu, r(s)) ds| over the kernel
-    support."""
+    support, for scalar or array t."""
     mu = kernel.gamma.mu
-    n = problem.n
-    alpha0 = (0,) * (n - 1)
+    alpha0 = (0,) * (problem.n - 1)
 
     def omega0(s):
         return table.omega_value(alpha0, mu, problem.r_list(s))
 
-    total = 0.0
-    rate = kernel.decay_rate()
-    for j in range(n - 1):
-        def f_causal(s, j=j):
-            return kernel.derivative(t, s, j) * omega0(s)
-
-        part, _ = integrate.quad(f_causal, problem.t0, t, epsabs=tol,
-                                 epsrel=tol, limit=QUAD_LIMIT)
-        if any(not c for c in kernel.causal):
-            def f_anti(s, j=j):
-                return kernel.derivative(t, s, j) * omega0(s)
-
-            part += _integral_with_tail(f_anti, t, rate, tol)
-        total += abs(part)
-    return total
+    parts = kernelquad.derivative_integrals(
+        kernel, omega0, t, problem.t0, kernel.decay_rate(), tol
+    )
+    return np.abs(parts).sum(axis=0)
 
 
 def compute_L(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
-              t: float, k: int, tol: float = 1e-10) -> float:
+              t, k: int, tol: float = 1e-10):
     """L_k(t) = int_{t0}^inf sum_j |g^(j)(t, s)| M_k(s) ds with M_k the
-    coefficient mass of polynomial order k."""
+    coefficient mass of polynomial order k, for scalar or array t."""
     mu = kernel.gamma.mu
 
     def mass(s):
         return table.mass_by_order(mu, problem.r_list(s))[k]
 
-    def f(s):
-        return kernel.abs_derivative_sum(t, s) * mass(s)
-
-    value, _ = integrate.quad(f, problem.t0, t, epsabs=tol, epsrel=tol,
-                              limit=QUAD_LIMIT)
-    if any(not c for c in kernel.causal):
-        value += _integral_with_tail(f, t, kernel.decay_rate(), tol)
-    return value
+    return kernelquad.abs_derivative_integral(
+        kernel, mass, t, problem.t0, kernel.decay_rate(), tol
+    )
 
 
 def compute_phi1(kernel: GreenKernel) -> float:
@@ -143,35 +96,29 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
     (its integrand does not decay), or the supremum keeps growing along
     the tail of the grid.
     """
-    t0 = problem.t0
     n = problem.n
 
     def mass_ge1(s):
         masses = table.mass_by_order(mu, problem.r_list(s))
-        return float(sum(masses[k] for k in range(1, n + 1)))
+        return sum(masses[k] for k in range(1, n + 1))
 
-    def sigma_at(t: float) -> float:
-        def f(s):
-            return np.exp(-gamma * (t - s)) * mass_ge1(s)
+    # the weight spans [t0, inf), so both sides carry the same exponent;
+    # for gamma > 0 the tail decays only if the mass outruns e^{gamma s}
+    terms = (kernelquad.ExpTerm(-gamma, True),
+             kernelquad.ExpTerm(-gamma, False))
+    rate = gamma * 0.5 if gamma > 0 else -gamma
 
-        value, _ = integrate.quad(f, t0, t, epsabs=tol, epsrel=tol,
-                                  limit=QUAD_LIMIT)
-        if gamma > 0:
-            # tail decays only if the mass outruns e^{gamma s}
-            value += _integral_with_tail(f, t, gamma * 0.5, tol)
-        else:
-            value += _integral_with_tail(f, t, -gamma, tol)
-        return value
+    def sigma_at(t):
+        return kernelquad.exp_integrals(
+            mass_ge1, t, problem.t0, terms, rate, tol
+        ).sum(axis=0)
 
-    values = []
     try:
-        for t in t_grid:
-            values.append(sigma_at(float(t)))
+        values = sigma_at(np.asarray(t_grid, dtype=float))
     except QuadratureFailure:
         return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
                              status="divergent")
 
-    values = np.asarray(values)
     best = int(np.argmax(values))
     best_t = float(t_grid[best])
     best_value = float(values[best])
@@ -275,13 +222,9 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int,
     table = build_reduced_rhs(problem.a, problem.n)
     grid = hypothesis_grid(problem)
 
-    r_samples = np.array(
-        [compute_R(problem, kernel, table, t, tol) for t in grid]
-    )
+    r_samples = compute_R(problem, kernel, table, np.array(grid), tol)
     l_samples = {
-        k: np.array(
-            [compute_L(problem, kernel, table, t, k, tol) for t in grid]
-        )
+        k: compute_L(problem, kernel, table, np.array(grid), k, tol)
         for k in range(1, problem.n + 1)
     }
 

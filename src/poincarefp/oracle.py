@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import kernelquad
 from .asymptotics import FundamentalSystem
 from .problem import ProblemSpec
 
@@ -126,12 +127,16 @@ def compare_to_fixed_point(problem: ProblemSpec, fs: FundamentalSystem,
 def abel_check(problem: ProblemSpec, fs: FundamentalSystem,
                t: float) -> tuple[float, float]:
     """Abel identity cross-check: the log of |W(t)/W(t0)| must equal
-    -a_{n-1} (t - t0).  Returns (measured, expected)."""
+    -a_{n-1} (t - t0) - int_{t0}^t r_{n-1}(s) ds.  Returns (measured,
+    expected)."""
     from .asymptotics import wronskian_diagnostic
 
     ratio_t, _ = wronskian_diagnostic(fs, t)
     ratio_t0, _ = wronskian_diagnostic(fs, problem.t0)
     log_sum = sum(fs.log_y(i, t) for i in range(1, problem.n + 1))
     measured = np.log(abs(ratio_t)) + log_sum - np.log(abs(ratio_t0))
-    expected = -problem.a[-1] * (t - problem.t0)
+    trace = kernelquad.integral(
+        lambda s: problem.r_value(problem.n - 1, s), problem.t0, t
+    )
+    expected = -problem.a[-1] * (t - problem.t0) - trace
     return float(measured), float(expected)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
 from .exprparse import Expression, evaluate_expression, parse_expression
 
@@ -62,13 +60,6 @@ class ProblemSpec:
     def r_value(self, i: int, t):
         """r_i evaluated at scalar or array t."""
         return evaluate_expression(self.r_exprs[i], t)
-
-    def r_matrix(self, t) -> np.ndarray:
-        """All perturbations at array t, shape (n, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.stack([
-            np.asarray(self.r_value(i, t), dtype=float) for i in range(self.n)
-        ])
 
     def r_list(self, t) -> list:
         """All perturbations at scalar or array t, as a plain list."""

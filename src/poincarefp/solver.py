@@ -10,9 +10,10 @@ exponentials, every kernel integral obeys a one-panel recurrence
 
 (and its mirror for the anticausal terms), so one pass over the grid
 yields every iterate derivative z^(j) = sum_l sign_l c_l gamma_l^j I_l
-simultaneously.  Beyond the window the iterate is modelled as zero and
-the anticausal integrals get an explicit constant tail computed from the
-independent forcing term.
+simultaneously; the recurrence and its weights come from ``kernelquad``.
+Beyond the window the iterate is modelled as zero and the anticausal
+integrals get an explicit constant tail computed from the independent
+forcing term.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chebgrid
+from . import chebgrid, kernelquad
 from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
 from .green import GreenKernel, build_kernel
-from .hypotheses import _integral_with_tail
 from .problem import ProblemSpec
 from .reduction import OmegaTable, build_reduced_rhs
 from .spectral import (
@@ -58,11 +58,6 @@ class IterateGrid:
     def t_max(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def norm0(self) -> float:
-        """sup_t sum_j |z^(j)(t)| approximated on the nodes."""
-        return float(np.max(np.abs(self.values).sum(axis=0)))
-
     def evaluate(self, t, j: int = 0):
         """z^(j) at scalar or array t inside [t0, inf)."""
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -79,7 +74,8 @@ class IterateGrid:
         return out
 
     def jet(self, t) -> np.ndarray:
-        """All derivatives z^(0..n-2) at scalar t."""
+        """All derivatives z^(0..n-2) at scalar t, or one row per order
+        at array t."""
         return np.array([
             self.evaluate(t, j) for j in range(self.values.shape[0])
         ])
@@ -138,51 +134,39 @@ class FixedPointOperator:
         self.r_panels = [problem.r_value(i, pts) for i in range(n)]
         self.r_nodes = [problem.r_value(i, self.nodes) for i in range(n)]
 
-        panel_count = count - 1
-        dt = np.diff(self.nodes)
         self.gammas = kernel.gamma.gamma
         self.signs = [kernel.term_sign(ell) for ell in range(n - 1)]
         self.coeffs = kernel.coeffs
         self.causal = kernel.causal
         # per-gamma panel weights and inter-node decay factors
-        self.causal_weights = {}
-        self.causal_decay = {}
-        self.anti_weights = {}
-        self.anti_decay = {}
-        w2 = wts.reshape(panel_count, self.order)
-        x2 = pts.reshape(panel_count, self.order)
-        for ell, gam in enumerate(self.gammas):
-            if self.causal[ell]:
-                self.causal_weights[ell] = w2 * np.exp(
-                    gam * (self.nodes[1:, None] - x2)
-                )
-                self.causal_decay[ell] = np.exp(gam * dt)
-            else:
-                self.anti_weights[ell] = w2 * np.exp(
-                    gam * (self.nodes[:-1, None] - x2)
-                )
-                self.anti_decay[ell] = np.exp(-gam * dt)
+        shape = (count - 1, self.order)
+        self.exp_weights = [
+            kernelquad.exp_weights(self.nodes, pts.reshape(shape),
+                                   wts.reshape(shape), gam, causal)
+            for gam, causal in zip(self.gammas, self.causal)
+        ]
         self.tail_constants = self._tail_constants()
 
     def _tail_constants(self) -> dict:
         """A_gamma(t_max) under the zero tail model: the forcing beyond
         the window reduces to its independent term -Omega_0."""
-        out = {}
-        t_max = self.problem.t_max
-        alpha0 = (0,) * (self.problem.n - 1)
+        anti = [ell for ell in range(len(self.gammas))
+                if not self.causal[ell]]
+        if not anti:
+            return {}
+        problem = self.problem
+        alpha0 = (0,) * (problem.n - 1)
 
-        for ell, gam in enumerate(self.gammas):
-            if self.causal[ell]:
-                continue
+        def forcing0(s):
+            return -self.table.omega_value(alpha0, self.mu,
+                                           problem.r_list(s))
 
-            def f(s, gam=gam):
-                omega0 = self.table.omega_value(
-                    alpha0, self.mu, self.problem.r_list(s)
-                )
-                return -np.exp(gam * (t_max - s)) * omega0
-
-            out[ell] = _integral_with_tail(f, t_max, gam, self.problem.tol)
-        return out
+        terms = [kernelquad.ExpTerm(self.gammas[ell], False) for ell in anti]
+        rate = min(self.gammas[ell] for ell in anti)
+        values = kernelquad.exp_integrals(
+            forcing0, [problem.t_max], problem.t_max, terms, rate, problem.tol
+        )
+        return {ell: float(v) for ell, v in zip(anti, values[:, 0])}
 
     def forcing(self, values: np.ndarray, at_nodes: bool = False) -> np.ndarray:
         """P = -F along the panel points (or the nodes) for the iterate
@@ -199,23 +183,14 @@ class FixedPointOperator:
 
     def kernel_integrals(self, forcing_panels: np.ndarray):
         """I_gamma and A_gamma at every node via the panel recurrence."""
-        count = len(self.nodes)
-        fp = forcing_panels.reshape(count - 1, self.order)
+        fp = forcing_panels.reshape(len(self.nodes) - 1, self.order)
         integrals = {}
-        for ell, gam in enumerate(self.gammas):
-            vals = np.zeros(count)
-            if self.causal[ell]:
-                panel = (self.causal_weights[ell] * fp).sum(axis=1)
-                decay = self.causal_decay[ell]
-                for k in range(count - 1):
-                    vals[k + 1] = decay[k] * vals[k] + panel[k]
-            else:
-                panel = (self.anti_weights[ell] * fp).sum(axis=1)
-                decay = self.anti_decay[ell]
-                vals[-1] = self.tail_constants[ell]
-                for k in range(count - 2, -1, -1):
-                    vals[k] = decay[k] * vals[k + 1] + panel[k]
-            integrals[ell] = vals
+        for ell, (weights, decay) in enumerate(self.exp_weights):
+            causal = self.causal[ell]
+            integrals[ell] = kernelquad.recurrence(
+                (weights * fp).sum(axis=1), decay, causal,
+                0.0 if causal else self.tail_constants[ell],
+            )
         return integrals
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -231,18 +206,6 @@ class FixedPointOperator:
                     * integrals[ell]
             out[j] = row
         return out
-
-    def top_derivative(self, values: np.ndarray) -> np.ndarray:
-        """z^(n-1) of T(values) at the nodes: the kernel rows plus the
-        diagonal jump contribution P(t)."""
-        forcing = self.forcing(values)
-        integrals = self.kernel_integrals(forcing)
-        n = self.problem.n
-        row = np.zeros(len(self.nodes))
-        for ell, gam in enumerate(self.gammas):
-            row += self.signs[ell] * self.coeffs[ell] * gam ** (n - 1) \
-                * integrals[ell]
-        return row + self.forcing(values, at_nodes=True)
 
     def grid(self, values: np.ndarray) -> IterateGrid:
         return IterateGrid(

@@ -14,6 +14,7 @@ from poincarefp.cli import (
     run,
 )
 from poincarefp.errors import ConfigError
+from poincarefp.solver import solve_problem
 
 MINIMAL = """\
 n = 2
@@ -163,6 +164,25 @@ class TestEndToEnd:
             assert (out / name).is_file(), name
         diag = (out / "diagnostics.csv").read_text()
         assert "wronskian_ratio" in diag
+
+    def test_all_solves_each_root_once(self, tmp_path, monkeypatch):
+        from poincarefp import cli
+
+        calls = []
+
+        def counting_solve(problem, i):
+            calls.append(i)
+            return solve_problem(problem, i)
+
+        monkeypatch.setattr(cli, "solve_problem", counting_solve)
+        config = load_config(write_config(tmp_path, MINIMAL))
+        config.output_dir = tmp_path / "out"
+        run("all", config)
+        assert sorted(calls) == [1, 2]
+        # verify on its own still solves
+        calls.clear()
+        run("verify", config)
+        assert sorted(calls) == [1, 2]
 
     def test_verify_passes_on_golden(self, tmp_path):
         out = tmp_path / "out"

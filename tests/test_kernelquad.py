@@ -1,0 +1,210 @@
+"""Kernel quadrature: closed forms, tails, kinks, and agreement with the
+adaptive-quadrature oracle on the shipped configs."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from helpers import (
+    ScalarModel,
+    make_shifted,
+    quad_envelope,
+    quad_L,
+    quad_R,
+    quad_sigma,
+)
+from poincarefp import kernelquad
+from poincarefp.asymptotics import admissible_beta_interval, envelope
+from poincarefp.cli import load_config
+from poincarefp.errors import QuadratureFailure
+from poincarefp.green import build_kernel
+from poincarefp.hypotheses import (
+    compute_L,
+    compute_R,
+    estimate_sigma,
+    hypothesis_grid,
+)
+from poincarefp.problem import ProblemSpec
+from poincarefp.reduction import build_reduced_rhs
+from poincarefp.spectral import find_roots, shift_spectrum
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.conf"))
+TARGETS = np.array([0.0, 0.5, 1.0, 3.0, 7.5])
+
+
+def decaying(a):
+    return lambda s: np.exp(-a * np.asarray(s, dtype=float))
+
+
+def agree(got, ref) -> bool:
+    return abs(got - ref) <= max(1e-8 * abs(ref), 1e-10)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("gamma", [-2.0, -0.5, 0.0, 1.5])
+    def test_causal(self, gamma):
+        # int_0^t e^{gamma (t - s)} e^{-3 s} ds
+        # = (e^{gamma t} - e^{-3 t}) / (gamma + 3)
+        got = kernelquad.exp_integrals(
+            decaying(3.0), TARGETS, 0.0,
+            [kernelquad.ExpTerm(gamma, True)], 1.0, 1e-10,
+        )[0]
+        expected = (np.exp(gamma * TARGETS) - np.exp(-3 * TARGETS)) / (
+            gamma + 3
+        )
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [2.0, 0.5, -1.0])
+    def test_anticausal(self, gamma):
+        # int_t^inf e^{gamma (t - s)} e^{-3 s} ds = e^{-3 t} / (gamma + 3)
+        got = kernelquad.exp_integrals(
+            decaying(3.0), TARGETS, 0.0,
+            [kernelquad.ExpTerm(gamma, False)], gamma + 3.0, 1e-12,
+        )[0]
+        expected = np.exp(-3 * TARGETS) / (gamma + 3)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_targets_in_any_order(self):
+        terms = [kernelquad.ExpTerm(-1.0, True),
+                 kernelquad.ExpTerm(1.0, False)]
+        ordered = kernelquad.exp_integrals(decaying(1.0), TARGETS, 0.0,
+                                           terms, 1.0, 1e-10)
+        shuffled = kernelquad.exp_integrals(decaying(1.0), TARGETS[::-1],
+                                            0.0, terms, 1.0, 1e-10)
+        assert np.array_equal(ordered, shuffled[:, ::-1])
+
+    def test_plain_integral(self):
+        # int_0^10 (1 + s)^-2 ds = 1 - 1/11
+        got = kernelquad.integral(lambda s: (1.0 + s) ** -2, 0.0, 10.0)
+        assert got == pytest.approx(10.0 / 11.0, rel=1e-14)
+
+    def test_target_below_lower_limit_rejected(self):
+        with pytest.raises(ValueError):
+            kernelquad.integral(decaying(1.0), 1.0, 0.5)
+
+
+class TestTail:
+    def test_non_decaying_tail_raises(self):
+        # e^{-(t - s)} against a constant grows along the anticausal side
+        with pytest.raises(QuadratureFailure):
+            kernelquad.exp_integrals(
+                lambda s: np.ones_like(s), [1.0, 2.0], 0.0,
+                [kernelquad.ExpTerm(-1.0, False)], 0.5, 1e-10,
+            )
+
+    def test_constant_tail_raises(self):
+        with pytest.raises(QuadratureFailure):
+            kernelquad.tail_cutoff(lambda s: 1.0, 0.0, 1.0, 1e-10)
+
+    def test_cutoff_meets_budget(self):
+        cut = kernelquad.tail_cutoff(lambda s: np.exp(-s), 0.0, 1.0, 1e-10)
+        assert np.exp(-cut) < kernelquad.TAIL_SAFETY * 1e-10
+        assert np.exp(-cut / 2) >= kernelquad.TAIL_SAFETY * 1e-10
+
+
+class TestKinks:
+    def test_sign_change_of_first_derivative(self):
+        # lambda_1 of the golden problem: g = e^{-u} - e^{-2u} keeps its
+        # sign, g' = -e^{-u} + 2 e^{-2u} changes it at u = ln 2; the
+        # anticausal mirror changes it at u = -ln 2
+        causal = build_kernel(make_shifted((-1.0, -2.0)))
+        assert causal.sign_changes == pytest.approx((np.log(2.0),),
+                                                    rel=1e-13)
+        anti = build_kernel(make_shifted((2.0, 1.0)))
+        assert anti.sign_changes == pytest.approx((-np.log(2.0),),
+                                                  rel=1e-13)
+
+    def test_no_sign_change_for_single_term(self):
+        assert build_kernel(make_shifted((-2.0,))).sign_changes == ()
+
+    def test_kink_integrated_exactly(self):
+        # int_0^t |g(u)| + |g'(u)| du for g = e^{-u} - e^{-2u}:
+        # (1 - e^{-t}) - (1 - e^{-2t}) / 2 + 1/2 - e^{-t} + e^{-2t}
+        kernel = build_kernel(make_shifted((-1.0, -2.0)))
+        t = np.array([0.3, np.log(2.0), 2.0, 9.0])
+        got = kernelquad.abs_derivative_integral(
+            kernel, lambda s: np.ones_like(s), t, 0.0, 1.0, 1e-10
+        )
+        expected = (1 - np.exp(-t)) - (1 - np.exp(-2 * t)) / 2 \
+            + 0.5 - np.exp(-t) + np.exp(-2 * t)
+        expected[0] = (1 - np.exp(-0.3)) - (1 - np.exp(-0.6)) / 2 \
+            + (np.exp(-0.3) - np.exp(-0.6))  # g' > 0 on all of [0, 0.3]
+        assert got == pytest.approx(expected, rel=1e-13)
+
+
+    def test_kink_of_the_integrand_is_split_out(self):
+        # |s - 1.3| has a kink no breakpoint knows of
+        got = kernelquad.integral(lambda s: np.abs(s - 1.3), 0.0, 3.0)
+        assert got == pytest.approx((1.3 ** 2 + 1.7 ** 2) / 2, rel=1e-10)
+
+    def test_sign_changing_coefficient_mass(self):
+        # M_1 = |r_1| = |0.5 - e^{-s}| has a kink at s = ln 2
+        problem = ProblemSpec(n=2, a=(-1.0, 0.0),
+                              r_sources=("0", "0.5 - exp(-t)"), t_max=64.0,
+                              grid_points=64)
+        kernel = build_kernel(shift_spectrum(find_roots(problem.a), 1))
+        table = build_reduced_rhs(problem.a, problem.n)
+        model = ScalarModel(problem, kernel, table)
+        for t in (1.0, 2.0, 4.0):
+            got = compute_L(problem, kernel, table, t, 1)
+            assert agree(got, quad_L(model, t, 1))
+
+
+@pytest.fixture(scope="module", params=CONFIGS, ids=lambda p: p.stem)
+def shipped(request):
+    problem = load_config(request.param).problem
+    return problem, find_roots(problem.a), build_reduced_rhs(problem.a,
+                                                             problem.n)
+
+
+class TestAgainstQuadOracle:
+    def test_R_and_L(self, shipped):
+        problem, spectrum, table = shipped
+        grid = np.array(hypothesis_grid(problem))
+        bad = []
+        for i in range(1, problem.n + 1):
+            kernel = build_kernel(shift_spectrum(spectrum, i))
+            model = ScalarModel(problem, kernel, table)
+            got = compute_R(problem, kernel, table, grid)
+            bad += [("R", i, t) for t, v in zip(grid, got)
+                    if not agree(v, quad_R(model, t))]
+            for k in range(1, problem.n + 1):
+                got = compute_L(problem, kernel, table, grid, k)
+                bad += [(f"L_{k}", i, t) for t, v in zip(grid, got)
+                        if not agree(v, quad_L(model, t, k))]
+        assert not bad
+
+    def test_sigma(self, shipped):
+        # a finite sigma matches the oracle at its argmax; a divergent one
+        # has an oracle tail that does not decay or keeps growing
+        problem, spectrum, table = shipped
+        grid = hypothesis_grid(problem)
+        for i in range(1, problem.n + 1):
+            shifted = shift_spectrum(spectrum, i)
+            model = ScalarModel(problem, build_kernel(shifted), table)
+            for gam in shifted.gamma:
+                est = estimate_sigma(problem, table, gam, shifted.mu, grid)
+                if est.status == "finite":
+                    ref = quad_sigma(model, gam, est.arg_t)
+                    assert agree(est.value, ref)
+                    continue
+                try:
+                    ref = [quad_sigma(model, gam, t) for t in grid[-2:]]
+                except QuadratureFailure:
+                    continue
+                assert ref[1] > 1.1 * ref[0]
+
+    def test_envelope(self, shipped):
+        problem, spectrum, _ = shipped
+        # the windows and beta of the verify stage
+        lo = min(10.0, problem.t_max / 4)
+        hi = min(100.0, problem.t_max / 2)
+        ts = np.linspace(lo, min(lo + 2 * (hi - lo), problem.t_max), 25)
+        for i in range(1, problem.n + 1):
+            beta = sum(admissible_beta_interval(spectrum, i)) / 2
+            got = envelope(problem, spectrum, i, beta, ts)
+            ref = [quad_envelope(problem, spectrum, i, beta, t) for t in ts]
+            assert all(agree(v, q) for v, q in zip(got, ref))

@@ -92,3 +92,19 @@ class TestAbel:
         measured, expected = abel_check(e1_problem, e1_system, 5.0)
         # relative to the size of the exponent a_{n-1} (t - t0)
         assert measured == pytest.approx(expected, rel=1e-6)
+
+    def test_trace_perturbation_enters_expected_value(self):
+        # y'' + (1+t)^-2 y' - y = 0: a_1 = 0, so the whole Wronskian decay
+        # comes from -int_0^10 r_1 = -(1 - 1/11)
+        from poincarefp import find_roots, solve_problem
+        from poincarefp.asymptotics import build_fundamental_system
+
+        problem = ProblemSpec(
+            n=2, a=(-1.0, 0.0), r_sources=("0", "1/(1+t)^2"), t_max=120.0,
+            grid_points=160,
+        )
+        grids = [solve_problem(problem, i)[1] for i in (1, 2)]
+        fs = build_fundamental_system(problem, find_roots(problem.a), grids)
+        measured, expected = abel_check(problem, fs, 10.0)
+        assert expected == pytest.approx(-10.0 / 11.0, rel=1e-12)
+        assert measured == pytest.approx(expected, rel=1e-8)
