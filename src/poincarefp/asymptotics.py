@@ -214,15 +214,9 @@ def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
         )
     cumulative = []
     for grid in solutions:
-        pts, wts, _ = chebgrid.panel_rule(grid.nodes)
-        interp = chebgrid.barycentric_matrix(
-            grid.nodes, grid.bary_weights, pts
-        )
-        z_panels = interp @ grid.values[0]
+        panels = chebgrid.AnglePanels(grid.t0, grid.t_max, len(grid.nodes))
         cumulative.append(
-            chebgrid.cumulative_integral(
-                grid.nodes, pts, wts, chebgrid.GL_ORDER, z_panels
-            )
+            panels.cumulative_integral(panels.interpolate(grid.values[0]))
         )
     return FundamentalSystem(
         problem=problem,

@@ -267,6 +267,20 @@ def evaluate_expression(e: Expression, t):
     return arr
 
 
+def depends_on_t(node: Expression) -> bool:
+    """Whether ``node`` mentions the variable t; if not, its value is the
+    same at every t."""
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Num):
+        return False
+    if isinstance(node, Neg):
+        return depends_on_t(node.operand)
+    if isinstance(node, BinOp):
+        return depends_on_t(node.left) or depends_on_t(node.right)
+    return any(depends_on_t(arg) for arg in node.args)
+
+
 def pretty_print(node: Expression) -> str:
     """Fully parenthesized rendering; re-parsing yields an identical AST."""
     if isinstance(node, Num):

@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from . import kernelquad
 from .asymptotics import FundamentalSystem
+from .exprparse import depends_on_t
 from .problem import ProblemSpec
 
 DEFAULT_RTOL = 1e-10
@@ -34,15 +35,26 @@ class TrajectorySample:
 
 
 def companion_rhs(problem: ProblemSpec):
-    """Right side of the first-order companion system."""
+    """Right side of the first-order companion system.
+
+    An r_i that does not depend on t is evaluated once, here, not at
+    every step.
+    """
     n = problem.n
-    a = np.asarray(problem.a)
+    a = np.asarray(problem.a, dtype=float)
+    varying = [i for i in range(n) if depends_on_t(problem.r_exprs[i])]
+    coeffs = a.copy()
+    for i in range(n):
+        if i not in varying:
+            coeffs[i] += problem.r_value(i, problem.t0)
 
     def rhs(t, state):
         out = np.empty(n)
         out[:-1] = state[1:]
-        r = np.array([problem.r_value(i, float(t)) for i in range(n)])
-        out[-1] = -np.dot(a + r, state)
+        current = coeffs.copy()
+        for i in varying:
+            current[i] = a[i] + problem.r_value(i, float(t))
+        out[-1] = -np.dot(current, state)
         return out
 
     return rhs

@@ -11,13 +11,20 @@ exponentials, every kernel integral obeys a one-panel recurrence
 (and its mirror for the anticausal terms), so one pass over the grid
 yields every iterate derivative z^(j) = sum_l sign_l c_l gamma_l^j I_l
 simultaneously; the recurrence and its weights come from ``kernelquad``.
-Beyond the window the iterate is modelled as zero and the anticausal
-integrals get an explicit constant tail computed from the independent
-forcing term.
+The panel integrals need the z-jet between the Chebyshev nodes.  The
+quadrature points of ``chebgrid.AnglePanels`` sit at the same angle
+offsets in every panel, so each application of T interpolates the jet
+onto all of them with one real FFT and one batched inverse FFT:
+O(N log N) work and O(N) memory per iteration, and no interpolation
+matrix.  The same cosine coefficients give the certificate's
+discretisation error estimate.  Beyond the window the iterate is
+modelled as zero and the anticausal integrals get an explicit constant
+tail computed from the independent forcing term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,7 @@ from .spectral import (
 
 DIVERGENCE_STRIKES = 3
 RETRY_ETA = 0.9
+TAIL_FRACTION = 16  # the error estimate sums the last 1/16 of coefficients
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,7 @@ class ContractionCertificate:
     ratios: tuple[float, ...]
     contraction_ratio: float
     final_residual: float
+    discretisation_error: float
     sup_norm: float
     tail_bounds: tuple[float, ...]
     converged: bool
@@ -100,6 +109,8 @@ class ContractionCertificate:
             f"iterations = {self.iterations}",
             f"sup norm of iterate = {self.sup_norm!r}",
             f"residual ||Tz - z||_0 = {self.final_residual!r}",
+            f"discretisation error estimate = "
+            f"{self.discretisation_error!r}",
             f"observed contraction ratio = {self.contraction_ratio!r}",
             f"anticausal tail bounds = "
             + ", ".join(repr(b) for b in self.tail_bounds),
@@ -124,14 +135,9 @@ class FixedPointOperator:
         count = problem.grid_points
         self.nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, count)
         self.bary_weights = chebgrid.lobatto_weights(count)
-        pts, wts, _ = chebgrid.panel_rule(self.nodes)
-        self.panel_points = pts
-        self.panel_weights = wts
-        self.order = chebgrid.GL_ORDER
-        self.interp = chebgrid.barycentric_matrix(
-            self.nodes, self.bary_weights, pts
-        )
-        self.r_panels = [problem.r_value(i, pts) for i in range(n)]
+        self.panels = chebgrid.AnglePanels(problem.t0, problem.t_max, count)
+        pts = self.panels.points
+        self.r_panels = [problem.r_value(i, pts.ravel()) for i in range(n)]
         self.r_nodes = [problem.r_value(i, self.nodes) for i in range(n)]
 
         self.gammas = kernel.gamma.gamma
@@ -139,10 +145,9 @@ class FixedPointOperator:
         self.coeffs = kernel.coeffs
         self.causal = kernel.causal
         # per-gamma panel weights and inter-node decay factors
-        shape = (count - 1, self.order)
         self.exp_weights = [
-            kernelquad.exp_weights(self.nodes, pts.reshape(shape),
-                                   wts.reshape(shape), gam, causal)
+            kernelquad.exp_weights(self.nodes, pts, self.panels.weights,
+                                   gam, causal)
             for gam, causal in zip(self.gammas, self.causal)
         ]
         self.tail_constants = self._tail_constants()
@@ -175,7 +180,8 @@ class FixedPointOperator:
             zjet = [values[j] for j in range(values.shape[0])]
             rvals = self.r_nodes
         else:
-            zjet = [self.interp @ values[j] for j in range(values.shape[0])]
+            zjet = list(self.panels.interpolate(values).reshape(
+                values.shape[0], -1))
             rvals = self.r_panels
         return np.asarray(
             self.table.evaluate_rhs(self.mu, rvals, zjet), dtype=float
@@ -183,7 +189,7 @@ class FixedPointOperator:
 
     def kernel_integrals(self, forcing_panels: np.ndarray):
         """I_gamma and A_gamma at every node via the panel recurrence."""
-        fp = forcing_panels.reshape(len(self.nodes) - 1, self.order)
+        fp = forcing_panels.reshape(self.panels.points.shape)
         integrals = {}
         for ell, (weights, decay) in enumerate(self.exp_weights):
             causal = self.causal[ell]
@@ -221,6 +227,14 @@ class FixedPointOperator:
 
 def _norm0(values: np.ndarray) -> float:
     return float(np.max(np.abs(values).sum(axis=0)))
+
+
+def _discretisation_error(values: np.ndarray) -> float:
+    """Largest sum of |d_m| over the trailing ceil(N/16) cosine
+    coefficients of any derivative row: what the grid fails to resolve."""
+    coeffs = chebgrid.chebyshev_coefficients(values)
+    tail = math.ceil(values.shape[-1] / TAIL_FRACTION)
+    return float(np.max(np.abs(coeffs[..., -tail:]).sum(axis=-1)))
 
 
 def apply_T(operator: FixedPointOperator, grid: IterateGrid) -> IterateGrid:
@@ -288,6 +302,7 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
         ratios=ratios,
         contraction_ratio=contraction,
         final_residual=residual,
+        discretisation_error=_discretisation_error(values),
         sup_norm=_norm0(values),
         tail_bounds=tuple(
             abs(operator.coeffs[ell] * const)

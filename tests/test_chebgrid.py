@@ -1,0 +1,91 @@
+"""Lobatto grid, FFT node-to-panel interpolation and the angle panel rule."""
+
+from __future__ import annotations
+
+import mpmath
+import numpy as np
+import pytest
+
+from poincarefp import chebgrid
+
+
+def grid(count, a=0.0, b=220.0):
+    nodes = chebgrid.lobatto_nodes(a, b, count)
+    return nodes, chebgrid.AnglePanels(a, b, count)
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("count", [16, 17, 160])
+    def test_matches_barycentric_matrix(self, count):
+        nodes, panels = grid(count)
+        weights = chebgrid.lobatto_weights(count)
+        values = np.vstack((
+            np.exp(-nodes / 30) * np.cos(nodes / 9),
+            1 / (1 + nodes) ** 3,
+        ))
+        dense = chebgrid.barycentric_matrix(
+            nodes, weights, panels.points.ravel()
+        )
+        got = panels.interpolate(values)
+        assert got.shape == (2, count - 1, chebgrid.GL_ORDER)
+        for row, fft_row in zip(values, got):
+            err = np.max(np.abs(dense @ row - fft_row.ravel()))
+            assert err <= 1e-13 * np.max(np.abs(row))
+
+    def test_random_data_against_mpmath(self):
+        # the interpolant at the exact angle phi_k + delta_g, from the
+        # barycentric formula in x = -cos(phi) at 30 digits
+        count = 65
+        _, panels = grid(count, -1.0, 1.0)
+        values = np.random.default_rng(7).uniform(-1, 1, count)
+        h = np.pi / (count - 1)
+        x, _ = np.polynomial.legendre.leggauss(chebgrid.GL_ORDER)
+        delta = h * (1 + x) / 2
+        got = panels.interpolate(values)
+        with mpmath.workdps(30):
+            angles = [mpmath.pi * k / (count - 1) for k in range(count)]
+            nodes = [-mpmath.cos(phi) for phi in angles]
+            bary = [(-1) ** k * (0.5 if k in (0, count - 1) else 1)
+                    for k in range(count)]
+            worst = 0.0
+            for k in range(count - 1):
+                for g, d in enumerate(delta):
+                    xt = -mpmath.cos(angles[k] + mpmath.mpf(float(d)))
+                    kern = [w / (xt - xn) for w, xn in zip(bary, nodes)]
+                    ref = sum(c * float(v) for c, v in zip(kern, values)) \
+                        / sum(kern)
+                    worst = max(worst, abs(float(ref) - got[k, g]))
+        assert worst < 1e-14
+
+    def test_coefficients_reproduce_nodes(self):
+        count = 33
+        nodes, _ = grid(count, -1.0, 1.0)
+        values = np.cos(3 * np.arccos(nodes)) + 0.5  # T_3 + T_0 / 2
+        coeffs = chebgrid.chebyshev_coefficients(values)
+        # x = -cos(phi), so T_3(x) = -cos(3 phi)
+        expected = np.zeros(count)
+        expected[0], expected[3] = 0.5, -1.0
+        assert np.max(np.abs(coeffs - expected)) < 1e-14
+        phi = np.pi * np.arange(count) / (count - 1)
+        series = np.cos(np.outer(phi, np.arange(count))) @ coeffs
+        assert np.max(np.abs(series - values)) < 1e-14
+
+
+class TestAngleRule:
+    @pytest.mark.parametrize("count", [16, 17, 160, 1600])
+    def test_points_increase_inside_their_panels(self, count):
+        nodes, panels = grid(count)
+        assert np.all(np.diff(panels.points.ravel()) > 0)
+        assert np.all(panels.points > nodes[:-1, None])
+        assert np.all(panels.points < nodes[1:, None])
+        assert np.all(panels.weights > 0)
+
+    @pytest.mark.parametrize("count", [16, 160])
+    def test_integrates_damped_cosine(self, count):
+        _, panels = grid(count)
+        s = panels.points
+        total = panels.cumulative_integral(np.exp(-s / 7) * np.cos(s / 3))
+        c = complex(-1 / 7, 1 / 3)
+        exact = ((np.exp(c * 220.0) - 1) / c).real
+        assert total[0] == 0.0
+        assert abs(total[-1] - exact) <= 1e-13 * abs(exact)

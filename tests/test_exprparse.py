@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from poincarefp.errors import EvalDomainError, ExpressionError
 from poincarefp.exprparse import (
+    depends_on_t,
     evaluate_expression,
     parse_expression,
     pretty_print,
@@ -63,6 +64,17 @@ class TestParsing:
         with pytest.raises(ExpressionError) as info:
             parse_expression("1 + $")
         assert info.value.position == 4
+
+
+class TestDependsOnT:
+    @pytest.mark.parametrize("src", ["0", "-2.5", "exp(1)/pi", "pow(2, 3)"])
+    def test_constant(self, src):
+        assert not depends_on_t(parse_expression(src))
+
+    @pytest.mark.parametrize("src", ["t", "1/(1+t)^3", "-t", "pow(2, t)",
+                                     "0*t"])
+    def test_varying(self, src):
+        assert depends_on_t(parse_expression(src))
 
 
 class TestEvaluation:

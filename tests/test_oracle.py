@@ -7,6 +7,7 @@ import pytest
 
 from poincarefp.oracle import (
     abel_check,
+    companion_rhs,
     compare_to_fixed_point,
     initial_jet,
     integrate_original,
@@ -50,6 +51,35 @@ class TestIntegrateOriginal:
         err_loose = abs(loose.states[0][0] - exact)
         err_tight = abs(tight.states[0][0] - exact)
         assert err_tight < err_loose
+
+
+class TestCompanionRhs:
+    def test_constant_perturbations_evaluated_once(self, monkeypatch):
+        problem = ProblemSpec(
+            n=3, a=(-6.0, 11.0, -6.0),
+            r_sources=("1/(1+t)^3", "0", "exp(1)/100"),
+            t_max=32.0, grid_points=32,
+        )
+        calls = []
+        r_value = ProblemSpec.r_value
+
+        def counted(self, i, t):
+            calls.append(i)
+            return r_value(self, i, t)
+
+        monkeypatch.setattr(ProblemSpec, "r_value", counted)
+        rhs = companion_rhs(problem)
+        calls.clear()
+        state = np.array([1.0, -2.0, 3.0])
+        for t in (0.0, 0.5, 7.25):
+            out = rhs(t, state)
+            # same arithmetic as evaluating every r_i at every step
+            coeffs = np.asarray(problem.a) + np.array(
+                [r_value(problem, i, t) for i in range(3)]
+            )
+            assert out[-1] == -np.dot(coeffs, state)
+            assert list(out[:-1]) == [-2.0, 3.0]
+        assert calls == [0, 0, 0]
 
 
 class TestComparisons:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -175,3 +177,50 @@ class TestFailureModes:
         operator = build_operator(problem, 1)
         with pytest.raises(DivergenceDetected):
             picard_solve(operator)
+
+
+def e1_at(grid_points):
+    return ProblemSpec(
+        n=3, a=(-6.0, 11.0, -6.0), r_sources=("1/(1+t)^3", "0", "0"),
+        t_max=220.0, grid_points=grid_points,
+    )
+
+
+class TestDiscretisationError:
+    def test_estimate_separates_coarse_from_resolved_grid(self):
+        # at N = 100 z(50) of lambda_2 is about 1% off although Picard
+        # converges; at N = 200 the grid resolves the iterate
+        _, grid, coarse = solve_problem(e1_at(100), 2)
+        _, _, fine = solve_problem(e1_at(200), 2)
+        assert coarse.converged and fine.converged
+        assert coarse.discretisation_error > 1e-7
+        assert fine.discretisation_error < 1e-9
+        # the largest sum of |d_m| over the last ceil(100/16) = 7 cosine
+        # coefficients, with d from a dense solve of the series at the nodes
+        phi = np.pi * np.arange(100) / 99
+        series = np.cos(np.outer(phi, np.arange(100)))
+        coeffs = np.linalg.solve(series, grid.values.T).T
+        expected = np.max(np.abs(coeffs[:, -7:]).sum(axis=1))
+        assert coarse.discretisation_error == pytest.approx(expected,
+                                                            rel=1e-6)
+
+    def test_reported_after_residual(self, e1_solves):
+        results, _ = e1_solves
+        lines = results[2][2].format().splitlines()
+        at = next(k for k, line in enumerate(lines)
+                  if line.startswith("residual ||Tz - z||_0 = "))
+        assert lines[at + 1].startswith("discretisation error estimate = ")
+
+
+class TestMemory:
+    def test_fine_grid_solve_stays_linear_in_memory(self):
+        # a dense node-to-panel matrix at N = 1600 alone would take
+        # 12 * 1599 * 1600 * 8 B = 245 MB
+        tracemalloc.start()
+        try:
+            _, _, cert = solve_problem(e1_at(1600), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.converged
+        assert peak < 32e6
