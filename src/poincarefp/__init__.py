@@ -39,7 +39,6 @@ from .solver import (
     ContractionCertificate,
     FixedPointOperator,
     IterateGrid,
-    apply_T,
     ode_residual,
     picard_solve,
     solve_problem,
@@ -74,7 +73,6 @@ __all__ = [
     "RepeatedRoots",
     "ShiftedSpectrum",
     "Spectrum",
-    "apply_T",
     "build_derivative_polynomials",
     "build_kernel",
     "build_reduced_rhs",

@@ -8,11 +8,12 @@ rebuilt in log space,
 so nothing overflows; derivative ratios y^(j)/y come from evaluating the
 exact P_j polynomials on the z-jet, and the Wronskian diagnostic is the
 determinant of the ratio matrix, whose limit is the Vandermonde product
-of the spectrum.  Envelope checks compare the iterate's derivative mass
-against the case-dependent exponentially weighted integral of the
+of the spectrum.  The z-jet and int z come from the solved iterate's
+Chebyshev coefficients.  Envelope checks compare the iterate's derivative
+mass against the case-dependent exponentially weighted integral of the
 independent term, judging stability under window extension instead of
 asserting an unspecified big-O constant.  The envelope is an exponential
-convolution, evaluated by ``kernelquad`` for a whole window of t at once.
+convolution; it and the z-jet are evaluated for a whole window of t at once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import chebgrid, kernelquad
+from . import kernelquad
 from .errors import QuadratureFailure
 from .multipoly import Poly
 from .problem import ProblemSpec
@@ -108,19 +109,13 @@ def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
     hi = min(window[1], solution.t_max)
     ts = np.linspace(lo, hi, points)
     envs = envelope(problem, spectrum, i, beta, ts, tol)
-    samples = []
-    sup = 0.0
-    mass_seen = 0.0
-    for t, env in zip(ts, envs.tolist()):
-        mass = float(np.abs(solution.jet(float(t))).sum())
-        mass_seen = max(mass_seen, mass)
-        if env < ENVELOPE_FLOOR:
-            continue
-        ratio = mass / env
-        samples.append((float(t), ratio))
-        sup = max(sup, ratio)
+    masses = np.abs(solution.jet(ts)).sum(axis=0)
+    formed = ~(envs < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
+    ratios = masses[formed] / envs[formed]
+    samples = tuple(zip(ts[formed].tolist(), ratios.tolist()))
+    sup = float(ratios.max(initial=0.0))
     if not samples:
-        if mass_seen == 0.0:
+        if masses.max() == 0.0:
             verdict = "pass (vacuous)"
         else:
             raise QuadratureFailure(
@@ -133,7 +128,7 @@ def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
         beta=beta,
         window=(lo, hi),
         sup_ratio=sup,
-        samples=tuple(samples),
+        samples=samples,
         verdict=verdict,
     )
 
@@ -167,42 +162,41 @@ class FundamentalSystem:
     problem: ProblemSpec
     spectrum: Spectrum
     grids: tuple[IterateGrid, ...]  # index i-1 -> z_{lambda_i}
-    cumulative: tuple[np.ndarray, ...]  # int z at the grid nodes
     polys: tuple[Poly, ...]  # P_0 .. P_n with y^(j) = P_j * y
 
-    def log_y(self, i: int, t) -> float:
-        """log y_i(t); y_i(t0) = 1 by construction."""
-        grid = self.grids[i - 1]
+    def log_y(self, i: int, t):
+        """log y_i at scalar or array t; y_i(t0) = 1 by construction."""
         lam = self.spectrum.lam[i - 1]
-        t_val = float(t)
-        if t_val <= grid.t_max:
-            z_int = chebgrid.barycentric_eval(
-                grid.nodes, grid.bary_weights, self.cumulative[i - 1], t_val
-            )
-        else:
-            z_int = float(self.cumulative[i - 1][-1])  # zero tail model
-        return lam * (t_val - self.problem.t0) + float(z_int)
+        return lam * (np.asarray(t, dtype=float) - self.problem.t0) \
+            + self.grids[i - 1].integral(t)  # zero tail model
 
-    def derivative_ratio(self, i: int, j: int, t) -> float:
-        """y_i^(j)(t) / y_i(t) from the exact P_j polynomial on the
-        z-jet."""
+    def _jet_point(self, i: int, t) -> list:
+        """Poly evaluation point (lambda_i, r = 0, z-jet of root i at t)."""
+        n = self.problem.n
+        point = [0.0] * (2 * n + 2)
+        point[0] = self.spectrum.lam[i - 1]
+        point[n + 1 : 2 * n] = self.grids[i - 1].jet(t)
+        return point
+
+    def derivative_ratio(self, i: int, j: int, t):
+        """y_i^(j) / y_i from the exact P_j polynomial on the z-jet, at
+        scalar or array t."""
         n = self.problem.n
         if not 0 <= j <= n - 1:
             raise ValueError(f"derivative order {j} outside 0..{n - 1}")
-        grid = self.grids[i - 1]
-        point = [0.0] * (2 * n + 2)
-        point[0] = self.spectrum.lam[i - 1]
-        jet = grid.jet(float(t))
-        for k, val in enumerate(jet):
-            point[n + 1 + k] = float(val)
-        return float(self.polys[j].evaluate(point))
+        value = self.polys[j].evaluate(self._jet_point(i, t))
+        return float(value) if np.ndim(t) == 0 else value * np.ones_like(t)
 
     def ratio_matrix(self, t) -> np.ndarray:
+        """y_i^(j) / y_i with row j and column i - 1, shape (n, n) at
+        scalar t and (len(t), n, n) at array t; one jet per root."""
         n = self.problem.n
-        return np.array([
-            [self.derivative_ratio(i, j, t) for i in range(1, n + 1)]
-            for j in range(n)
-        ])
+        out = np.empty(np.shape(t) + (n, n))
+        for i in range(1, n + 1):
+            point = self._jet_point(i, t)
+            for j in range(n):
+                out[..., j, i - 1] = self.polys[j].evaluate(point)
+        return out
 
 
 def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
@@ -212,17 +206,10 @@ def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
         raise ValueError(
             f"need {problem.n} converged solves, got {len(solutions)}"
         )
-    cumulative = []
-    for grid in solutions:
-        panels = chebgrid.AnglePanels(grid.t0, grid.t_max, len(grid.nodes))
-        cumulative.append(
-            panels.cumulative_integral(panels.interpolate(grid.values[0]))
-        )
     return FundamentalSystem(
         problem=problem,
         spectrum=spectrum,
         grids=tuple(solutions),
-        cumulative=tuple(cumulative),
         polys=tuple(build_derivative_polynomials(problem.n)),
     )
 

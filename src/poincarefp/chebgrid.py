@@ -1,4 +1,4 @@
-"""Chebyshev-Lobatto grids, node-to-panel interpolation, panel quadrature.
+"""Chebyshev-Lobatto grids and the cosine series through their nodes.
 
 Iterates of the fixed-point operator are smooth and decaying, so a single
 global Chebyshev-Lobatto grid keeps the node count small.  On [a, b] the
@@ -6,21 +6,24 @@ nodes are t(phi_k) with
 
     t(phi) = mid - half cos(phi),   phi_k = k h,   h = pi / (count - 1),
 
-so they are uniform in the angle phi.  Integrals between nodes use
-GL_ORDER Gauss-Legendre points per panel [phi_k, phi_k + h], placed
-uniformly in phi as well: every panel point is phi_k + delta_g with the
-same offsets delta_g for every k.  In phi the node interpolant is the
+so they are uniform in the angle phi.  In phi the node interpolant is the
 cosine series p(phi) = sum_m d_m cos(m phi), whose coefficients come from
 one real FFT of the evenly extended node values (Trefethen, Approximation
-Theory and Approximation Practice, ch. 3), and its value at
-phi_k + delta_g for every k is one inverse real FFT of d_m e^{i m delta_g}.
-So interpolating onto all panels costs O(count log count) and needs no
-matrix.  Barycentric interpolation remains for evaluation at arbitrary t.
+Theory and Approximation Practice, ch. 3).  Every value read off the
+interpolant comes from d: at the nodes and at the panel points below by
+one inverse real FFT, at arbitrary t by one product with cos(m phi(t)),
+and its antiderivative and derivative as Chebyshev series in
+x = cos(phi).  Integrals between nodes use GL_ORDER Gauss-Legendre points
+per panel [phi_k, phi_k + h], placed uniformly in phi as well, so every
+panel point is phi_k + delta_g with the same offsets delta_g for every k
+and interpolating onto all panels is one inverse FFT of d_m e^{i m delta_g}.
+The dense barycentric matrices below are kept only as test references.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 GL_ORDER = 12
 
@@ -57,15 +60,6 @@ def barycentric_matrix(nodes: np.ndarray, weights: np.ndarray,
         mat[row, :] = 0.0
         mat[row, col] = 1.0
     return mat
-
-
-def barycentric_eval(nodes, weights, values, x):
-    """Interpolant of ``values`` at scalar or array ``x``."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = barycentric_matrix(nodes, weights, x_arr) @ values
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
 
 
 def differentiation_matrix(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -112,13 +106,6 @@ class AnglePanels:
                                n=2 * (self.count - 1), axis=-1)
         return np.swapaxes(shifted[..., : self.count - 1], -1, -2)
 
-    def cumulative_integral(self, panel_values: np.ndarray) -> np.ndarray:
-        """Antiderivative at the nodes, zero at the first node, of a
-        function sampled at the panel points."""
-        out = np.zeros(self.count)
-        out[1:] = np.cumsum((panel_values * self.weights).sum(axis=1))
-        return out
-
 
 def _even_spectrum(values: np.ndarray) -> np.ndarray:
     """Real FFT of the even extension [v_0 .. v_{N-1}, v_{N-2} .. v_1],
@@ -132,6 +119,35 @@ def chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
     (shape (..., count)); |d_m| is the m-th Chebyshev coefficient's
     magnitude."""
     coeffs = _even_spectrum(values) / (values.shape[-1] - 1)
-    coeffs[..., 0] /= 2
-    coeffs[..., -1] /= 2
+    coeffs[..., [0, -1]] /= 2
     return coeffs
+
+
+def series_at_nodes(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``chebyshev_coefficients``: sum_m d_m cos(m phi_k) at
+    every node, shape (..., count)."""
+    count = coeffs.shape[-1]
+    spectrum = (count - 1) * coeffs
+    spectrum[..., [0, -1]] *= 2
+    return np.fft.irfft(spectrum, n=2 * (count - 1), axis=-1)[..., :count]
+
+
+def series_at(coeffs: np.ndarray, a: float, b: float, t) -> np.ndarray:
+    """sum_m d_m cos(m phi(t)) for every row of ``coeffs`` (shape
+    (..., count)) at every t of the array t in [a, b], shape (..., len(t)).
+    """
+    x = np.clip((a + b - 2 * np.asarray(t, dtype=float)) / (b - a), -1, 1)
+    basis = np.cos(np.outer(np.arccos(x), np.arange(coeffs.shape[-1])))
+    return (basis @ coeffs.T).T
+
+
+def antiderivative(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Coefficients (one more) of int_a^t p(s) ds: x = (mid - t) / half,
+    so the Chebyshev antiderivative from x = 1 is scaled by -half."""
+    return -(b - a) / 2 * chebyshev.chebint(coeffs, lbnd=1)
+
+
+def derivative(coeffs: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Coefficients of dp/dt, padded with a zero to the length of
+    ``coeffs``."""
+    return np.append(-2 / (b - a) * chebyshev.chebder(coeffs), 0.0)

@@ -163,14 +163,6 @@ class HypothesisReport:
     r3_verdict: str = "indeterminate"
     r3_detail: str = ""
 
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.h1_verdict.startswith("pass")
-            and self.r2_verdict.startswith("pass")
-            and self.r3_verdict.startswith("pass")
-        )
-
     def lines(self) -> list[str]:
         out = [f"(R1) {self.h1_verdict}: {self.h1_detail}"]
         if self.spectrum is not None:

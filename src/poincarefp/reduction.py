@@ -168,36 +168,33 @@ class OmegaTable:
             return 0.0
         return poly.evaluate(self._point(mu, rvals))
 
+    def omega_values(self, mu, rvals) -> dict:
+        """alpha -> Omega_alpha(mu, r) in table order; rvals entries may
+        be arrays."""
+        point = self._point(mu, rvals)
+        return {alpha: poly.evaluate(point)
+                for alpha, poly in self.table.items()}
+
     def evaluate_F(self, mu, rvals, zvals):
         """F = sum_alpha Omega_alpha(mu, r) * z-jet^alpha.
 
         rvals has n entries, zvals has n-1 entries (z .. z^(n-2));
         entries may be numpy arrays of a common shape.
         """
-        total = 0.0
-        point = self._point(mu, rvals)
-        for alpha, poly in self.table.items():
-            term = poly.evaluate(point)
-            for k, power in enumerate(alpha):
-                if power:
-                    term = term * zvals[k] ** power
-            total = total + term
-        return total
+        return monomial_sum(self.omega_values(mu, rvals), zvals)
 
     def evaluate_rhs(self, mu, rvals, zvals):
         """Right side of the reduced equation: -F."""
-        val = self.evaluate_F(mu, rvals, zvals)
-        return -val
+        return -self.evaluate_F(mu, rvals, zvals)
 
     def mass_by_order(self, mu, rvals):
         """k -> sum_{|alpha| = k} |Omega_alpha(mu, r)| for k = 0..n.
 
         Vectorizes over array-valued rvals entries.
         """
-        point = self._point(mu, rvals)
         out = {k: 0.0 for k in range(self.n + 1)}
-        for alpha, poly in self.table.items():
-            out[sum(alpha)] = out[sum(alpha)] + np.abs(poly.evaluate(point))
+        for alpha, omega in self.omega_values(mu, rvals).items():
+            out[sum(alpha)] = out[sum(alpha)] + np.abs(omega)
         return out
 
     def hhat(self, mu, rvals):
@@ -214,6 +211,19 @@ class OmegaTable:
         for alpha in self.alphas():
             rows.append((alpha, self.table[alpha].format(names)))
         return rows
+
+
+def monomial_sum(omegas: dict, zvals):
+    """sum_alpha omegas[alpha] * z-jet^alpha, in the order of ``omegas``;
+    zvals holds z .. z^(n-2)."""
+    total = 0.0
+    for alpha, omega in omegas.items():
+        term = omega
+        for k, power in enumerate(alpha):
+            if power:
+                term = term * zvals[k] ** power
+        total = total + term
+    return total
 
 
 def build_reduced_rhs(a, n: int | None = None) -> OmegaTable:

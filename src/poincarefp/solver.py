@@ -11,15 +11,17 @@ exponentials, every kernel integral obeys a one-panel recurrence
 (and its mirror for the anticausal terms), so one pass over the grid
 yields every iterate derivative z^(j) = sum_l sign_l c_l gamma_l^j I_l
 simultaneously; the recurrence and its weights come from ``kernelquad``.
-The panel integrals need the z-jet between the Chebyshev nodes.  The
-quadrature points of ``chebgrid.AnglePanels`` sit at the same angle
-offsets in every panel, so each application of T interpolates the jet
-onto all of them with one real FFT and one batched inverse FFT:
+The z-independent Omega_alpha(mu, r(s)) in P are evaluated once per
+operator.  The panel integrals need the z-jet between the Chebyshev
+nodes.  The quadrature points of ``chebgrid.AnglePanels`` sit at the same
+angle offsets in every panel, so each application of T interpolates the
+jet onto all of them with one real FFT and one batched inverse FFT:
 O(N log N) work and O(N) memory per iteration, and no interpolation
-matrix.  The same cosine coefficients give the certificate's
-discretisation error estimate.  Beyond the window the iterate is
-modelled as zero and the anticausal integrals get an explicit constant
-tail computed from the independent forcing term.
+matrix.  A solved iterate keeps its cosine coefficients; the error
+estimate, z^(j) and int z at any t, and the top derivative of
+``ode_residual`` are all read off them.  Beyond the window the iterate
+is modelled as zero and the anticausal integrals get an explicit
+constant tail computed from the independent forcing term.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import chebgrid, kernelquad
 from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
 from .green import GreenKernel, build_kernel
 from .problem import ProblemSpec
-from .reduction import OmegaTable, build_reduced_rhs
+from .reduction import OmegaTable, build_reduced_rhs, monomial_sum
 from .spectral import (
     find_roots,
     reduced_linear_coefficients,
@@ -49,13 +51,14 @@ TAIL_FRACTION = 16  # the error estimate sums the last 1/16 of coefficients
 class IterateGrid:
     """A z-iterate and its derivatives sampled on the Chebyshev grid.
 
-    ``values[j]`` holds z^(j) at the nodes for j = 0..n-2.  Beyond t_max
-    the iterate is extended by zero (the tail model of the operator).
+    ``values[j]`` holds z^(j) at the nodes for j = 0..n-2, ``coeffs[j]``
+    its cosine coefficients.  Beyond t_max the iterate is extended by zero
+    (the tail model of the operator).
     """
 
     nodes: np.ndarray
-    bary_weights: np.ndarray
     values: np.ndarray
+    coeffs: np.ndarray
     mu: float
 
     @property
@@ -66,27 +69,29 @@ class IterateGrid:
     def t_max(self) -> float:
         return float(self.nodes[-1])
 
-    def evaluate(self, t, j: int = 0):
-        """z^(j) at scalar or array t inside [t0, inf)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.t0 - 1e-12):
+    def _series(self, coeffs: np.ndarray, t) -> np.ndarray:
+        """Rows of ``coeffs`` at scalar or array t clipped to [t0, t_max],
+        shape coeffs.shape[:-1] + shape(t)."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.t0 - 1e-12):
             raise ValueError("evaluation point below t0")
-        out = np.zeros(t_arr.shape)
-        inside = t_arr <= self.t_max
-        if np.any(inside):
-            out[inside] = chebgrid.barycentric_eval(
-                self.nodes, self.bary_weights, self.values[j], t_arr[inside]
-            )
-        if np.ndim(t) == 0:
-            return float(out[0])
-        return out
+        out = chebgrid.series_at(coeffs, self.t0, self.t_max, t.ravel())
+        return out.reshape(coeffs.shape[:-1] + t.shape)
 
     def jet(self, t) -> np.ndarray:
         """All derivatives z^(0..n-2) at scalar t, or one row per order
         at array t."""
-        return np.array([
-            self.evaluate(t, j) for j in range(self.values.shape[0])
-        ])
+        return np.where(np.asarray(t) > self.t_max, 0.0,
+                        self._series(self.coeffs, t))
+
+    def evaluate(self, t, j: int = 0):
+        """z^(j) at scalar or array t inside [t0, inf)."""
+        return self.jet(t)[j]
+
+    def integral(self, t):
+        """int_{t0}^t z(s) ds at scalar or array t; constant beyond t_max."""
+        return self._series(chebgrid.antiderivative(
+            self.coeffs[0], self.t0, self.t_max), t)[()]
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class ContractionCertificate:
             f"discretisation error estimate = "
             f"{self.discretisation_error!r}",
             f"observed contraction ratio = {self.contraction_ratio!r}",
-            f"anticausal tail bounds = "
+            "anticausal tail bounds = "
             + ", ".join(repr(b) for b in self.tail_bounds),
             f"converged = {self.converged}",
             "successive difference norms:",
@@ -134,11 +139,14 @@ class FixedPointOperator:
 
         count = problem.grid_points
         self.nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, count)
-        self.bary_weights = chebgrid.lobatto_weights(count)
         self.panels = chebgrid.AnglePanels(problem.t0, problem.t_max, count)
         pts = self.panels.points
-        self.r_panels = [problem.r_value(i, pts.ravel()) for i in range(n)]
-        self.r_nodes = [problem.r_value(i, self.nodes) for i in range(n)]
+        self.omega_panels = table.omega_values(
+            self.mu, [problem.r_value(i, pts.ravel()) for i in range(n)]
+        )
+        self.omega_nodes = table.omega_values(
+            self.mu, [problem.r_value(i, self.nodes) for i in range(n)]
+        )
 
         self.gammas = kernel.gamma.gamma
         self.signs = [kernel.term_sign(ell) for ell in range(n - 1)]
@@ -177,15 +185,10 @@ class FixedPointOperator:
         """P = -F along the panel points (or the nodes) for the iterate
         sampled in ``values``."""
         if at_nodes:
-            zjet = [values[j] for j in range(values.shape[0])]
-            rvals = self.r_nodes
-        else:
-            zjet = list(self.panels.interpolate(values).reshape(
-                values.shape[0], -1))
-            rvals = self.r_panels
-        return np.asarray(
-            self.table.evaluate_rhs(self.mu, rvals, zjet), dtype=float
-        )
+            return -np.asarray(monomial_sum(self.omega_nodes, values),
+                               dtype=float)
+        zjet = self.panels.interpolate(values).reshape(values.shape[0], -1)
+        return -np.asarray(monomial_sum(self.omega_panels, zjet), dtype=float)
 
     def kernel_integrals(self, forcing_panels: np.ndarray):
         """I_gamma and A_gamma at every node via the panel recurrence."""
@@ -216,8 +219,8 @@ class FixedPointOperator:
     def grid(self, values: np.ndarray) -> IterateGrid:
         return IterateGrid(
             nodes=self.nodes,
-            bary_weights=self.bary_weights,
             values=values,
+            coeffs=chebgrid.chebyshev_coefficients(values),
             mu=self.mu,
         )
 
@@ -229,17 +232,11 @@ def _norm0(values: np.ndarray) -> float:
     return float(np.max(np.abs(values).sum(axis=0)))
 
 
-def _discretisation_error(values: np.ndarray) -> float:
+def _discretisation_error(coeffs: np.ndarray) -> float:
     """Largest sum of |d_m| over the trailing ceil(N/16) cosine
     coefficients of any derivative row: what the grid fails to resolve."""
-    coeffs = chebgrid.chebyshev_coefficients(values)
-    tail = math.ceil(values.shape[-1] / TAIL_FRACTION)
+    tail = math.ceil(coeffs.shape[-1] / TAIL_FRACTION)
     return float(np.max(np.abs(coeffs[..., -tail:]).sum(axis=-1)))
-
-
-def apply_T(operator: FixedPointOperator, grid: IterateGrid) -> IterateGrid:
-    """Single application of the fixed-point operator."""
-    return operator.grid(operator.apply(grid.values))
 
 
 def picard_solve(operator: FixedPointOperator, eta: float | None = None,
@@ -294,6 +291,7 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
         diffs[k + 1] / diffs[k] for k in range(len(diffs) - 1) if diffs[k] > 0
     )
     contraction = max(ratios[-3:]) if ratios else 0.0
+    grid = operator.grid(values)
     cert = ContractionCertificate(
         eta=eta,
         eta_regime=eta_regime,
@@ -302,15 +300,15 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
         ratios=ratios,
         contraction_ratio=contraction,
         final_residual=residual,
-        discretisation_error=_discretisation_error(values),
+        discretisation_error=_discretisation_error(grid.coeffs),
         sup_norm=_norm0(values),
         tail_bounds=tuple(
-            abs(operator.coeffs[ell] * const)
+            float(abs(operator.coeffs[ell] * const))
             for ell, const in sorted(operator.tail_constants.items())
         ),
         converged=True,
     )
-    return operator.grid(values), cert
+    return grid, cert
 
 
 def solve_problem(problem: ProblemSpec, i: int):
@@ -336,16 +334,16 @@ def solve_problem(problem: ProblemSpec, i: int):
 def ode_residual(operator: FixedPointOperator, grid: IterateGrid) -> float:
     """Relative sup residual of the reduced differential equation.
 
-    The top derivative comes from spectral differentiation of z^(n-2),
-    independently of the kernel recurrence, so this cross-checks the
-    whole pipeline rather than an algebraic identity.
+    The top derivative comes from differentiating the Chebyshev series
+    of z^(n-2), independently of the kernel recurrence, so this
+    cross-checks the whole pipeline rather than an algebraic identity.
     """
     problem = operator.problem
     n = problem.n
-    dmat = chebgrid.differentiation_matrix(grid.nodes, grid.bary_weights)
-    top = dmat @ grid.values[n - 2]
+    lhs = chebgrid.series_at_nodes(
+        chebgrid.derivative(grid.coeffs[n - 2], grid.t0, grid.t_max)
+    )
     b = reduced_linear_coefficients(problem.a, grid.mu)
-    lhs = top.copy()
     for j in range(n - 1):
         lhs += b[j] * grid.values[j]
     rhs = operator.forcing(grid.values, at_nodes=True)

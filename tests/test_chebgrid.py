@@ -1,4 +1,6 @@
-"""Lobatto grid, FFT node-to-panel interpolation and the angle panel rule."""
+"""Lobatto grid, the cosine series through its nodes (FFT interpolation
+onto the panels, evaluation at any t, antiderivative, derivative) and the
+angle panel rule."""
 
 from __future__ import annotations
 
@@ -82,10 +84,75 @@ class TestAngleRule:
 
     @pytest.mark.parametrize("count", [16, 160])
     def test_integrates_damped_cosine(self, count):
-        _, panels = grid(count)
+        nodes, panels = grid(count)
         s = panels.points
-        total = panels.cumulative_integral(np.exp(-s / 7) * np.cos(s / 3))
+        panel_sums = (np.exp(-s / 7) * np.cos(s / 3) * panels.weights).sum(
+            axis=1)
         c = complex(-1 / 7, 1 / 3)
-        exact = ((np.exp(c * 220.0) - 1) / c).real
-        assert total[0] == 0.0
-        assert abs(total[-1] - exact) <= 1e-13 * abs(exact)
+        exact = ((np.exp(c * nodes[1:]) - 1) / c).real
+        assert np.max(np.abs(np.cumsum(panel_sums) - exact)) \
+            <= 1e-13 * np.max(np.abs(exact))
+
+
+def damped_cosine(count):
+    nodes = chebgrid.lobatto_nodes(0.0, 220.0, count)
+    return nodes, np.vstack((
+        np.exp(-nodes / 30) * np.cos(nodes / 9),
+        1 / (1 + nodes) ** 3,
+    ))
+
+
+def targets(count):
+    """Random t in [0, 220], some within 1e-9 of either end, and both
+    ends."""
+    rng = np.random.default_rng(count)
+    return np.concatenate((
+        rng.uniform(0.0, 220.0, 200), rng.uniform(0.0, 1e-9, 10),
+        220.0 - rng.uniform(0.0, 1e-9, 10), [0.0, 220.0],
+    ))
+
+
+class TestSeries:
+    @pytest.mark.parametrize("count", [16, 17, 160, 1600])
+    def test_matches_barycentric_matrix(self, count):
+        nodes, values = damped_cosine(count)
+        t = targets(count)
+        dense = chebgrid.barycentric_matrix(
+            nodes, chebgrid.lobatto_weights(count), t
+        ) @ values.T
+        got = chebgrid.series_at(chebgrid.chebyshev_coefficients(values),
+                                 0.0, 220.0, t)
+        assert got.shape == (2, len(t))
+        for ref, row, v in zip(dense.T, got, values):
+            assert np.max(np.abs(ref - row)) <= 1e-13 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("count", [16, 17, 160, 1600])
+    def test_nodes_round_trip(self, count):
+        _, values = damped_cosine(count)
+        coeffs = chebgrid.chebyshev_coefficients(values)
+        back = chebgrid.series_at_nodes(coeffs)
+        assert np.max(np.abs(back - values)) <= 1e-15 * count
+
+    @pytest.mark.parametrize("count", [160, 1600])
+    def test_antiderivative_of_damped_cosine(self, count):
+        nodes = chebgrid.lobatto_nodes(0.0, 220.0, count)
+        coeffs = chebgrid.chebyshev_coefficients(
+            np.exp(-nodes / 7) * np.cos(nodes / 3))
+        t = targets(count)
+        got = chebgrid.series_at(
+            chebgrid.antiderivative(coeffs, 0.0, 220.0), 0.0, 220.0, t)
+        c = complex(-1 / 7, 1 / 3)
+        exact = ((np.exp(c * t) - 1) / c).real
+        assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+        assert abs(got[-2]) <= 1e-15  # pinned to 0 at t0
+
+    @pytest.mark.parametrize("count", [16, 17, 160])
+    def test_node_derivative_matches_differentiation_matrix(self, count):
+        nodes, values = damped_cosine(count)
+        dense = chebgrid.differentiation_matrix(
+            nodes, chebgrid.lobatto_weights(count)) @ values.T
+        for ref, coeffs in zip(dense.T,
+                               chebgrid.chebyshev_coefficients(values)):
+            got = chebgrid.series_at_nodes(
+                chebgrid.derivative(coeffs, 0.0, 220.0))
+            assert np.max(np.abs(ref - got)) <= 1e-12 * np.max(np.abs(ref))

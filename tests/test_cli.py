@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,19 @@ class TestEndToEnd:
         run("solve", config_b)
         for name in ("z_lambda_1.csv", "z_lambda_2.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["e1_n3", "spread_n4"])
+    def test_certificates_hold_plain_numbers(self, tmp_path, name):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        config = load_config(configs / f"{name}.conf")
+        config.output_dir = tmp_path
+        assert run("solve", config) == EXIT_OK
+        certs = sorted(tmp_path.glob("certificate_*.txt"))
+        assert len(certs) == config.problem.n
+        for path in certs:
+            text = path.read_text(encoding="utf-8")
+            assert "anticausal tail bounds = " in text
+            assert "np." not in text, path.name
 
     def test_main_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.conf"

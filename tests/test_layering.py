@@ -62,3 +62,46 @@ def test_detector_sees_a_private_import(tmp_path):
     assert private_uses(probe) == [
         "from hypotheses import _limit_verdict", "green._sign_changes",
     ]
+
+
+DENSE = ("barycentric_matrix", "differentiation_matrix")
+
+
+def dense_calls(path: Path) -> list[str]:
+    """Every call of a dense chebgrid reference matrix in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name in DENSE:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_no_module_builds_a_dense_matrix():
+    # the package reads every interpolant off its Chebyshev coefficients;
+    # the dense matrices stay in chebgrid only as test references
+    offenders = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := dense_calls(path))
+    }
+    assert not offenders
+
+
+def test_detector_sees_a_dense_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import chebgrid\n"
+        "from .chebgrid import differentiation_matrix\n"
+        "m = chebgrid.barycentric_matrix(nodes, weights, t)\n"
+        "d = differentiation_matrix(nodes, weights)\n",
+        encoding="utf-8",
+    )
+    assert dense_calls(probe) == [
+        "barycentric_matrix (line 3)", "differentiation_matrix (line 4)",
+    ]

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from poincarefp import chebgrid
 from poincarefp.errors import DivergenceDetected, InvarianceViolated
 from poincarefp.green import build_kernel
+from poincarefp.multipoly import Poly
 from poincarefp.problem import ProblemSpec
 from poincarefp.reduction import build_reduced_rhs
 from poincarefp.solver import (
     FixedPointOperator,
-    apply_T,
     ode_residual,
     picard_solve,
     solve_problem,
@@ -74,8 +75,8 @@ class TestTrivialProblem:
 
     def test_apply_T_of_zero_is_zero(self, trivial_problem):
         operator = build_operator(trivial_problem, 1)
-        out = apply_T(operator, operator.grid(operator.zero()))
-        assert np.max(np.abs(out.values)) == 0.0
+        out = operator.apply(operator.zero())
+        assert np.max(np.abs(out)) == 0.0
 
 
 class TestLinearOracle:
@@ -84,10 +85,8 @@ class TestLinearOracle:
         # equation z' jet vs spectral differentiation consistency
         operator = build_operator(e1_problem, 1)
         first = operator.apply(operator.zero())
-        from poincarefp import chebgrid
-
         dmat = chebgrid.differentiation_matrix(
-            operator.nodes, operator.bary_weights
+            operator.nodes, chebgrid.lobatto_weights(len(operator.nodes))
         )
         diff = dmat @ first[0] - first[1]
         assert np.max(np.abs(diff[1:-1])) < 1e-8
@@ -135,13 +134,42 @@ class TestPicardOnGolden:
     def test_iterate_evaluation_interpolates(self, e1_solves):
         results, _ = e1_solves
         _, grid, _ = results[2]
-        # barycentric evaluation reproduces node values exactly
+        # the cosine series reproduces the node values
         k = 17
         assert grid.evaluate(grid.nodes[k], 0) == pytest.approx(
             grid.values[0][k], rel=1e-12
         )
         # beyond the window the tail model is zero
         assert grid.evaluate(grid.t_max + 5.0, 0) == 0.0
+
+    def test_jet_matches_barycentric_reference(self, e1_solves):
+        results, _ = e1_solves
+        _, grid, _ = results[2]
+        t = np.concatenate((np.linspace(0.0, 220.0, 41), [1e-10, 220.0]))
+        dense = chebgrid.barycentric_matrix(
+            grid.nodes, chebgrid.lobatto_weights(len(grid.nodes)), t
+        ) @ grid.values.T
+        got = grid.jet(t)
+        assert got.shape == (2, len(t))
+        for ref, row, v in zip(dense.T, got, grid.values):
+            assert np.max(np.abs(ref - row)) <= 1e-13 * np.max(np.abs(v))
+        assert grid.jet(t[5]) == pytest.approx(got[:, 5], rel=1e-14)
+
+    def test_integral_is_antiderivative(self, e1_solves):
+        results, _ = e1_solves
+        _, grid, _ = results[2]
+        # the integral at the nodes against a 20-point Gauss rule on each
+        # inter-node interval of the interpolant; constant beyond t_max
+        x, w = np.polynomial.legendre.leggauss(20)
+        lo, hi = grid.nodes[:-1, None], grid.nodes[1:, None]
+        pts = (lo + hi) / 2 + (hi - lo) / 2 * x
+        sums = (grid.evaluate(pts.ravel()).reshape(pts.shape)
+                * (hi - lo) / 2 * w).sum(axis=1)
+        expected = np.concatenate(([0.0], np.cumsum(sums)))
+        got = grid.integral(grid.nodes)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
+            np.abs(expected))
+        assert grid.integral(grid.t_max + 30.0) == grid.integral(grid.t_max)
 
     def test_below_t0_rejected(self, e1_solves):
         results, _ = e1_solves
@@ -215,12 +243,53 @@ class TestDiscretisationError:
 class TestMemory:
     def test_fine_grid_solve_stays_linear_in_memory(self):
         # a dense node-to-panel matrix at N = 1600 alone would take
-        # 12 * 1599 * 1600 * 8 B = 245 MB
+        # 12 * 1599 * 1600 * 8 B = 245 MB, and a dense differentiation
+        # matrix for the ODE residual 1600 * 1600 * 8 B = 20 MB
         tracemalloc.start()
         try:
-            _, _, cert = solve_problem(e1_at(1600), 2)
-            peak = tracemalloc.get_traced_memory()[1]
+            operator, grid, cert = solve_problem(e1_at(1600), 2)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            residual = ode_residual(operator, grid)
+            residual_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert cert.converged
-        assert peak < 32e6
+        assert solve_peak < 32e6
+        assert residual < 1e-6
+        assert residual_peak < 4e6
+
+
+class TestOmegaHoisted:
+    def test_apply_evaluates_no_polynomial(self, e1_problem, monkeypatch):
+        operator = build_operator(e1_problem, 2)
+        values = operator.apply(operator.zero())
+        calls = []
+        evaluate = Poly.evaluate
+
+        def counted(self, point):
+            calls.append(1)
+            return evaluate(self, point)
+
+        monkeypatch.setattr(Poly, "evaluate", counted)
+        operator.apply(values)
+        operator.forcing(values, at_nodes=True)
+        assert calls == []
+
+    def test_forcing_equals_table_rhs(self, e1_problem):
+        operator = build_operator(e1_problem, 2)
+        values = operator.apply(operator.zero())
+        n = e1_problem.n
+        pts = operator.panels.points.ravel()
+        zjet = list(operator.panels.interpolate(values).reshape(n - 1, -1))
+        expected = operator.table.evaluate_rhs(
+            operator.mu, [e1_problem.r_value(i, pts) for i in range(n)], zjet
+        )
+        assert np.array_equal(operator.forcing(values), expected)
+        at_nodes = operator.table.evaluate_rhs(
+            operator.mu,
+            [e1_problem.r_value(i, operator.nodes) for i in range(n)],
+            list(values),
+        )
+        assert np.array_equal(operator.forcing(values, at_nodes=True),
+                              at_nodes)
