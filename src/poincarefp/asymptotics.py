@@ -247,8 +247,7 @@ def log_refined_estimate(problem: ProblemSpec, table: OmegaTable,
     pi_i = pi_product(spectrum, i)
 
     def f(s):
-        jet = solution.jet(s)
-        return table.evaluate_F(lam, problem.r_list(s), list(jet))
+        return table.evaluate_F(lam, problem.r_list(s), solution.jet(s))
 
     value = kernelquad.integral(f, problem.t0, min(t, solution.t_max))
     if t > solution.t_max:

@@ -105,21 +105,27 @@ class GreenKernel:
         return total
 
     @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """A[j, l] = sign_l c_l gamma_l^j, so that g^(j)(u) = sum_l
+        A[j, l] e^{gamma_l u} on the support of term l; j = 0..n-2."""
+        gams = np.asarray(self.gamma.gamma)
+        signs = np.array([self.term_sign(ell) for ell in range(len(gams))])
+        orders = np.arange(self.n - 1)[:, None]
+        return signs * np.asarray(self.coeffs) * gams ** orders
+
+    @cached_property
     def sign_changes(self) -> tuple[float, ...]:
         """Every u = t - s != 0 where some g^(j), j = 0..n-2, changes
         sign.  On either side of the diagonal g^(j) is an exponential sum
         in |u| with negative rates: gamma_l for u > 0, -gamma_l for
         u < 0."""
-        gams = self.gamma.gamma
+        gams = np.asarray(self.gamma.gamma)
         changes = []
-        for j in range(self.n - 1):
+        for amps in self.amplitudes:
             for side, orient in ((True, 1.0), (False, -1.0)):
-                idx = [ell for ell in range(len(gams))
-                       if self.causal[ell] == side]
-                amps = [self.term_sign(ell) * self.coeffs[ell]
-                        * gams[ell] ** j for ell in idx]
-                rates = [orient * gams[ell] for ell in idx]
-                changes += [orient * v for v in _sign_changes(amps, rates)]
+                idx = np.asarray(self.causal) == side
+                changes += [orient * v for v in
+                            _sign_changes(amps[idx], orient * gams[idx])]
         return tuple(sorted(changes))
 
     def decay_rate(self) -> float:

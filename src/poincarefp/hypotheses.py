@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernelquad
-from .errors import QuadratureFailure
+from .errors import ComplexRoots, QuadratureFailure, RepeatedRoots
 from .green import GreenKernel, build_kernel, upsilon
 from .problem import ProblemSpec
 from .reduction import OmegaTable, build_reduced_rhs
@@ -96,11 +96,8 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
     (its integrand does not decay), or the supremum keeps growing along
     the tail of the grid.
     """
-    n = problem.n
-
     def mass_ge1(s):
-        masses = table.mass_by_order(mu, problem.r_list(s))
-        return sum(masses[k] for k in range(1, n + 1))
+        return sum(table.mass_by_order(mu, problem.r_list(s))[1:])
 
     # the weight spans [t0, inf), so both sides carry the same exponent;
     # for gamma > 0 the tail decays only if the mass outruns e^{gamma s}
@@ -197,7 +194,7 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int,
     """Full hypothesis check for root index i (1-based)."""
     try:
         spectrum = find_roots(problem.a)
-    except Exception as exc:  # ComplexRoots / RepeatedRoots
+    except (ComplexRoots, RepeatedRoots) as exc:
         return HypothesisReport(
             base_index=i,
             spectrum=None,

@@ -40,6 +40,8 @@ PANEL_EXP_WIDTH = 8.0
 TAIL_GROWTH = 0.5  # panel width per unit distance beyond the last target
 MAX_SPLITS = 60  # halvings of one panel before f counts as unresolved
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+
 
 @dataclass(frozen=True)
 class ExpTerm:
@@ -188,9 +190,8 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float,
 def _gauss(lo, hi):
     """Gauss-Legendre points and weights on the panels [lo, hi], shape
     (panels, order)."""
-    x, w = np.polynomial.legendre.leggauss(GL_ORDER)
     half = (hi - lo)[:, None] / 2
-    return (lo + hi)[:, None] / 2 + half * x, half * w
+    return (lo + hi)[:, None] / 2 + half * _GL_X, half * _GL_W
 
 
 def _resolve(f, edges, tol: float):
@@ -267,17 +268,8 @@ def integral(f, lo: float, hi, tol: float = 1e-10):
     return exp_integrals(f, hi, lo, [ExpTerm(0.0, True)], 1.0, tol)[0]
 
 
-def _amplitudes(kernel: GreenKernel) -> np.ndarray:
-    """A[j, l] with g^(j)(u) = sum_l A[j, l] e^{gamma_l u} on the support
-    of term l."""
-    gams = np.asarray(kernel.gamma.gamma)
-    signs = np.array([kernel.term_sign(ell) for ell in range(len(gams))])
-    orders = np.arange(kernel.n - 1)[:, None]
-    return signs * np.asarray(kernel.coeffs) * gams[None, :] ** orders
-
-
 def _kernel_terms(kernel: GreenKernel) -> list[ExpTerm]:
-    amps = np.abs(_amplitudes(kernel)).sum(axis=0)
+    amps = np.abs(kernel.amplitudes).sum(axis=0)
     return [ExpTerm(gam, causal, float(scale))
             for gam, causal, scale in zip(kernel.gamma.gamma, kernel.causal,
                                           amps)]
@@ -289,7 +281,7 @@ def derivative_integrals(kernel: GreenKernel, f, t, t0: float, rate: float,
     (first axis) and every target in the scalar or array t."""
     terms = _kernel_terms(kernel)
     values = exp_integrals(f, np.ravel(t), t0, terms, rate, tol)
-    return (_amplitudes(kernel) @ values).reshape((-1,) + np.shape(t))
+    return (kernel.amplitudes @ values).reshape((-1,) + np.shape(t))
 
 
 def abs_derivative_integral(kernel: GreenKernel, f, t, t0: float,

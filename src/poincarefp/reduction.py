@@ -15,11 +15,16 @@ P_{j+1} = (z + mu) P_j + P_j' (formal derivation z^(k) -> z^(k+1)).
 Substituting into the original equation and removing the linear part and
 the characteristic constant leaves F.
 
+The original equation is linear in a_i + r_i and no P_j contains r, so
+every Omega_alpha is affine in r, with coefficients polynomial in mu of
+degree below n.  ``OmegaTable`` compiles its table once into float arrays,
+the alpha exponents and ``coeffs[alpha, mu power, (1, r_0..r_{n-1})]``;
+every numeric Omega, F and coefficient mass is read off them.
+
 The literal formulas printed for F and for the coefficient-mass function
-H are reproduced separately (``printed_F_reference`` and
-``printed_H_reference``) purely as cross-checks; the recurrence-built
-table is authoritative and the comparison produces a monomial-level
-discrepancy report.
+H are reproduced separately (``printed_F_poly`` and ``printed_H_poly``)
+purely as cross-checks; the recurrence-built table is authoritative and
+the comparison produces a monomial-level discrepancy report.
 
 Variable layout inside every Poly (nvars = 2n + 2):
     index 0            mu
@@ -29,7 +34,7 @@ Variable layout inside every Poly (nvars = 2n + 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -134,13 +139,31 @@ class OmegaTable:
     """alpha-indexed coefficients of F, plus the pieces they came from.
 
     ``table[alpha]`` is a Poly in mu and the r-symbols only; alpha has
-    n-1 entries (exponents of z, z', ..., z^(n-2)).
+    n-1 entries (exponents of z, z', ..., z^(n-2)).  Row k of
+    ``exponents`` and ``coeffs`` is the k-th alpha of the table.
     """
 
     n: int
     a: tuple[float, ...]
     table: dict
     f_poly: Poly  # sum_alpha Omega_alpha v^alpha, all variables
+    exponents: np.ndarray = field(init=False, repr=False, compare=False)
+    coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.n
+        coeffs = np.zeros((len(self.table), n, n + 1))
+        for row, (alpha, poly) in enumerate(self.table.items()):
+            for expo, coeff in poly.terms.items():
+                rpow = expo[1 : n + 1]
+                if sum(rpow) > 1 or any(expo[n + 1 :]) or expo[0] >= n:
+                    raise ValueError(f"Omega{alpha} term {expo} is not "
+                                     f"affine in r with mu powers below n")
+                col = rpow.index(1) + 1 if any(rpow) else 0
+                coeffs[row, expo[0], col] = float(coeff)
+        exponents = np.array(list(self.table), dtype=int).reshape(-1, n - 1)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def alphas(self):
         return sorted(self.table, key=lambda al: (sum(al), al))
@@ -148,32 +171,45 @@ class OmegaTable:
     def omega0(self) -> Poly:
         return self.table.get((0,) * (self.n - 1), Poly(_nvars(self.n)))
 
-    def _point(self, mu, rvals, zvals=None):
-        n = self.n
-        vals = [None] * _nvars(n)
-        vals[0] = mu
-        for i in range(n):
-            vals[1 + i] = rvals[i]
-        for k in range(n + 1):
-            vals[n + 1 + k] = 0.0
-        if zvals is not None:
-            for k, zv in enumerate(zvals):
-                vals[n + 1 + k] = zv
-        return vals
+    def _evaluate(self, coeffs, mu, rvals) -> np.ndarray:
+        """Rows of ``coeffs`` at (mu, r), shape (rows,) + the broadcast
+        shape of mu and the r entries: per row the r-free part plus
+        sum_i c_i(mu) r_i, in i order."""
+        ndim = max(np.ndim(v) for v in [mu, *rvals])
+        cols = coeffs.reshape(coeffs.shape + (1,) * ndim)
+        poly = cols[:, 0]
+        for p in range(1, coeffs.shape[1]):
+            poly = poly + cols[:, p] * mu ** p
+        out = poly[:, 0]
+        for i, r in enumerate(rvals):
+            out = out + poly[:, 1 + i] * r
+        return out
 
     def omega_value(self, alpha, mu, rvals):
-        """Numeric Omega_alpha(mu, r); rvals entries may be arrays."""
-        poly = self.table.get(tuple(alpha))
-        if poly is None:
+        """Numeric Omega_alpha(mu, r), 0 for an alpha outside the table;
+        mu and the rvals entries may be arrays."""
+        alpha = tuple(alpha)
+        if alpha not in self.table:
             return 0.0
-        return poly.evaluate(self._point(mu, rvals))
+        row = list(self.table).index(alpha)
+        return self._evaluate(self.coeffs[row : row + 1], mu, rvals)[0]
 
-    def omega_values(self, mu, rvals) -> dict:
-        """alpha -> Omega_alpha(mu, r) in table order; rvals entries may
-        be arrays."""
-        point = self._point(mu, rvals)
-        return {alpha: poly.evaluate(point)
-                for alpha, poly in self.table.items()}
+    def omega_values(self, mu, rvals) -> np.ndarray:
+        """Omega_alpha(mu, r) for every table row, shape (rows, ...);
+        mu and the rvals entries may be arrays."""
+        return self._evaluate(self.coeffs, mu, rvals)
+
+    def combine(self, omegas: np.ndarray, zvals):
+        """sum_alpha omegas[row] * z-jet^alpha in table order, for
+        omegas from ``omega_values``; zvals holds z .. z^(n-2)."""
+        total = 0.0
+        for omega, alpha in zip(omegas, self.exponents.tolist()):
+            term = omega
+            for k, power in enumerate(alpha):
+                if power:
+                    term = term * zvals[k] ** power
+            total = total + term
+        return total
 
     def evaluate_F(self, mu, rvals, zvals):
         """F = sum_alpha Omega_alpha(mu, r) * z-jet^alpha.
@@ -181,20 +217,21 @@ class OmegaTable:
         rvals has n entries, zvals has n-1 entries (z .. z^(n-2));
         entries may be numpy arrays of a common shape.
         """
-        return monomial_sum(self.omega_values(mu, rvals), zvals)
+        return self.combine(self.omega_values(mu, rvals), zvals)
 
     def evaluate_rhs(self, mu, rvals, zvals):
         """Right side of the reduced equation: -F."""
         return -self.evaluate_F(mu, rvals, zvals)
 
-    def mass_by_order(self, mu, rvals):
-        """k -> sum_{|alpha| = k} |Omega_alpha(mu, r)| for k = 0..n.
+    def mass_by_order(self, mu, rvals) -> np.ndarray:
+        """Row k: sum_{|alpha| = k} |Omega_alpha(mu, r)| for k = 0..n.
 
-        Vectorizes over array-valued rvals entries.
+        Vectorizes over array-valued mu and rvals entries.
         """
-        out = {k: 0.0 for k in range(self.n + 1)}
-        for alpha, omega in self.omega_values(mu, rvals).items():
-            out[sum(alpha)] = out[sum(alpha)] + np.abs(omega)
+        omegas = self.omega_values(mu, rvals)
+        out = np.zeros((self.n + 1,) + omegas.shape[1:])
+        for order, omega in zip(self.exponents.sum(axis=1), np.abs(omegas)):
+            out[order] += omega
         return out
 
     def hhat(self, mu, rvals):
@@ -211,19 +248,6 @@ class OmegaTable:
         for alpha in self.alphas():
             rows.append((alpha, self.table[alpha].format(names)))
         return rows
-
-
-def monomial_sum(omegas: dict, zvals):
-    """sum_alpha omegas[alpha] * z-jet^alpha, in the order of ``omegas``;
-    zvals holds z .. z^(n-2)."""
-    total = 0.0
-    for alpha, omega in omegas.items():
-        term = omega
-        for k, power in enumerate(alpha):
-            if power:
-                term = term * zvals[k] ** power
-        total = total + term
-    return total
 
 
 def build_reduced_rhs(a, n: int | None = None) -> OmegaTable:
@@ -353,14 +377,9 @@ def printed_F_poly(n: int, a) -> Poly:
 
 def printed_F_reference(n: int, a, mu, rvals, zvals) -> float:
     """Numeric value of the printed F formula at a point."""
-    poly = printed_F_poly(n, a)
-    vals = [0.0] * _nvars(n)
-    vals[0] = mu
-    for i in range(n):
-        vals[1 + i] = rvals[i]
-    for k, zv in enumerate(zvals):
-        vals[n + 1 + k] = zv
-    return poly.evaluate(vals)
+    point = [mu, *rvals, *zvals]
+    return printed_F_poly(n, a).evaluate(
+        point + [0.0] * (_nvars(n) - len(point)))
 
 
 def printed_Shat(n: int, m: int, j: int) -> Poly:

@@ -35,7 +35,7 @@ from . import chebgrid, kernelquad
 from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
 from .green import GreenKernel, build_kernel
 from .problem import ProblemSpec
-from .reduction import OmegaTable, build_reduced_rhs, monomial_sum
+from .reduction import OmegaTable, build_reduced_rhs
 from .spectral import (
     find_roots,
     reduced_linear_coefficients,
@@ -135,22 +135,17 @@ class FixedPointOperator:
         self.kernel = kernel
         self.table = table
         self.mu = kernel.gamma.mu
-        n = problem.n
 
         count = problem.grid_points
         self.nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, count)
         self.panels = chebgrid.AnglePanels(problem.t0, problem.t_max, count)
         pts = self.panels.points
-        self.omega_panels = table.omega_values(
-            self.mu, [problem.r_value(i, pts.ravel()) for i in range(n)]
-        )
-        self.omega_nodes = table.omega_values(
-            self.mu, [problem.r_value(i, self.nodes) for i in range(n)]
-        )
+        self.omega_panels = table.omega_values(self.mu,
+                                               problem.r_list(pts.ravel()))
+        self.omega_nodes = table.omega_values(self.mu,
+                                              problem.r_list(self.nodes))
 
         self.gammas = kernel.gamma.gamma
-        self.signs = [kernel.term_sign(ell) for ell in range(n - 1)]
-        self.coeffs = kernel.coeffs
         self.causal = kernel.causal
         # per-gamma panel weights and inter-node decay factors
         self.exp_weights = [
@@ -185,36 +180,25 @@ class FixedPointOperator:
         """P = -F along the panel points (or the nodes) for the iterate
         sampled in ``values``."""
         if at_nodes:
-            return -np.asarray(monomial_sum(self.omega_nodes, values),
-                               dtype=float)
+            return -self.table.combine(self.omega_nodes, values)
         zjet = self.panels.interpolate(values).reshape(values.shape[0], -1)
-        return -np.asarray(monomial_sum(self.omega_panels, zjet), dtype=float)
+        return -self.table.combine(self.omega_panels, zjet)
 
-    def kernel_integrals(self, forcing_panels: np.ndarray):
-        """I_gamma and A_gamma at every node via the panel recurrence."""
+    def kernel_integrals(self, forcing_panels: np.ndarray) -> np.ndarray:
+        """I_gamma and A_gamma at every node via the panel recurrence, one
+        row per kernel term."""
         fp = forcing_panels.reshape(self.panels.points.shape)
-        integrals = {}
-        for ell, (weights, decay) in enumerate(self.exp_weights):
-            causal = self.causal[ell]
-            integrals[ell] = kernelquad.recurrence(
-                (weights * fp).sum(axis=1), decay, causal,
-                0.0 if causal else self.tail_constants[ell],
-            )
-        return integrals
+        return np.array([
+            kernelquad.recurrence((weights * fp).sum(axis=1), decay, causal,
+                                  self.tail_constants.get(ell, 0.0))
+            for ell, ((weights, decay), causal)
+            in enumerate(zip(self.exp_weights, self.causal))
+        ])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """One application of T: new derivative rows z^(0..n-2)."""
-        forcing = self.forcing(values)
-        integrals = self.kernel_integrals(forcing)
-        n = self.problem.n
-        out = np.zeros_like(values)
-        for j in range(n - 1):
-            row = np.zeros(len(self.nodes))
-            for ell, gam in enumerate(self.gammas):
-                row += self.signs[ell] * self.coeffs[ell] * gam ** j \
-                    * integrals[ell]
-            out[j] = row
-        return out
+        integrals = self.kernel_integrals(self.forcing(values))
+        return (self.kernel.amplitudes[:, :, None] * integrals).sum(axis=1)
 
     def grid(self, values: np.ndarray) -> IterateGrid:
         return IterateGrid(
@@ -303,7 +287,7 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
         discretisation_error=_discretisation_error(grid.coeffs),
         sup_norm=_norm0(values),
         tail_bounds=tuple(
-            float(abs(operator.coeffs[ell] * const))
+            float(abs(operator.kernel.coeffs[ell] * const))
             for ell, const in sorted(operator.tail_constants.items())
         ),
         converged=True,

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from poincarefp import chebgrid
 from poincarefp.asymptotics import (
+    ENVELOPE_FLOOR,
     admissible_beta_interval,
     build_fundamental_system,
     check_envelope,
@@ -20,6 +22,7 @@ from poincarefp.asymptotics import (
 )
 from poincarefp.problem import ProblemSpec
 from poincarefp.reduction import build_reduced_rhs
+from poincarefp.solver import IterateGrid
 from poincarefp.spectral import find_roots
 
 
@@ -96,6 +99,36 @@ class TestEnvelopeCheck:
         )
         assert check.sup_ratio == 0.0
         assert check.verdict == "pass (vacuous)"
+
+    def test_envelope_below_floor_is_left_out(self):
+        # r0 = e^{-7t}/10 makes the i = 1 envelope e^{-7t}/80: above
+        # the floor up to t = 98, positive but below it from t = 99 on.
+        # A constant iterate z = 1e-3 would give ratios up to 1e-3 / 1e-318
+        # there, so those points must be missing from samples and sup.
+        problem = ProblemSpec(
+            n=2, a=(-1.0, 0.0), r_sources=("exp(-7*t)/10", "0"),
+            t_max=120.0, grid_points=32,
+        )
+        spectrum = find_roots(problem.a)
+        nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, 32)
+        values = np.full((1, 32), 1e-3)
+        solution = IterateGrid(
+            nodes=nodes, values=values,
+            coeffs=chebgrid.chebyshev_coefficients(values), mu=1.0,
+        )
+        ts = np.linspace(95.0, 104.0, 10)
+        envs = envelope(problem, spectrum, 1, -1.0, ts)
+        below = (envs > 0.0) & (envs < ENVELOPE_FLOOR)
+        assert below.sum() == 6 and not np.any(envs == 0.0)
+        check = check_envelope(problem, spectrum, solution, 1, -1.0,
+                               (95.0, 104.0), points=10)
+        sampled = [t for t, _ in check.samples]
+        assert sampled == pytest.approx(list(ts[~below]), abs=1e-12)
+        ratios = [ratio for _, ratio in check.samples]
+        assert check.sup_ratio == max(ratios)
+        assert check.sup_ratio == pytest.approx(1e-3 / envs[~below].min(),
+                                                rel=1e-6)
+        assert check.verdict == "computed"
 
     def test_golden_stability(self, e1_problem, e1_spectrum, e1_solves):
         results, _ = e1_solves

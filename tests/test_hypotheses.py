@@ -198,6 +198,25 @@ class TestEvaluateHypotheses:
         assert report.spectrum is None
         assert report.r_samples == ()
 
+    def test_complex_roots_fail_h1(self):
+        problem = ProblemSpec(
+            n=2, a=(1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
+            grid_points=32,
+        )
+        report = evaluate_hypotheses(problem, 1)
+        assert report.h1_verdict == "fail"
+        assert report.spectrum is None
+
+    def test_root_finder_bug_propagates(self, n2_problem, monkeypatch):
+        # only the two spectrum hypotheses are verdicts; any other error
+        # of the root finder is a defect and must not read as "(R1) fail"
+        def broken(a):
+            raise RuntimeError("root finder defect")
+
+        monkeypatch.setattr("poincarefp.hypotheses.find_roots", broken)
+        with pytest.raises(RuntimeError, match="defect"):
+            evaluate_hypotheses(n2_problem, 1)
+
     def test_golden_problem_shape(self, e1_problem):
         report = evaluate_hypotheses(e1_problem, 1)
         assert report.h1_verdict == "pass"

@@ -4,10 +4,12 @@ printed-formula cross-checks."""
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from poincarefp.cli import main
 from poincarefp.multipoly import Poly
 from poincarefp.reduction import (
     OmegaTable,
@@ -143,6 +145,100 @@ class TestOmegaTable:
         table = build_reduced_rhs((-6.0, 11.0, -6.0), 3)
         for mu in (3.0, 2.0, 1.0):
             assert table.omega_value((0, 0), mu, [0.0, 0.0, 0.0]) == 0.0
+
+
+def _poly_at(poly: Poly, n: int, mu, rvals):
+    """Exact-table reference: the Poly at (mu, r), z-jet zero, and the
+    same evaluation with every coefficient and value made nonnegative
+    (the scale of the rounding error)."""
+    point = [mu, *rvals] + [0.0] * (n + 1)
+    mags = Poly(poly.nvars, {e: abs(c) for e, c in poly.terms.items()})
+    return poly.evaluate(point), mags.evaluate([np.abs(v) for v in point])
+
+
+class TestCompiledTable:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_exact_table(self, n):
+        rng = np.random.default_rng(n)
+        a = tuple(float(v) for v in rng.integers(-5, 6, size=n))
+        table = build_reduced_rhs(a, n)
+        assert table.coeffs.shape == (len(table.table), n, n + 1)
+        points = [
+            (float(rng.uniform(-3, 3)), list(rng.uniform(-1, 1, size=n))),
+            (rng.uniform(-3, 3, size=5), list(rng.uniform(-1, 1, (n, 5)))),
+        ]
+        for mu, rv in points:
+            omegas = table.omega_values(mu, rv)
+            assert omegas.shape == (len(table.table),) + np.shape(mu)
+            for row, (alpha, poly) in enumerate(table.table.items()):
+                want, scale = _poly_at(poly, n, mu, rv)
+                err = np.abs(omegas[row] - want)
+                assert np.all(err <= 1e-13 * scale)
+                assert np.all(np.abs(table.omega_value(alpha, mu, rv)
+                                     - want) <= 1e-13 * scale)
+
+    def test_array_r_with_scalar_mu_broadcasts(self):
+        table = build_reduced_rhs((-6.0, 11.0, -6.0), 3)
+        s = np.linspace(0.0, 2.0, 4)
+        rv = [1.0 / (1.0 + s) ** 3, 0.0, 0.5 * s]
+        omegas = table.omega_values(2.0, rv)
+        assert omegas.shape == (len(table.table), 4)
+        for k in range(4):
+            assert omegas[:, k] == pytest.approx(
+                table.omega_values(2.0, [r if np.ndim(r) == 0 else r[k]
+                                         for r in rv]), rel=1e-15)
+
+    def test_missing_rows_read_as_zero(self):
+        n = 3
+        table = OmegaTable(n=n, a=(0.0, 0.0, 0.0),
+                           table={(1, 0): _r(n, 1)}, f_poly=Poly(_nvars(n)))
+        mu, rv, zv = 0.7, [0.3, -0.4, 0.2], [0.5, 0.25]
+        assert table.omega_value((0, 0), mu, rv) == 0.0
+        assert table.omega_value((0, 1), mu, rv) == 0.0
+        assert table.omega_value((1, 0), mu, rv) == -0.4
+        assert table.evaluate_F(mu, rv, zv) == pytest.approx(-0.2)
+        assert table.hhat(mu, rv) == pytest.approx(-0.4)
+        masses = table.mass_by_order(mu, rv)
+        assert masses.shape == (n + 1,)
+        assert list(masses) == [0.0, 0.4, 0.0, 0.0]
+
+    def test_term_not_affine_in_r_rejected(self):
+        n = 3
+        for poly in (_r(n, 0) * _r(n, 1), _r(n, 2) ** 2, _v(n, 0)):
+            with pytest.raises(ValueError, match="affine"):
+                OmegaTable(n=n, a=(0.0, 0.0, 0.0), table={(0, 0): poly},
+                           f_poly=Poly(_nvars(n)))
+
+    def test_mass_by_order_sums_in_table_order(self):
+        table = build_reduced_rhs((4.0, 0.0, -5.0, 0.0), 4)
+        mu, rv = 2.0, [0.3, -0.1, 0.2, 0.05]
+        omegas = table.omega_values(mu, rv)
+        masses = table.mass_by_order(mu, rv)
+        for k in range(5):
+            want = 0.0
+            for alpha, omega in zip(table.table, omegas):
+                if sum(alpha) == k:
+                    want = want + abs(omega)
+            assert masses[k] == want
+
+    def test_check_and_solve_make_no_exact_evaluation(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        evaluate = Poly.evaluate
+
+        def counted(self, values):
+            calls.append(1)
+            return evaluate(self, values)
+
+        monkeypatch.setattr(Poly, "evaluate", counted)
+        config = (Path(__file__).resolve().parent.parent / "configs"
+                  / "spread_n4.conf")
+        for stage in ("check", "solve"):
+            main([stage, str(config), "--output-dir", str(tmp_path)])
+            assert not calls, f"{stage} evaluated {len(calls)} Polys"
+        # the verify stage still reads the exact P_j
+        main(["verify", str(config), "--output-dir", str(tmp_path)])
+        assert calls
 
 
 class TestPrintedCrossChecks:
