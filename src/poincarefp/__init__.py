@@ -13,6 +13,7 @@ from .errors import (
     DivergenceDetected,
     EvalDomainError,
     ExpressionError,
+    IntegrationFailure,
     InvarianceViolated,
     MaxIterations,
     PoincarefpError,
@@ -63,6 +64,7 @@ __all__ = [
     "FixedPointOperator",
     "GreenKernel",
     "HypothesisReport",
+    "IntegrationFailure",
     "InvarianceViolated",
     "IterateGrid",
     "MaxIterations",

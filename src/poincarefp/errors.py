@@ -43,6 +43,11 @@ class InvarianceViolated(PoincarefpError):
     """An iterate escaped the ball of radius eta in the sup-jet norm."""
 
 
+class IntegrationFailure(PoincarefpError):
+    """The reference integrator could not continue: its step fell below
+    the minimum step, or its error estimate was not finite."""
+
+
 class MaxIterations(PoincarefpError):
     """The iteration budget was exhausted before the tolerance was met."""
 

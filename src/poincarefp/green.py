@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
 
 from .spectral import ShiftedSpectrum
 
 JUMP_TOL = 1e-10
 SIGN_SAMPLES = 2048  # scan points per side when bracketing sign changes
+SIGN_XTOL = 1e-14  # width at which a bracket counts as refined
 
 
 def upsilon(values, ell: int) -> float:
@@ -139,7 +139,7 @@ def _sign_changes(amps, rates) -> list[float]:
 
     Past V, the slowest term outweighs the sum of all the others, so
     every sign change lies in (0, V]; it is bracketed on a uniform scan
-    and refined by Brent's method.
+    and every bracket is refined at once by bisection.
     """
     amps = np.asarray(amps, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -155,20 +155,29 @@ def _sign_changes(amps, rates) -> list[float]:
     v = np.linspace(0.0, 1.1 * np.log(ratio) / gap, SIGN_SAMPLES)
 
     def h(x):
-        return float(np.dot(amps, np.exp(rates * x)))
+        return amps @ np.exp(rates[:, None] * x[None, :])
 
-    vals = amps @ np.exp(rates[:, None] * v[None, :])
+    vals = h(v)
     nonzero = np.flatnonzero(vals)
-    out = []
-    for a, b in zip(nonzero[:-1], nonzero[1:]):
-        if vals[a] * vals[b] >= 0:
-            continue
-        fa, fb = h(v[a]), h(v[b])
-        if fa * fb < 0:
-            out.append(optimize.brentq(h, v[a], v[b], xtol=1e-14))
-        else:  # the scan saw a rounding-level value at one end
-            out.append(v[a] if abs(fa) <= abs(fb) else v[b])
-    return out
+    a, b = nonzero[:-1], nonzero[1:]
+    flips = vals[a] * vals[b] < 0
+    a, b = a[flips], b[flips]
+    return _bisect(h, v[a], v[b], np.sign(vals[a]), SIGN_XTOL).tolist()
+
+
+def _bisect(h, lo, hi, sign_lo, xtol: float) -> np.ndarray:
+    """One root of the vectorised h in each bracket [lo, hi], where h has
+    the sign sign_lo at lo and the opposite one at hi.  Each bracket is
+    halved until it is at most xtol wide or its midpoint rounds onto one
+    of its ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > xtol) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return mid
+        sign_mid = np.sign(h(mid))
+        lo = np.where(live & (sign_mid != -sign_lo), mid, lo)
+        hi = np.where(live & (sign_mid != sign_lo), mid, hi)
 
 
 def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:

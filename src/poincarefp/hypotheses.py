@@ -35,6 +35,8 @@ from .spectral import Spectrum, find_roots, shift_spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
+SIGMA_XTOL = 1e-3  # bracket width at which an interior sup is located
+INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def compute_R(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
@@ -79,6 +81,23 @@ def compute_phi1(kernel: GreenKernel) -> float:
     return total / abs(kernel.upsilon0)
 
 
+def golden_section_max(f, lo: float, hi: float, xtol: float):
+    """(x, f(x)) at the larger of the two inner points once the bracket
+    [lo, hi] of a unimodal f is at most xtol wide."""
+    c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xtol:
+        if fc >= fd:  # the maximum lies in [lo, d]
+            hi, d, fd = d, c, fc
+            c = hi - INV_PHI * (hi - lo)
+            fc = f(c)
+        else:  # the maximum lies in [c, hi]
+            lo, c, fc = c, d, fd
+            d = lo + INV_PHI * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
 @dataclass(frozen=True)
 class SigmaEstimate:
     gamma: float
@@ -121,17 +140,12 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
     best_value = float(values[best])
     if 0 < best < len(values) - 1:
         # the sup sits inside the grid: refine around the sampled peak
-        from scipy import optimize
-
-        refined = optimize.minimize_scalar(
-            lambda t: -sigma_at(t),
-            bounds=(float(t_grid[best - 1]), float(t_grid[best + 1])),
-            method="bounded",
-            options={"xatol": 1e-3},
+        arg, value = golden_section_max(
+            lambda t: float(sigma_at(t)),
+            float(t_grid[best - 1]), float(t_grid[best + 1]), SIGMA_XTOL,
         )
-        if -refined.fun > best_value:
-            best_value = float(-refined.fun)
-            best_t = float(refined.x)
+        if value > best_value:
+            best_value, best_t = value, arg
     # a supremum still growing at the end of the geometric grid is not
     # attained on any finite window
     if best >= len(values) - 1 and len(values) >= 3:

@@ -170,9 +170,11 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float,
     width = min(PANEL_WIDTH, exp_cap)
 
     breaks = np.asarray(breaks, dtype=float).ravel()
-    marks = np.unique(np.concatenate((
+    # sorted and deduplicated (np.unique would import numpy.ma)
+    marks = np.sort(np.concatenate((
         [t0, cut], t, breaks[(breaks > t0) & (breaks < cut)]
     )))
+    marks = marks[np.concatenate(([True], np.diff(marks) > 0))]
     edges = [marks[0]]
     for lo, hi in zip(marks[:-1], marks[1:]):
         edges.extend(_subdivide(lo, hi, width, last, exp_cap))

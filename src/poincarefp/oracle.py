@@ -1,13 +1,26 @@
 """Independent verification against a standard adaptive integrator.
 
-The original order-n equation is integrated as a first-order companion
-system with DOP853 and compared against the fixed-point reconstruction.
-Two comparison modes exist because of the spread of exponential rates:
-the dominant solution admits a direct value comparison, while dominated
-solutions are compared through their logarithmic derivative y'/y (any
-forward integration of a dominated direction is eventually contaminated
-by the dominant mode, but its log-derivative stays meaningful until the
-contamination actually takes over).
+The original order-n equation is integrated as its first-order companion
+system y' = M(t) y with DOP853 and compared against the fixed-point
+reconstruction.  Two comparison modes exist because of the spread of
+exponential rates: the dominant solution admits a direct value
+comparison, while dominated solutions are compared through their
+logarithmic derivative y'/y (any forward integration of a dominated
+direction is eventually contaminated by the dominant mode, but its
+log-derivative stays meaningful until the contamination actually takes
+over).
+
+The integrator is SciPy's ``solve_ivp(method="DOP853")`` written out for
+this linear system: the same tableau (``dop853``), the same embedded
+5th/3rd-order error norm and step controller (safety 0.9, step factors
+clipped to [0.2, 10], exponent -1/8, Hairer's initial-step selection, a
+minimum step of ten ulps of t) and the same 7th-order dense output,
+formed only on the steps that contain a sample point.  It therefore takes
+the same steps and makes the same number of right-hand-side evaluations.
+One thing differs: the stage times t + c_i h are known before a step
+starts, so each r_i that depends on t is evaluated once per step attempt
+as an array over all stage times, and once over the three dense-output
+stages; an r_i without t is evaluated once per integration.
 """
 
 from __future__ import annotations
@@ -15,15 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import kernelquad
+from . import dop853, kernelquad
 from .asymptotics import FundamentalSystem
+from .errors import IntegrationFailure
 from .exprparse import depends_on_t
 from .problem import ProblemSpec
 
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2  # smallest factor by which a step may shrink
+MAX_FACTOR = 10.0  # largest factor by which a step may grow
+ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
+
+STAGES = dop853.N_STAGES
+STEP_C = dop853.C[1:STAGES + 1]  # stages 1..11 and the end of the step
+DENSE_C = dop853.C[STAGES + 1:]  # the three extra dense-output stages
 
 
 @dataclass(frozen=True)
@@ -33,49 +55,176 @@ class TrajectorySample:
     nfev: int
 
 
-def companion_rhs(problem: ProblemSpec):
-    """Right side of the first-order companion system.
-
-    An r_i that does not depend on t is evaluated once, here, not at
-    every step.
-    """
-    n = problem.n
+def _coefficient_rows(problem: ProblemSpec):
+    """rows(times): the coefficients a_i + r_i(t) at every time, shape
+    (len(times), n).  An r_i that does not depend on t is evaluated once,
+    here."""
     a = np.asarray(problem.a, dtype=float)
-    varying = [i for i in range(n) if depends_on_t(problem.r_exprs[i])]
-    coeffs = a.copy()
-    for i in range(n):
+    varying = [i for i in range(problem.n)
+               if depends_on_t(problem.r_exprs[i])]
+    fixed = a.copy()
+    for i in range(problem.n):
         if i not in varying:
-            coeffs[i] += problem.r_value(i, problem.t0)
+            fixed[i] += problem.r_value(i, problem.t0)
 
-    def rhs(t, state):
-        out = np.empty(n)
-        out[:-1] = state[1:]
-        current = coeffs.copy()
+    def rows(times):
+        out = np.tile(fixed, (len(times), 1))
         for i in varying:
-            current[i] = a[i] + problem.r_value(i, float(t))
-        out[-1] = -np.dot(current, state)
+            out[:, i] = a[i] + problem.r_value(i, times)
         return out
 
-    return rhs
+    return rows
+
+
+def _companion(out, row, state):
+    """out = M(t) state for the coefficient row a + r(t): y_j' = y_{j+1}
+    and y_{n-1}' = -sum_i (a_i + r_i) y_i."""
+    out[:-1] = state[1:]
+    out[-1] = -np.dot(row, state)
+
+
+def _rms(x) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _error_norm(K, h: float, scale) -> float:
+    """DOP853's error norm: the 5th-order estimate, damped where the
+    3rd-order one is much larger."""
+    err5 = np.dot(K.T, dop853.E5) / scale
+    err3 = np.dot(K.T, dop853.E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
 def integrate_original(problem: ProblemSpec, y0, t_end: float, t_eval,
                        rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL) -> TrajectorySample:
-    """Integrate the original equation from the initial jet y0 at t0 and
-    sample it at the points t_eval."""
-    sol = solve_ivp(
-        companion_rhs(problem),
-        (problem.t0, t_end),
-        np.asarray(y0, dtype=float),
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-    )
-    if sol.status != 0:
-        raise RuntimeError(f"reference integration failed: {sol.message}")
-    return TrajectorySample(t=sol.t, states=sol.y, nfev=sol.nfev)
+    """Integrate the original equation forward from the initial jet y0 at
+    t0 and sample it at the points t_eval (increasing, within
+    [t0, t_end]).
+
+    Raises IntegrationFailure when the step falls below the minimum step
+    or the error estimate is not finite.  The estimate weighs every stage,
+    the end derivative included, so a state that overflows makes it NaN
+    before the step can be accepted.
+    """
+    t = float(problem.t0)
+    t_end = float(t_end)
+    t_eval = np.asarray(t_eval, dtype=float)
+    if not t_end > t:
+        raise ValueError(f"t_end = {t_end} must exceed t0 = {t}")
+    if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0) or np.any(
+        (t_eval < t) | (t_eval > t_end)
+    ):
+        raise ValueError("t_eval must increase within [t0, t_end]")
+    rows = _coefficient_rows(problem)
+    y = np.array(y0, dtype=float)
+    n = len(y)
+    K = np.empty((dop853.N_STAGES_EXTENDED, n))
+    states = np.empty((n, len(t_eval)))
+    filled = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = np.empty(n)
+        _companion(f, rows(np.array([t]))[0], y)
+        h_abs = _initial_step(rows, t, y, f, t_end, rtol, atol)
+        nfev = 2
+        while t < t_end:
+            min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationFailure(
+                        f"reference integration failed: step {h_abs:.3g} "
+                        f"below the minimum at t = {t}")
+                t_new = min(t + h_abs, t_end)
+                h = t_new - t
+                h_abs = np.abs(h)
+                stage_rows = rows(t + STEP_C * h)
+                K[0] = f
+                for s in range(1, STAGES):
+                    dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
+                    _companion(K[s], stage_rows[s - 1], y + dy)
+                y_new = y + h * np.dot(K[:STAGES].T, dop853.B)
+                _companion(K[STAGES], stage_rows[-1], y_new)
+                nfev += STAGES
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _error_norm(K[:STAGES + 1], h, scale)
+                if not np.isfinite(error_norm):
+                    raise IntegrationFailure(
+                        f"reference integration failed: error estimate "
+                        f"{error_norm} is not finite at t = {t}")
+                if error_norm < 1:
+                    factor = MAX_FACTOR if error_norm == 0 else min(
+                        MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(MIN_FACTOR,
+                             SAFETY * error_norm ** ERROR_EXPONENT)
+                rejected = True
+            last = np.searchsorted(t_eval, t_new, side="right")
+            if last > filled:
+                states[:, filled:last] = _dense_output(
+                    K, rows, t, t_new, y, y_new, t_eval[filled:last])
+                nfev += len(DENSE_C)
+                filled = last
+            t, y, f = t_new, y_new, K[STAGES].copy()
+    return TrajectorySample(t=t_eval, states=states, nfev=nfev)
+
+
+def _initial_step(rows, t0, y0, f0, t_end, rtol, atol) -> float:
+    """Hairer's starting step (Solving ODEs I, Sec. II.4), as in SciPy's
+    ``select_initial_step`` for an error estimator of order 7."""
+    interval_length = t_end - t0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = np.empty_like(f0)
+    _companion(f1, rows(np.array([t0 + h0]))[0], y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def _dense_output(K, rows, t_old, t, y_old, y, points):
+    """The 7th-order continuous extension of the step [t_old, t] at the
+    points, shape (n, len(points)); fills the extra stages of K."""
+    h = t - t_old
+    extra_rows = rows(t_old + DENSE_C * h)
+    for s in range(STAGES + 1, dop853.N_STAGES_EXTENDED):
+        dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
+        _companion(K[s], extra_rows[s - STAGES - 1], y_old + dy)
+    f_old = K[0]
+    delta_y = y - y_old
+    F = np.empty((dop853.INTERPOLATOR_POWER, len(y)))
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (K[STAGES] + f_old)
+    F[3:] = h * np.dot(dop853.D, K)
+    x = ((points - t_old) / h)[:, None]
+    out = np.zeros((len(points), len(y)))
+    for i, coeff in enumerate(reversed(F)):
+        out += coeff
+        if i % 2 == 0:
+            out *= x
+        else:
+            out *= 1 - x
+    out += y_old
+    return out.T
 
 
 def initial_jet(fs: FundamentalSystem, i: int) -> np.ndarray:

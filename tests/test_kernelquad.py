@@ -117,6 +117,17 @@ class TestKinks:
         assert anti.sign_changes == pytest.approx((-np.log(2.0),),
                                                   rel=1e-13)
 
+    def test_every_sign_change_is_a_root(self):
+        # lambda_1 of spread_n4: three causal terms, and g, g', g'' change
+        # sign at four points in all, refined in one bisection
+        kernel = build_kernel(make_shifted((-1.0, -3.0, -4.0)))
+        assert len(kernel.sign_changes) == 4
+        gams = np.asarray(kernel.gamma.gamma)
+        for u in kernel.sign_changes:
+            terms = kernel.amplitudes * np.exp(gams * u)
+            rel = np.abs(terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+            assert rel.min() < 1e-13
+
     def test_no_sign_change_for_single_term(self):
         assert build_kernel(make_shifted((-2.0,))).sign_changes == ()
 

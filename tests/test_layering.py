@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "poincarefp"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "poincarefp"
+CONFIGS = ROOT / "configs"
 
 
 def private_uses(path: Path) -> list[str]:
@@ -105,3 +110,76 @@ def test_detector_sees_a_dense_call(tmp_path):
     assert dense_calls(probe) == [
         "barycentric_matrix (line 3)", "differentiation_matrix (line 4)",
     ]
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """Every import of scipy in the module, at module level or inside a
+    function."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] == "scipy"]
+    return found
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test-only dependency: every run path imports only numpy
+    offenders = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if (uses := scipy_imports(path))
+    }
+    assert not offenders
+
+
+def test_detector_sees_a_scipy_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from scipy import optimize\n"
+        "def f():\n"
+        "    import scipy.integrate as si\n"
+        "    from scipy.integrate import solve_ivp\n",
+        encoding="utf-8",
+    )
+    assert scipy_imports(probe) == [
+        "scipy (line 2)", "scipy.integrate (line 4)",
+        "scipy.integrate (line 5)",
+    ]
+
+
+def modules_after(code: str) -> set[str]:
+    """sys.modules of a fresh interpreter after it ran ``code``."""
+    script = code + "\nimport sys\nprint('--', *sys.modules, sep='\\n')\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split("\n--\n")[-1].splitlines())
+
+
+def test_pipeline_run_loads_no_scipy(tmp_path):
+    modules = modules_after(
+        "from poincarefp.cli import main\n"
+        f"main(['all', {str(CONFIGS / 'decaying_n2.conf')!r}, "
+        f"'--output-dir', {str(tmp_path)!r}])\n"
+    )
+    assert (tmp_path / "diagnostics.csv").exists()  # verify ran
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+
+
+def test_check_does_not_load_numpy_ma(tmp_path):
+    modules = modules_after(
+        "from poincarefp.cli import main\n"
+        f"main(['check', {str(CONFIGS / 'decaying_n2.conf')!r}, "
+        f"'--output-dir', {str(tmp_path)!r}])\n"
+    )
+    assert (tmp_path / "hypotheses.csv").exists()
+    assert "numpy.ma" not in modules

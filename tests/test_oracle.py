@@ -2,17 +2,45 @@
 
 from __future__ import annotations
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
+from poincarefp import dop853, find_roots
+from poincarefp.asymptotics import build_fundamental_system
+from poincarefp.cli import load_config
+from poincarefp.errors import IntegrationFailure
 from poincarefp.oracle import (
     abel_check,
-    companion_rhs,
     compare_to_fixed_point,
     initial_jet,
     integrate_original,
 )
 from poincarefp.problem import ProblemSpec
+from poincarefp.solver import solve_problem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def every_step_rhs(problem: ProblemSpec):
+    """The companion system with every r_i evaluated at every call, for
+    SciPy's ``solve_ivp``."""
+    a = np.asarray(problem.a, dtype=float)
+
+    def rhs(t, state):
+        out = np.empty(problem.n)
+        out[:-1] = state[1:]
+        coeffs = a + np.array(
+            [problem.r_value(i, float(t)) for i in range(problem.n)]
+        )
+        out[-1] = -np.dot(coeffs, state)
+        return out
+
+    return rhs
 
 
 class TestIntegrateOriginal:
@@ -53,6 +81,92 @@ class TestIntegrateOriginal:
         assert err_tight < err_loose
 
 
+class TestTableau:
+    def test_equals_scipy_coefficients(self):
+        for name in ("A", "B", "C", "D", "E3", "E5"):
+            ours = getattr(dop853, name)
+            assert np.array_equal(ours, getattr(dop853_coefficients, name))
+        assert dop853.N_STAGES == dop853_coefficients.N_STAGES
+        assert (dop853.N_STAGES_EXTENDED
+                == dop853_coefficients.N_STAGES_EXTENDED)
+        assert (dop853.INTERPOLATOR_POWER
+                == dop853_coefficients.INTERPOLATOR_POWER)
+
+    def test_quadrature_conditions_up_to_order_eight(self):
+        c = dop853.C[:dop853.N_STAGES]
+        for k in range(8):
+            assert dop853.B @ c ** k == pytest.approx(1 / (k + 1),
+                                                      abs=1e-15)
+        # an 8th-order rule stops there
+        assert abs(dop853.B @ c ** 8 - 1 / 9) > 1e-6
+
+    def test_rows_of_a_sum_to_c(self):
+        assert np.allclose(dop853.A.sum(axis=1), dop853.C, rtol=0,
+                           atol=2e-15)
+
+
+def config_system(name):
+    config = load_config(CONFIGS / f"{name}.conf")
+    problem = config.problem
+    grids = [solve_problem(problem, i)[1] for i in range(1, problem.n + 1)]
+    return problem, build_fundamental_system(problem, find_roots(problem.a),
+                                             grids)
+
+
+class TestAgainstSolveIvp:
+    @pytest.mark.parametrize("name", ["decaying_n2", "e1_n3", "spread_n4"])
+    def test_same_steps_as_scipy_on_every_root(self, name):
+        problem, fs = config_system(name)
+        t_eval = np.linspace(problem.t0, 10.0, 40)
+        for i in range(1, problem.n + 1):
+            y0 = initial_jet(fs, i)
+            ours = integrate_original(problem, y0, 10.0, t_eval)
+            ref = solve_ivp(every_step_rhs(problem), (problem.t0, 10.0), y0,
+                            method="DOP853", t_eval=t_eval, rtol=1e-10,
+                            atol=1e-12)
+            assert ours.nfev == ref.nfev, i
+            if i == 1:
+                np.testing.assert_allclose(ours.states, ref.y, rtol=1e-12,
+                                           atol=0)
+
+    def test_steps_too_small_fail_like_scipy(self):
+        # at t ~ 1e17 the minimum step (ten ulps, 160) is far above the
+        # step that e^{10 t} needs
+        problem = ProblemSpec(
+            n=2, a=(-100.0, 0.0), r_sources=("0", "0"), t0=1e17,
+            t_max=1e17 + 1e4, grid_points=32,
+        )
+        t_end = 1e17 + 1024.0
+        ref = solve_ivp(every_step_rhs(problem), (problem.t0, t_end),
+                        [1.0, 10.0], method="DOP853", rtol=1e-10,
+                        atol=1e-12)
+        assert ref.status == -1
+        with pytest.raises(IntegrationFailure, match="below the minimum"):
+            integrate_original(problem, (1.0, 10.0), t_end,
+                               t_eval=np.array([t_end]))
+
+    def test_overflow_raises_without_warning(self):
+        # y'' = 1e6 y grows like e^{1000 t} and overflows before t = 1
+        problem = ProblemSpec(
+            n=2, a=(-1e6, 0.0), r_sources=("0", "0"), t_max=32.0,
+            grid_points=32,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationFailure, match="not finite"):
+                integrate_original(problem, (1.0, 1000.0), 1.0,
+                                   t_eval=np.linspace(0.0, 1.0, 5))
+
+    def test_rejects_samples_outside_the_span(self):
+        problem = ProblemSpec(
+            n=2, a=(-1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
+            grid_points=32,
+        )
+        with pytest.raises(ValueError):
+            integrate_original(problem, (1.0, 1.0), 1.0,
+                               t_eval=np.array([0.5, 2.0]))
+
+
 class TestCompanionRhs:
     def test_constant_perturbations_evaluated_once(self, monkeypatch):
         problem = ProblemSpec(
@@ -64,22 +178,30 @@ class TestCompanionRhs:
         r_value = ProblemSpec.r_value
 
         def counted(self, i, t):
-            calls.append(i)
+            calls.append((i, np.size(t)))
             return r_value(self, i, t)
 
         monkeypatch.setattr(ProblemSpec, "r_value", counted)
-        rhs = companion_rhs(problem)
-        calls.clear()
-        state = np.array([1.0, -2.0, 3.0])
-        for t in (0.0, 0.5, 7.25):
-            out = rhs(t, state)
-            # same arithmetic as evaluating every r_i at every step
-            coeffs = np.asarray(problem.a) + np.array(
-                [r_value(problem, i, t) for i in range(3)]
-            )
-            assert out[-1] == -np.dot(coeffs, state)
-            assert list(out[:-1]) == [-2.0, 3.0]
-        assert calls == [0, 0, 0]
+        t_eval = np.linspace(0.0, 4.0, 9)
+        sample = integrate_original(problem, (1.0, 3.0, 9.0), 4.0, t_eval)
+        monkeypatch.undo()
+
+        assert sorted(c for c in calls if c[0] != 0) == [(1, 1), (2, 1)]
+        sizes = [size for i, size in calls if i == 0]
+        # the initial step, then stage times of each attempt (11 stages
+        # and the end point) and the 3 dense-output stages of each step
+        # that holds a sample point
+        assert sizes[:2] == [1, 1]
+        attempts, dense = sizes.count(12), sizes.count(3)
+        assert len(sizes) == 2 + attempts + dense
+        assert sample.nfev == 2 + 12 * attempts + 3 * dense
+        assert 0 < dense <= len(t_eval)
+
+        ref = solve_ivp(every_step_rhs(problem), (0.0, 4.0),
+                        [1.0, 3.0, 9.0], method="DOP853", t_eval=t_eval,
+                        rtol=1e-10, atol=1e-12)
+        assert sample.nfev == ref.nfev
+        np.testing.assert_allclose(sample.states, ref.y, rtol=1e-12, atol=0)
 
 
 class TestComparisons:
