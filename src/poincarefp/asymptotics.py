@@ -258,13 +258,3 @@ def log_refined_estimate(problem: ProblemSpec, table: OmegaTable,
 
         value += kernelquad.integral(f_tail, solution.t_max, t)
     return lam * (t - problem.t0) + value / pi_i
-
-
-def refined_estimate(problem: ProblemSpec, table: OmegaTable,
-                     spectrum: Spectrum, i: int, solution: IterateGrid,
-                     t: float) -> float:
-    """e^{lambda_i (t - t0)} exp((1/pi_i) int F); may overflow for large
-    t, in which case use log_refined_estimate."""
-    return float(np.exp(
-        log_refined_estimate(problem, table, spectrum, i, solution, t)
-    ))

@@ -333,6 +333,8 @@ def cmd_verify(config: Config, results=None) -> int:
         problem, spectrum, [results[i][1] for i in range(1, problem.n + 1)]
     )
     t_diag = min(DIAG_T, problem.t_max)
+    # every root is compared with the oracle inside the solved window
+    t_end = min(10.0, problem.t_max)
     rows = []
     verdicts = []
 
@@ -354,7 +356,6 @@ def cmd_verify(config: Config, results=None) -> int:
         record("derivative_ratio", i, 1, t_diag, ratio, lam,
                abs(ratio - lam) < 0.01)
         mode = "value" if i == 1 else "log-derivative"
-        t_end = 10.0 if mode == "value" else min(10.0, problem.t_max)
         comp = oracle.compare_to_fixed_point(problem, fs, i, t_end, mode=mode)
         bound = 1e-4 if mode == "value" else 1e-3
         record(f"oracle_{mode}", i, "", t_end, comp.max_error, bound,

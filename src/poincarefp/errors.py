@@ -17,7 +17,7 @@ class ExpressionError(PoincarefpError):
 
 class EvalDomainError(PoincarefpError):
     """Evaluation left the real domain (log/sqrt of a negative, division
-    by zero) or overflowed."""
+    by zero), overflowed, or was asked for at a non-finite t."""
 
 
 class ComplexRoots(PoincarefpError):

@@ -12,6 +12,11 @@ so '^' binds tighter than unary minus and '-t^2' reads as '-(t^2)'.
 Known functions: exp, log, sin, cos, sqrt, abs, pow(x, y).
 The only free variable is 't'.  ASTs are immutable and safe to evaluate
 concurrently.
+
+Evaluation maps every operator and function onto a numpy ufunc and runs
+the whole tree under one floating-point guard: literals and t are finite,
+so the first operation that would create an inf or NaN raises
+EvalDomainError.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import numpy as np
 
 from .errors import EvalDomainError, ExpressionError
 
-_FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "pow": 2}
+# numpy ufuncs; each one's ``nin`` is the arity the parser enforces
+_FUNCTIONS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+              "sqrt": np.sqrt, "abs": np.abs, "pow": np.power}
 
 
 @dataclass(frozen=True)
@@ -149,10 +156,13 @@ class _Parser:
                 self.pos = mark
         text = src[start : self.pos]
         try:
-            return Num(float(text))
+            value = float(text)
         except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             self.pos = start
-            self.error(f"malformed number {text!r}")
+            self.error(f"malformed or non-finite number {text!r}")
+        return Num(value)
 
     def identifier(self) -> Expression:
         start = self.pos
@@ -170,10 +180,11 @@ class _Parser:
                 args.append(self.expr())
             if not self.take(")"):
                 self.error("expected ')'")
-            if len(args) != _FUNCTIONS[name]:
+            arity = _FUNCTIONS[name].nin
+            if len(args) != arity:
                 self.pos = start
                 self.error(
-                    f"{name} takes {_FUNCTIONS[name]} argument(s), got {len(args)}"
+                    f"{name} takes {arity} argument(s), got {len(args)}"
                 )
             return Call(name, tuple(args))
         if name == "t":
@@ -193,14 +204,8 @@ def parse_expression(source: str) -> Expression:
     return _Parser(source).parse()
 
 
-def _power(base, exponent):
-    # 0^0 = 1 by convention; negative base with non-integer exponent is a
-    # domain error rather than a complex result.
-    with np.errstate(all="ignore"):
-        out = np.power(base, exponent)
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError("power left the finite real domain")
-    return out
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
 
 
 def _eval(node: Expression, t):
@@ -211,59 +216,34 @@ def _eval(node: Expression, t):
     if isinstance(node, Neg):
         return -_eval(node.operand, t)
     if isinstance(node, BinOp):
-        left = _eval(node.left, t)
-        right = _eval(node.right, t)
-        if node.op == "+":
-            out = left + right
-        elif node.op == "-":
-            out = left - right
-        elif node.op == "*":
-            out = left * right
-        elif node.op == "/":
-            with np.errstate(all="ignore"):
-                out = np.divide(left, right)
-            if not np.all(np.isfinite(out)):
-                raise EvalDomainError("division by zero")
-            return out
-        else:  # ^
-            return _power(left, right)
-        if not np.all(np.isfinite(out)):
-            raise EvalDomainError(f"overflow in {node.op!r}")
-        return out
-    # Call
-    (arg, *rest) = [_eval(a, t) for a in node.args]
-    with np.errstate(all="ignore"):
-        if node.func == "exp":
-            out = np.exp(arg)
-        elif node.func == "log":
-            out = np.log(arg)
-        elif node.func == "sin":
-            out = np.sin(arg)
-        elif node.func == "cos":
-            out = np.cos(arg)
-        elif node.func == "sqrt":
-            out = np.sqrt(arg)
-        elif node.func == "abs":
-            out = np.abs(arg)
-        else:  # pow
-            return _power(arg, rest[0])
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError(f"{node.func} left the finite real domain")
-    return out
+        return _BINARY[node.op](_eval(node.left, t), _eval(node.right, t))
+    return _FUNCTIONS[node.func](*(_eval(arg, t) for arg in node.args))
 
 
 def evaluate_expression(e: Expression, t):
     """Value of ``e`` at ``t`` (scalar or numpy array, elementwise).
 
-    Raises EvalDomainError on log/sqrt of a negative, division by zero, or
-    overflow; infinities are never propagated silently.
+    The whole tree is evaluated inside one ``np.errstate`` that raises on
+    division by zero, overflow and invalid operations.  Literals and t are
+    finite, so every inf or NaN is trapped at the operation that creates it
+    (log/sqrt of a negative, division by zero, overflow, a negative base
+    with a non-integer exponent) and surfaces as EvalDomainError; an
+    infinity is never propagated or absorbed silently.  0^0 is 1.
     """
-    out = _eval(e, t)
-    if np.ndim(t) == 0:
+    scalar = np.ndim(t) == 0
+    t = float(t) if scalar else np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise EvalDomainError("t must be finite")
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = _eval(e, t)
+    except FloatingPointError as exc:
+        raise EvalDomainError(str(exc)) from None
+    if scalar:
         return float(out)
     arr = np.asarray(out, dtype=float)
-    if arr.shape != np.shape(t):
-        arr = np.broadcast_to(arr, np.shape(t)).copy()
+    if arr.shape != t.shape:
+        arr = np.broadcast_to(arr, t.shape).copy()
     return arr
 
 

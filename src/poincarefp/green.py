@@ -34,6 +34,7 @@ from .spectral import ShiftedSpectrum
 JUMP_TOL = 1e-10
 SIGN_SAMPLES = 2048  # scan points per side when bracketing sign changes
 SIGN_XTOL = 1e-14  # width at which a bracket counts as refined
+SIGN_NOISE_ULPS = 4.0  # |h| within this many ulps of sum |terms| is zero
 
 
 def upsilon(values, ell: int) -> float:
@@ -139,7 +140,10 @@ def _sign_changes(amps, rates) -> list[float]:
 
     Past V, the slowest term outweighs the sum of all the others, so
     every sign change lies in (0, V]; it is bracketed on a uniform scan
-    and every bracket is refined at once by bisection.
+    and every bracket is refined at once by bisection.  A sample within
+    a few ulps of the sum of the terms' magnitudes is rounding noise, not
+    a sign (at v = 0 when h and h' vanish on the diagonal), and is
+    skipped like an exact zero.
     """
     amps = np.asarray(amps, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -157,8 +161,10 @@ def _sign_changes(amps, rates) -> list[float]:
     def h(x):
         return amps @ np.exp(rates[:, None] * x[None, :])
 
-    vals = h(v)
-    nonzero = np.flatnonzero(vals)
+    decay = np.exp(rates[:, None] * v[None, :])
+    vals = amps @ decay
+    noise = SIGN_NOISE_ULPS * np.finfo(float).eps * (np.abs(amps) @ decay)
+    nonzero = np.flatnonzero(np.abs(vals) > noise)
     a, b = nonzero[:-1], nonzero[1:]
     flips = vals[a] * vals[b] < 0
     a, b = a[flips], b[flips]

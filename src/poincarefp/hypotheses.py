@@ -35,8 +35,6 @@ from .spectral import Spectrum, find_roots, shift_spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
-SIGMA_XTOL = 1e-3  # bracket width at which an interior sup is located
-INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def compute_R(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
@@ -81,23 +79,6 @@ def compute_phi1(kernel: GreenKernel) -> float:
     return total / abs(kernel.upsilon0)
 
 
-def golden_section_max(f, lo: float, hi: float, xtol: float):
-    """(x, f(x)) at the larger of the two inner points once the bracket
-    [lo, hi] of a unimodal f is at most xtol wide."""
-    c, d = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > xtol:
-        if fc >= fd:  # the maximum lies in [lo, d]
-            hi, d, fd = d, c, fc
-            c = hi - INV_PHI * (hi - lo)
-            fc = f(c)
-        else:  # the maximum lies in [c, hi]
-            lo, c, fc = c, d, fd
-            d = lo + INV_PHI * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 @dataclass(frozen=True)
 class SigmaEstimate:
     gamma: float
@@ -124,28 +105,19 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
              kernelquad.ExpTerm(-gamma, False))
     rate = gamma * 0.5 if gamma > 0 else -gamma
 
-    def sigma_at(t):
-        return kernelquad.exp_integrals(
-            mass_ge1, t, problem.t0, terms, rate, tol
-        ).sum(axis=0)
-
     try:
-        values = sigma_at(np.asarray(t_grid, dtype=float))
+        values = kernelquad.exp_integrals(
+            mass_ge1, np.asarray(t_grid, dtype=float), problem.t0, terms,
+            rate, tol,
+        ).sum(axis=0)
     except QuadratureFailure:
         return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
                              status="divergent")
 
+    # sigma_gamma(t) = e^{-gamma t} int_{t0}^inf e^{gamma s} M(s) ds is
+    # monotone in t, so the sampled sup sits at an end of the grid and
+    # needs no refinement
     best = int(np.argmax(values))
-    best_t = float(t_grid[best])
-    best_value = float(values[best])
-    if 0 < best < len(values) - 1:
-        # the sup sits inside the grid: refine around the sampled peak
-        arg, value = golden_section_max(
-            lambda t: float(sigma_at(t)),
-            float(t_grid[best - 1]), float(t_grid[best + 1]), SIGMA_XTOL,
-        )
-        if value > best_value:
-            best_value, best_t = value, arg
     # a supremum still growing at the end of the geometric grid is not
     # attained on any finite window
     if best >= len(values) - 1 and len(values) >= 3:
@@ -154,8 +126,8 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
         ):
             return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
                                  status="divergent")
-    return SigmaEstimate(gamma=gamma, value=best_value, arg_t=best_t,
-                         status="finite")
+    return SigmaEstimate(gamma=gamma, value=float(values[best]),
+                         arg_t=float(t_grid[best]), status="finite")
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,21 @@ class TestEndToEnd:
         config = load_config(write_config(tmp_path, E1.format(out=out)))
         assert run("verify", config) == EXIT_OK
 
+    def test_oracle_horizon_stays_in_the_solved_window(self, tmp_path):
+        # with t_max < 10 the dominant root is compared up to t_max too,
+        # not against the zero tail beyond the solved window
+        config = load_config(write_config(tmp_path, MINIMAL + "t_max = 8\n"))
+        config.output_dir = tmp_path / "out"
+        run("verify", config)
+        diag = config.output_dir / "diagnostics.csv"
+        lines = diag.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        oracle_t = {row["quantity"]: row["t"] for row in rows
+                    if row["quantity"].startswith("oracle_")}
+        assert oracle_t == {"oracle_value": "8.0",
+                            "oracle_log-derivative": "8.0"}
+
     def test_determinism_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from hypothesis import strategies as st
 
 from poincarefp.errors import EvalDomainError, ExpressionError
 from poincarefp.exprparse import (
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Var,
     depends_on_t,
     evaluate_expression,
     parse_expression,
@@ -54,7 +60,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "src",
-        ["", "  ", "1+", "foo(1)", "sin(1,2)", "(1", "1..2", "x", "1 $ 2"],
+        ["", "  ", "1+", "foo(1)", "sin(1,2)", "(1", "1..2", "x", "1 $ 2",
+         "1e400"],
     )
     def test_rejects_malformed(self, src):
         with pytest.raises(ExpressionError):
@@ -108,6 +115,30 @@ class TestEvaluation:
 
     def test_zero_to_the_zero_is_one(self):
         assert ev("t^0", 0.0) == 1.0
+
+    @pytest.mark.parametrize("src, t", [("1/(1/t)", 0.0),
+                                        ("exp(-exp(t))", 1000.0)])
+    def test_absorbed_infinity_raises(self, src, t):
+        # the inner inf would be absorbed into a finite 0.0 at the root
+        with pytest.raises(EvalDomainError):
+            ev(src, t)
+
+    @pytest.mark.parametrize("src, t", [("t*1e308", [10.0]),
+                                        ("t+1e308", [1e308]),
+                                        ("-t-1e308", [1e308])])
+    def test_array_overflow_raises_without_warning(self, src, t):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EvalDomainError):
+                ev(src, np.array(t))
+        assert not caught
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan,
+                                   np.array([0.0, math.inf]),
+                                   np.array([math.nan, 1.0])])
+    def test_non_finite_t_raises(self, t):
+        with pytest.raises(EvalDomainError):
+            ev("0*t", t)
 
 
 # strategy for random ASTs rendered back to source text
@@ -173,3 +204,79 @@ class TestProperties:
             t = float(rng.uniform(0.0, 5.0))
             got = evaluate_expression(asts[idx], t)
             assert got == pytest.approx(refs[idx](t), rel=1e-13, abs=1e-13)
+
+
+# random trees over every operator and function, against an unguarded
+# numpy evaluation of each subtree
+_BINARY_REF = {"+": np.add, "-": np.subtract, "*": np.multiply,
+               "/": np.divide, "^": np.power}
+_CALL_REF = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+             "sqrt": np.sqrt, "abs": np.abs, "pow": np.power}
+_LEAVES = (0.0, 1e308, 0.5, 2.0, 3.0, 10.0, 1e-3, 700.0)
+_TS = (0.0, -1.0, 0.5, 2.5, -3.0, 100.0, 710.0, 1e308, -1e308, 1e-300)
+
+
+def _random_tree(rng, depth):
+    kind = rng.integers(4) if depth > 0 else 3
+    if kind == 0:
+        op = str(rng.choice(list(_BINARY_REF)))
+        return BinOp(op, _random_tree(rng, depth - 1),
+                     _random_tree(rng, depth - 1))
+    if kind == 1:
+        func = str(rng.choice(list(_CALL_REF)))
+        args = [_random_tree(rng, depth - 1)
+                for _ in range(2 if func == "pow" else 1)]
+        return Call(func, tuple(args))
+    if kind == 2:
+        return Neg(_random_tree(rng, depth - 1))
+    if rng.random() < 0.4:
+        return Var("t")
+    return Num(float(rng.choice(_LEAVES)))
+
+
+def _reference(node, t):
+    """(value, whether any subtree was non-finite), errors ignored."""
+    if isinstance(node, Num):
+        return np.float64(node.value), False
+    if isinstance(node, Var):
+        return t, False
+    if isinstance(node, Neg):
+        parts = [_reference(node.operand, t)]
+        func = np.negative
+    elif isinstance(node, BinOp):
+        parts = [_reference(node.left, t), _reference(node.right, t)]
+        func = _BINARY_REF[node.op]
+    else:
+        parts = [_reference(arg, t) for arg in node.args]
+        func = _CALL_REF[node.func]
+    with np.errstate(all="ignore"):
+        value = func(*(v for v, _ in parts))
+    bad = any(b for _, b in parts) or not np.all(np.isfinite(value))
+    return value, bad
+
+
+def test_random_trees_raise_exactly_when_a_subtree_is_not_finite():
+    rng = np.random.default_rng(7)
+    mismatches = []
+    raised = 0
+    for _ in range(12000):
+        tree = _random_tree(rng, int(rng.integers(1, 5)))
+        if rng.random() < 0.5:
+            t = np.float64(rng.choice(_TS))
+        else:
+            t = rng.choice(_TS, size=int(rng.integers(1, 5)))
+        expected, bad = _reference(tree, t)
+        try:
+            got = evaluate_expression(tree, t)
+        except EvalDomainError:
+            raised += 1
+            if not bad:
+                mismatches.append((pretty_print(tree), t, "raised"))
+            continue
+        want = np.broadcast_to(np.asarray(expected, dtype=float),
+                               np.shape(t))
+        if bad or np.asarray(got).tobytes() != want.tobytes():
+            mismatches.append((pretty_print(tree), t, got))
+    assert not mismatches, mismatches[:5]
+    # both outcomes are well represented
+    assert 1000 < raised < 11000

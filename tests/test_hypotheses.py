@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import optimize
 
-from poincarefp import kernelquad
 from poincarefp.green import build_kernel
 from poincarefp.hypotheses import (
     SigmaEstimate,
@@ -22,7 +20,6 @@ from poincarefp.hypotheses import (
     compute_phi1,
     estimate_sigma,
     evaluate_hypotheses,
-    golden_section_max,
     hypothesis_grid,
 )
 from poincarefp.multipoly import Poly
@@ -150,43 +147,6 @@ class TestSigma:
         assert est.status == "finite"
         assert est.value == pytest.approx(np.exp(-2.0), rel=1e-6)
         assert est.arg_t == pytest.approx(1.0)
-
-    def test_interior_supremum_refined_like_scipy(self, monkeypatch):
-        # sigma_gamma(t) = e^{-gamma t} int e^{gamma s} M(s) ds is monotone
-        # in t, so no data puts its sup inside the grid; the quadrature is
-        # replaced by the profile t e^{-t/3} (peak at t = 3) to reach the
-        # refinement
-        def profile(t):
-            return t * np.exp(-t / 3.0)
-
-        def fake_integrals(f, t, t0, terms, rate, tol):
-            return np.stack([profile(np.asarray(t, dtype=float)) / 2] * 2)
-
-        monkeypatch.setattr(kernelquad, "exp_integrals", fake_integrals)
-        problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "exp(-3*t)"), t_max=64.0,
-            grid_points=64,
-        )
-        table = OmegaTable(
-            n=2, a=(-1.0, 0.0), table={(1,): _r(2, 1)},
-            f_poly=Poly(_nvars(2)),
-        )
-        est = estimate_sigma(problem, table, 2.0, 1.0, (1.0, 2.0, 4.0, 8.0))
-        ref = optimize.minimize_scalar(
-            lambda t: -profile(t), bounds=(2.0, 8.0), method="bounded",
-            options={"xatol": 1e-3},
-        )
-        assert est.status == "finite"
-        assert abs(est.arg_t - ref.x) < 1e-3
-        assert abs(est.arg_t - 3.0) < 1e-3
-        assert est.value == pytest.approx(3.0 / np.e, rel=1e-6)
-        assert est.value >= profile(4.0)
-
-    def test_golden_section_brackets_the_maximum(self):
-        arg, value = golden_section_max(lambda t: -(t - 0.3) ** 2, 0.0,
-                                        1.0, 1e-6)
-        assert abs(arg - 0.3) < 1e-6
-        assert value == -(arg - 0.3) ** 2
 
     def test_constant_mass_diverges(self, n2_problem, n2_table):
         # the z^2 coefficient contributes constant mass 1, so the
