@@ -54,7 +54,7 @@ def admissible_beta_interval(spectrum: Spectrum, i: int) -> tuple[float, float]:
 
 
 def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
-             t, tol: float = 1e-10):
+             t):
     """Case integral of e^{-beta (t - s)} |Omega_0(lambda_i, s, r(s))|,
     for scalar or array t.
 
@@ -82,7 +82,8 @@ def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
     # endpoint, in which case only the r-decay helps.
     rate = max(-beta, 1e-3)
     return kernelquad.exp_integrals(
-        lambda s: _r_mass(problem, lam, s), t, problem.t0, terms, rate, tol
+        lambda s: _r_mass(problem, lam, s), t, problem.t0, terms, rate,
+        problem.tol,
     ).sum(axis=0)
 
 
@@ -98,8 +99,8 @@ class EnvelopeCheck:
 
 def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
                    solution: IterateGrid, i: int, beta: float,
-                   window: tuple[float, float], points: int = 25,
-                   tol: float = 1e-10) -> EnvelopeCheck:
+                   window: tuple[float, float],
+                   points: int = 25) -> EnvelopeCheck:
     """sup over the window of sum_j |z^(j)(t)| / envelope(t).
 
     Points where the envelope underflows are excluded; an entirely
@@ -108,7 +109,7 @@ def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
     lo = max(window[0], problem.t0)
     hi = min(window[1], solution.t_max)
     ts = np.linspace(lo, hi, points)
-    envs = envelope(problem, spectrum, i, beta, ts, tol)
+    envs = envelope(problem, spectrum, i, beta, ts)
     masses = np.abs(solution.jet(ts)).sum(axis=0)
     formed = ~(envs < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
     ratios = masses[formed] / envs[formed]

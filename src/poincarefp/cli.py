@@ -254,10 +254,11 @@ def cmd_check(config: Config) -> int:
         rows.append((i, "H1", "", report.spectrum.separation,
                      report.h1_verdict))
         for t, value in zip(report.t_grid, report.r_samples):
-            rows.append((i, "R", t, value, report.r2_verdict))
+            rows.append((i, "R", t, value, report.r_verdict))
         for k, samples in sorted(report.l_samples.items()):
+            verdict = report.l1_verdict if k == 1 else report.higher_verdict
             for t, value in zip(report.t_grid, samples):
-                rows.append((i, f"L_{k}", t, value, report.r2_verdict))
+                rows.append((i, f"L_{k}", t, value, verdict))
         rows.append((i, "phi1", "", report.phi1, ""))
         for est in report.sigma:
             rows.append((

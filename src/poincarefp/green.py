@@ -98,13 +98,6 @@ class GreenKernel:
             return float(out)
         return out
 
-    def abs_derivative_sum(self, t, s):
-        """sum_{j=0}^{n-2} |d^j g/dt^j| at (t, s)."""
-        total = 0.0
-        for j in range(self.n - 1):
-            total = total + np.abs(self.derivative(t, s, j))
-        return total
-
     @cached_property
     def amplitudes(self) -> np.ndarray:
         """A[j, l] = sign_l c_l gamma_l^j, so that g^(j)(u) = sum_l

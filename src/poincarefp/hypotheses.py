@@ -12,12 +12,12 @@ Three groups of conditions are checked for a chosen root index i:
         where M collects all coefficient masses of order >= 1 and phi_1
         is the gap-product bound of the kernel.
 
-Every quantity is an integral of a fixed function of s against
-exponentials in t - s, so each one is evaluated by ``kernelquad`` for the
-whole t-grid at once: the perturbation data are sampled, vectorised,
-on a composite Gauss-Legendre panel rule cut off where the tail drops below
-the tolerance.  An integrand that refuses to decay marks the quantity
-divergent and the verdict indeterminate instead of silently truncating.
+Every quantity is an integral of a fixed function of s against the
+kernel or an exponential in t - s, evaluated by ``kernelquad`` for the
+whole t-grid at once; R and every L_k share one pass per root, which
+samples [Omega_0, M_1, ..., M_n] once on a panel rule cut off where the
+tail drops below the tolerance.  An integrand that refuses to decay marks
+the quantity divergent and the verdict indeterminate.
 """
 
 from __future__ import annotations
@@ -35,36 +35,43 @@ from .spectral import Spectrum, find_roots, shift_spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
+SIGMA_TOL_FLOOR = 1e-8  # sigma's divergence probe needs no tighter tol
 
 
-def compute_R(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
-              t, tol: float = 1e-10):
-    """R(t) = sum_j |int g^(j)(t, s) Omega_0(mu, r(s)) ds| over the kernel
-    support, for scalar or array t."""
+def kernel_masses(problem: ProblemSpec, kernel: GreenKernel,
+                  table: OmegaTable, t) -> np.ndarray:
+    """Row 0: R(t) = sum_j |int g^(j)(t, s) Omega_0(mu, r(s)) ds|; row
+    k = 1..n: L_k(t) = int sum_j |g^(j)(t, s)| M_k(s) ds, with M_k the
+    coefficient mass of order k; over the kernel support, scalar or array
+    t."""
     mu = kernel.gamma.mu
     alpha0 = (0,) * (problem.n - 1)
 
-    def omega0(s):
-        return table.omega_value(alpha0, mu, problem.r_list(s))
+    def stacked(s):
+        rvals = problem.r_list(s)
+        rows = table.mass_by_order(mu, rvals)
+        rows[0] = table.omega_value(alpha0, mu, rvals)
+        return rows
 
-    parts = kernelquad.derivative_integrals(
-        kernel, omega0, t, problem.t0, kernel.decay_rate(), tol
+    signed, absolute = kernelquad.green_integrals(
+        kernel, stacked, t, problem.t0, kernel.decay_rate(), problem.tol
     )
-    return np.abs(parts).sum(axis=0)
+    absolute[0] = np.abs(signed[0]).sum(axis=0)
+    return absolute
+
+
+def compute_R(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
+              t):
+    """R(t) of ``kernel_masses`` alone."""
+    return kernel_masses(problem, kernel, table, t)[0]
 
 
 def compute_L(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
-              t, k: int, tol: float = 1e-10):
-    """L_k(t) = int_{t0}^inf sum_j |g^(j)(t, s)| M_k(s) ds with M_k the
-    coefficient mass of polynomial order k, for scalar or array t."""
-    mu = kernel.gamma.mu
-
-    def mass(s):
-        return table.mass_by_order(mu, problem.r_list(s))[k]
-
-    return kernelquad.abs_derivative_integral(
-        kernel, mass, t, problem.t0, kernel.decay_rate(), tol
-    )
+              t, k: int):
+    """L_k(t), k = 1..n, of ``kernel_masses`` alone."""
+    if not 1 <= k <= problem.n:
+        raise ValueError(f"coefficient order {k} outside 1..{problem.n}")
+    return kernel_masses(problem, kernel, table, t)[k]
 
 
 def compute_phi1(kernel: GreenKernel) -> float:
@@ -88,9 +95,10 @@ class SigmaEstimate:
 
 
 def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
-                   mu: float, t_grid, tol: float = 1e-8) -> SigmaEstimate:
+                   mu: float, t_grid) -> SigmaEstimate:
     """sup_t int_{t0}^inf e^{-gamma (t - s)} M(s) ds with
-    M = sum_{k>=1} M_k, maximised over the geometric t-grid.
+    M = sum_{k>=1} M_k, maximised over the geometric t-grid, at the
+    problem's tolerance but no tighter than SIGMA_TOL_FLOOR.
 
     Divergence is detected two ways: the inner integral fails to converge
     (its integrand does not decay), or the supremum keeps growing along
@@ -108,7 +116,7 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
     try:
         values = kernelquad.exp_integrals(
             mass_ge1, np.asarray(t_grid, dtype=float), problem.t0, terms,
-            rate, tol,
+            rate, max(problem.tol, SIGMA_TOL_FLOOR),
         ).sum(axis=0)
     except QuadratureFailure:
         return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
@@ -141,7 +149,10 @@ class HypothesisReport:
     l_samples: dict | None = None  # k -> tuple of samples on t_grid
     phi1: float = np.nan
     sigma: tuple[SigmaEstimate, ...] = ()
-    r2_verdict: str = "indeterminate"
+    r_verdict: str = "indeterminate"  # R(t) -> 0
+    l1_verdict: str = "indeterminate"  # L_1(t) -> 0
+    higher_verdict: str = "indeterminate"  # limsup sum_{k>=2} L_k < 1
+    r2_verdict: str = "indeterminate"  # all three of the above
     r2_detail: str = ""
     r3_verdict: str = "indeterminate"
     r3_detail: str = ""
@@ -164,6 +175,12 @@ def _limit_verdict(samples: np.ndarray) -> str:
     return "indeterminate"
 
 
+def _combined_verdict(verdicts) -> str:
+    if all(v.startswith("pass") for v in verdicts):
+        return "pass (numerical)"
+    return "fail" if "fail" in verdicts else "indeterminate"
+
+
 def hypothesis_grid(problem: ProblemSpec) -> tuple[float, ...]:
     """Geometric sample grid t0 + 1, t0 + 2, t0 + 4, ... inside the
     window."""
@@ -175,8 +192,7 @@ def hypothesis_grid(problem: ProblemSpec) -> tuple[float, ...]:
     return tuple(out)
 
 
-def evaluate_hypotheses(problem: ProblemSpec, i: int,
-                        tol: float = 1e-10) -> HypothesisReport:
+def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     """Full hypothesis check for root index i (1-based)."""
     try:
         spectrum = find_roots(problem.a)
@@ -197,35 +213,21 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int,
     table = build_reduced_rhs(problem.a, problem.n)
     grid = hypothesis_grid(problem)
 
-    r_samples = compute_R(problem, kernel, table, np.array(grid), tol)
-    l_samples = {
-        k: compute_L(problem, kernel, table, np.array(grid), k, tol)
-        for k in range(1, problem.n + 1)
-    }
-
-    r_verdict = _limit_verdict(r_samples)
-    l1_verdict = _limit_verdict(l_samples[1])
-    higher = sum(l_samples[k] for k in range(2, problem.n + 1))
-    higher_limsup = float(np.max(higher[-3:]))
-    higher_ok = higher_limsup < 1.0
-
+    masses = kernel_masses(problem, kernel, table, np.array(grid))
+    r_verdict = _limit_verdict(masses[0])
+    l1_verdict = _limit_verdict(masses[1])
+    higher_limsup = float(np.max(masses[2:].sum(axis=0)[-3:]))
+    higher_verdict = "pass" if higher_limsup < 1.0 else "fail"
     parts = [
-        f"R(t) tail {r_samples[-1]:.3e} [{r_verdict}]",
-        f"L_1(t) tail {l_samples[1][-1]:.3e} [{l1_verdict}]",
-        f"limsup sum_(k>=2) L_k ~ {higher_limsup:.3e} "
-        f"[{'pass' if higher_ok else 'fail'}]",
+        f"R(t) tail {masses[0, -1]:.3e} [{r_verdict}]",
+        f"L_1(t) tail {masses[1, -1]:.3e} [{l1_verdict}]",
+        f"limsup sum_(k>=2) L_k ~ {higher_limsup:.3e} [{higher_verdict}]",
     ]
-    verdicts = [r_verdict, l1_verdict, "pass" if higher_ok else "fail"]
-    if all(v.startswith("pass") for v in verdicts):
-        r2_verdict = "pass (numerical)"
-    elif "fail" in verdicts:
-        r2_verdict = "fail"
-    else:
-        r2_verdict = "indeterminate"
+    r2_verdict = _combined_verdict([r_verdict, l1_verdict, higher_verdict])
 
     phi1 = compute_phi1(kernel)
     sigma = tuple(
-        estimate_sigma(problem, table, gam, shifted.mu, grid, max(tol, 1e-8))
+        estimate_sigma(problem, table, gam, shifted.mu, grid)
         for gam in shifted.gamma
     )
     sigma_parts = []
@@ -241,12 +243,7 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int,
                 f"at t = {est.arg_t:g}"
             )
             sigma_flags.append("pass" if product < 1.0 else "fail")
-    if all(f == "pass" for f in sigma_flags):
-        r3_verdict = "pass (numerical)"
-    elif "fail" in sigma_flags:
-        r3_verdict = "fail"
-    else:
-        r3_verdict = "indeterminate"
+    r3_verdict = _combined_verdict(sigma_flags)
     r3_detail = f"phi1 = {phi1:.6g}; " + "; ".join(sigma_parts)
 
     return HypothesisReport(
@@ -255,11 +252,14 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int,
         h1_verdict="pass",
         h1_detail=h1_detail,
         t_grid=grid,
-        r_samples=tuple(float(v) for v in r_samples),
-        l_samples={k: tuple(float(x) for x in v)
-                   for k, v in l_samples.items()},
+        r_samples=tuple(masses[0].tolist()),
+        l_samples={k: tuple(masses[k].tolist())
+                   for k in range(1, problem.n + 1)},
         phi1=phi1,
         sigma=sigma,
+        r_verdict=r_verdict,
+        l1_verdict=l1_verdict,
+        higher_verdict=higher_verdict,
         r2_verdict=r2_verdict,
         r2_detail="; ".join(parts),
         r3_verdict=r3_verdict,

@@ -21,7 +21,8 @@ target comes out of one pass of the exact panel recurrence
     I(b_{p+1}) = e^{gamma (b_{p+1} - b_p)} I(b_p)
                  + int_{b_p}^{b_{p+1}} e^{gamma (b_{p+1} - s)} f(s) ds
 
-(run from the cutoff backwards for the anticausal side).
+(run from the cutoff backwards for the anticausal side); |g^(j)| does not
+split into exponential terms, so ``green_integrals`` uses a dense product.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class _Sampled:
     edges: np.ndarray  # (panels + 1,)
     points: np.ndarray  # (panels, order)
     weights: np.ndarray  # (panels, order)
-    values: np.ndarray  # f at points, (panels, order)
+    values: np.ndarray  # f at points, (rows, panels, order)
     targets: np.ndarray  # indices of the targets among the edges
 
 
@@ -142,7 +143,7 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float,
 
     The rule covers [t0, cut]: cut is the largest target when every term
     is causal, otherwise the tail cutoff of the anticausal terms, probed
-    beyond the largest target at the target where each term is largest.
+    on f's largest row past the last target, where each term is largest.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not len(t):
@@ -162,7 +163,7 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float,
                 )
                 for term in anti
             )
-            return kernel * abs(float(f(s)))
+            return kernel * float(np.max(np.abs(f(s))))
 
         cut = tail_cutoff(probe, last, rate, tol)
     fastest = max((abs(term.gamma) for term in terms), default=0.0)
@@ -197,52 +198,56 @@ def _gauss(lo, hi):
 
 
 def _resolve(f, edges, tol: float):
-    """Split every panel on which f itself is not resolved.
+    """Split every panel on which some row of f is not resolved.
 
     f is smooth between the breakpoints the callers know of, unless it
     has a kink of its own (a coefficient mass |Omega_alpha(mu, r(s))|
-    whose Omega_alpha changes sign).  A panel passes when its rule and
-    the rule on its two halves agree to tol, relative to the larger of
-    int |f| on the panel and its width times the mean of |f|; a failing
-    panel is replaced by its halves and checked again.  Returns the
-    edges, points, weights and f values of the passed panels.
+    whose Omega_alpha changes sign).  A row passes a panel when the rules
+    on the panel and on its halves agree to tol, relative to the larger
+    of the row's int |f| on the panel and the panel's width times the
+    row's mean |f|; a panel some row fails is halved and checked again.
+    Returns the edges, points, weights and f values of the passed panels.
     """
     def sample(lo, hi):
         pts, wts = _gauss(lo, hi)
-        vals = np.broadcast_to(np.asarray(f(pts.ravel()), dtype=float),
-                               pts.size).reshape(pts.shape)
-        return pts, wts, vals
+        vals = np.asarray(f(pts.ravel()), dtype=float)
+        rows = vals.shape[:-1] or (1,)
+        vals = np.broadcast_to(vals, rows + (pts.size,))
+        return pts, wts, vals.reshape(rows + pts.shape)
 
     lo, hi = edges[:-1], edges[1:]
     pts, wts, vals = sample(lo, hi)
     if not len(lo):
         return edges, pts, wts, vals
-    mean = np.abs(wts * vals).sum() / (edges[-1] - edges[0])
+    mean = np.abs(wts * vals).sum(axis=(1, 2)) / (edges[-1] - edges[0])
     done = []
     for _ in range(MAX_SPLITS):
         mid = (lo + hi) / 2
         left, right = sample(lo, mid), sample(mid, hi)
-        whole = (wts * vals).sum(axis=1)
-        halves = sum((w * v).sum(axis=1) for _, w, v in (left, right))
-        size = sum(np.abs(w * v).sum(axis=1) for _, w, v in (left, right))
-        ok = np.abs(whole - halves) <= tol * np.maximum(size,
-                                                        (hi - lo) * mean)
-        done.append((lo[ok], pts[ok], wts[ok], vals[ok]))
+        whole = (wts * vals).sum(axis=2)
+        halves = sum((w * v).sum(axis=2) for _, w, v in (left, right))
+        size = sum(np.abs(w * v).sum(axis=2) for _, w, v in (left, right))
+        ok = (np.abs(whole - halves) <= tol * np.maximum(
+            size, (hi - lo) * mean[:, None])).all(axis=0)
+        done.append((lo[ok], pts[ok], wts[ok], vals[:, ok]))
         if ok.all():
             break
         bad = ~ok
         lo = np.concatenate((lo[bad], mid[bad]))
         hi = np.concatenate((mid[bad], hi[bad]))
-        pts, wts, vals = (np.concatenate((a[bad], b[bad]))
-                          for a, b in zip(left, right))
+        # panels are the second-to-last axis of points, weights and values
+        pts, wts, vals = (np.concatenate((a[..., bad, :], b[..., bad, :]),
+                                         axis=-2) for a, b in zip(left, right))
     else:
         raise QuadratureFailure(
             f"integrand not resolved after {MAX_SPLITS} panel splits"
         )
-    starts, pts, wts, vals = (np.concatenate(parts) for parts in zip(*done))
+    starts = np.concatenate([part[0] for part in done])
+    pts, wts, vals = (np.concatenate(parts, axis=-2)
+                      for parts in list(zip(*done))[1:])
     order = np.argsort(starts, kind="stable")
     edges = np.append(starts[order], edges[-1])
-    return edges, pts[order], wts[order], vals[order]
+    return edges, pts[order], wts[order], vals[:, order]
 
 
 def exp_integrals(f, t, t0: float, terms, rate: float,
@@ -260,7 +265,7 @@ def exp_integrals(f, t, t0: float, terms, rate: float,
     for row, term in enumerate(terms):
         wts, decay = exp_weights(smp.edges, smp.points, smp.weights,
                                  term.gamma, term.causal)
-        sums = (wts * smp.values).sum(axis=1)
+        sums = (wts * smp.values[0]).sum(axis=1)
         out[row] = recurrence(sums, decay, term.causal)[smp.targets]
     return out.reshape((len(terms),) + np.shape(t))
 
@@ -270,34 +275,28 @@ def integral(f, lo: float, hi, tol: float = 1e-10):
     return exp_integrals(f, hi, lo, [ExpTerm(0.0, True)], 1.0, tol)[0]
 
 
-def _kernel_terms(kernel: GreenKernel) -> list[ExpTerm]:
-    amps = np.abs(kernel.amplitudes).sum(axis=0)
-    return [ExpTerm(gam, causal, float(scale))
-            for gam, causal, scale in zip(kernel.gamma.gamma, kernel.causal,
-                                          amps)]
+def green_integrals(kernel: GreenKernel, f, t, t0: float, rate: float,
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For every row of the stacked f(s), shape (rows, len(s)), and every
+    target in the scalar or array t, over the kernel support:
 
+        signed[row, j] = int g^(j)(t, s) f_row(s) ds,  j = 0..n-2,
+        absolute[row]  = int sum_j |g^(j)(t, s)| f_row(s) ds.
 
-def derivative_integrals(kernel: GreenKernel, f, t, t0: float, rate: float,
-                         tol: float) -> np.ndarray:
-    """int g^(j)(t, s) f(s) ds over the kernel support, for j = 0..n-2
-    (first axis) and every target in the scalar or array t."""
-    terms = _kernel_terms(kernel)
-    values = exp_integrals(f, np.ravel(t), t0, terms, rate, tol)
-    return (kernel.amplitudes @ values).reshape((-1,) + np.shape(t))
-
-
-def abs_derivative_integral(kernel: GreenKernel, f, t, t0: float,
-                            rate: float, tol: float) -> np.ndarray:
-    """int sum_j |g^(j)(t, s)| f(s) ds for every target in the scalar or
-    array t.
-
-    The absolute values do not split into exponential terms, so there is
-    no recurrence: the kernel is formed as a dense targets x points
-    matrix, with a breakpoint wherever some g^(j) changes sign.
+    f is sampled once; the rule breaks wherever some g^(j) changes sign.
     """
     flat = np.ravel(np.asarray(t, dtype=float))
-    kinks = (flat[:, None] - np.asarray(kernel.sign_changes)[None, :])
-    smp = _sample(f, flat, t0, _kernel_terms(kernel), rate, tol, kinks)
-    dense = kernel.abs_derivative_sum(flat[:, None],
-                                      smp.points.ravel()[None, :])
-    return (dense @ (smp.weights * smp.values).ravel()).reshape(np.shape(t))
+    amps = np.abs(kernel.amplitudes).sum(axis=0)
+    terms = [ExpTerm(gam, causal, float(scale)) for gam, causal, scale
+             in zip(kernel.gamma.gamma, kernel.causal, amps)]
+    kinks = flat[:, None] - np.asarray(kernel.sign_changes)[None, :]
+    smp = _sample(f, flat, t0, terms, rate, tol, kinks)
+    points = smp.points.ravel()[None, :]
+    dense = np.array([kernel.derivative(flat[:, None], points, j)
+                      for j in range(kernel.n - 1)])
+    rows = len(smp.values)
+    weighted = (smp.weights * smp.values).reshape(rows, -1).T
+    signed = np.moveaxis(dense @ weighted, -1, 0)  # (rows, n-1, targets)
+    absolute = (np.abs(dense).sum(axis=0) @ weighted).T  # (rows, targets)
+    return (signed.reshape((rows, kernel.n - 1) + np.shape(t)),
+            absolute.reshape((rows,) + np.shape(t)))

@@ -8,6 +8,7 @@ left endpoint t0, and the tuning knobs the pipeline needs downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .errors import ConfigError
 from .exprparse import Expression, evaluate_expression, parse_expression
@@ -44,8 +45,12 @@ class ProblemSpec:
                 f"expected {self.n} perturbation expressions, got "
                 f"{len(self.r_sources)}"
             )
-        if not self.t_max > self.t0:
-            raise ConfigError("t_max must exceed t0")
+        if not -inf < self.t0 < self.t_max < inf:
+            raise ConfigError("t_max must exceed t0, and both be finite")
+        if not 0 < self.tol < inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.grid_points < 16:
             raise ConfigError("grid_points must be at least 16")
         if not 0 < self.eta:

@@ -16,7 +16,10 @@ from poincarefp.cli import (
     run,
 )
 from poincarefp.errors import ConfigError
+from poincarefp.problem import ProblemSpec
 from poincarefp.solver import solve_problem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
 n = 2
@@ -87,6 +90,26 @@ class TestLoadConfig:
         assert config.problem.r_sources[0] == "1/(1+t)^3"
 
 
+class TestNumericSettings:
+    @pytest.mark.parametrize("setting", [
+        {"t0": float("nan")}, {"t0": float("-inf")},
+        {"t_max": float("inf")}, {"t_max": float("nan")},
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+        {"tol": float("inf")}, {"max_iter": 0}, {"max_iter": -3},
+    ], ids=repr)
+    def test_rejected_when_the_problem_is_built(self, setting):
+        # at t_max = inf the hypothesis grid would never end, max_iter = 0
+        # leaves Picard with no iterate, and tol <= 0 or NaN never converges
+        with pytest.raises(ConfigError):
+            ProblemSpec(n=2, a=(-1.0, 0.0), r_sources=("0", "0"), **setting)
+
+    @pytest.mark.parametrize("line", ["t_max = inf", "tol = -1",
+                                      "tol = nan", "max_iter = 0"])
+    def test_rejected_in_a_config_file(self, tmp_path, line):
+        with pytest.raises(ConfigError):
+            load_config(write_config(tmp_path, MINIMAL + line + "\n"))
+
+
 class TestSubcommands:
     def test_roots_golden(self, tmp_path, capsys):
         config = load_config(
@@ -139,6 +162,25 @@ class TestSubcommands:
             .read_text().splitlines()[0]
         )
         assert header == "i,quantity,t,value,verdict"
+
+    def test_check_rows_carry_their_own_verdicts(self, tmp_path, capsys):
+        # e1_n3: R and L_1 vanish at infinity, but sum_{k>=2} L_k stays
+        # near 7, so (R2) fails while every R and L_1 row reads pass
+        config = load_config(CONFIGS / "e1_n3.conf")
+        config.output_dir = tmp_path
+        assert run("check", config) == EXIT_FAIL
+        assert capsys.readouterr().out.count("(R2) fail") == 3
+        rows = (tmp_path / "hypotheses.csv").read_text().splitlines()[1:]
+        cells = [row.split(",") for row in rows]
+        by_kind = {}
+        for i, quantity, t, value, verdict in cells:
+            if quantity == "R" or quantity.startswith("L_"):
+                kind = quantity if quantity in ("R", "L_1") else "L_k"
+                by_kind.setdefault(kind, set()).add(verdict)
+        assert by_kind == {"R": {"pass (numerical)"},
+                           "L_1": {"pass (numerical)"}, "L_k": {"fail"}}
+        assert [cell[4] for cell in cells if cell[:3] == ["1", "R", "128.0"]
+                ] == ["pass (numerical)"]
 
     def test_unknown_subcommand(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
@@ -221,8 +263,7 @@ class TestEndToEnd:
 
     @pytest.mark.parametrize("name", ["e1_n3", "spread_n4"])
     def test_certificates_hold_plain_numbers(self, tmp_path, name):
-        configs = Path(__file__).resolve().parent.parent / "configs"
-        config = load_config(configs / f"{name}.conf")
+        config = load_config(CONFIGS / f"{name}.conf")
         config.output_dir = tmp_path
         assert run("solve", config) == EXIT_OK
         certs = sorted(tmp_path.glob("certificate_*.txt"))

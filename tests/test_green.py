@@ -108,13 +108,6 @@ class TestKernelAnalytics:
             )
             assert fd == pytest.approx(k.derivative(t, s, 1), rel=1e-8)
 
-    def test_abs_derivative_sum(self):
-        k = build_kernel(make_shifted((1.0, -1.0)))
-        t, s = 0.0, 0.4
-        expected = abs(k.derivative(t, s, 0))  # n = 3: orders 0..1
-        expected += abs(k.derivative(t, s, 1))
-        assert k.abs_derivative_sum(t, s) == pytest.approx(expected)
-
     def test_vectorized_over_s(self):
         k = build_kernel(make_shifted((1.0, -2.0)))
         s = np.linspace(-1.0, 1.0, 11)

@@ -9,9 +9,12 @@ form for exponential r0.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from poincarefp import kernelquad
 from poincarefp.green import build_kernel
 from poincarefp.hypotheses import (
     SigmaEstimate,
@@ -77,9 +80,23 @@ class TestComputeR:
 
     def test_quadrature_self_consistency(self, n2_problem, n2_kernel,
                                          n2_table):
-        loose = compute_R(n2_problem, n2_kernel, n2_table, 1.5, tol=1e-8)
-        tight = compute_R(n2_problem, n2_kernel, n2_table, 1.5, tol=1e-10)
+        loose = compute_R(replace(n2_problem, tol=1e-8), n2_kernel,
+                          n2_table, 1.5)
+        tight = compute_R(replace(n2_problem, tol=1e-10), n2_kernel,
+                          n2_table, 1.5)
         assert loose == pytest.approx(tight, abs=1e-8)
+
+    def test_config_tolerance_reaches_R(self, n2_problem, n2_table):
+        # mu = -1: the anticausal kernel e^{2(t-s)} on s >= t, so
+        # R(t) = int_t^inf e^{2(t-s)} e^{-3s} ds = e^{-3t} / 5, and the
+        # tail cutoff follows the problem's tol
+        kernel = build_kernel(shift_spectrum(find_roots(n2_problem.a), 2))
+        loose = compute_R(replace(n2_problem, tol=1e-6), kernel, n2_table,
+                          1.5)
+        tight = compute_R(n2_problem, kernel, n2_table, 1.5)
+        assert loose != tight
+        assert loose == pytest.approx(np.exp(-4.5) / 5, rel=1e-6)
+        assert tight == pytest.approx(np.exp(-4.5) / 5, rel=1e-10)
 
 
 class TestComputeL:
@@ -216,6 +233,23 @@ class TestEvaluateHypotheses:
         monkeypatch.setattr("poincarefp.hypotheses.find_roots", broken)
         with pytest.raises(RuntimeError, match="defect"):
             evaluate_hypotheses(n2_problem, 1)
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    def test_one_kernel_pass_per_root(self, e1_problem, monkeypatch, i):
+        # R and every L_k come from one panel rule over the kernel's
+        # exponentials; sigma's rules run over e^{-gamma (t - s)} instead
+        gammas = shift_spectrum(find_roots(e1_problem.a), i).gamma
+        sample = kernelquad._sample
+        passes = []
+
+        def spy(f, t, t0, terms, *args, **kwargs):
+            passes.append(tuple(term.gamma for term in terms))
+            return sample(f, t, t0, terms, *args, **kwargs)
+
+        monkeypatch.setattr(kernelquad, "_sample", spy)
+        report = evaluate_hypotheses(e1_problem, i)
+        assert passes.count(tuple(gammas)) == 1
+        assert len(passes) == 1 + len(report.sigma)
 
     def test_golden_problem_shape(self, e1_problem):
         report = evaluate_hypotheses(e1_problem, 1)

@@ -152,18 +152,27 @@ class TestKinks:
 
     def test_kink_integrated_exactly(self):
         # int_0^t |g(u)| + |g'(u)| du for g = e^{-u} - e^{-2u}:
-        # (1 - e^{-t}) - (1 - e^{-2t}) / 2 + 1/2 - e^{-t} + e^{-2t}
+        # (1 - e^{-t}) - (1 - e^{-2t}) / 2 + 1/2 - e^{-t} + e^{-2t};
+        # the signed integrals are those of g and g' alone, and every row
+        # of the stacked integrand scales its own integrals
         kernel = build_kernel(make_shifted((-1.0, -2.0)))
         t = np.array([0.3, np.log(2.0), 2.0, 9.0])
-        got = kernelquad.abs_derivative_integral(
-            kernel, lambda s: np.ones_like(s), t, 0.0, 1.0, 1e-10
+        signed, absolute = kernelquad.green_integrals(
+            kernel, lambda s: np.outer([1.0, -3.0], np.ones_like(s)), t,
+            0.0, 1.0, 1e-10,
         )
         expected = (1 - np.exp(-t)) - (1 - np.exp(-2 * t)) / 2 \
             + 0.5 - np.exp(-t) + np.exp(-2 * t)
         expected[0] = (1 - np.exp(-0.3)) - (1 - np.exp(-0.6)) / 2 \
             + (np.exp(-0.3) - np.exp(-0.6))  # g' > 0 on all of [0, 0.3]
-        assert got == pytest.approx(expected, rel=1e-13)
-
+        assert signed.shape == (2, 2, 4) and absolute.shape == (2, 4)
+        assert absolute[0] == pytest.approx(expected, rel=1e-13)
+        assert absolute[1] == pytest.approx(-3 * expected, rel=1e-13)
+        assert signed[0, 0] == pytest.approx(
+            (1 - np.exp(-t)) - (1 - np.exp(-2 * t)) / 2, rel=1e-13)
+        assert signed[0, 1] == pytest.approx(np.exp(-t) - np.exp(-2 * t),
+                                             rel=1e-13)
+        assert signed[1] == pytest.approx(-3 * signed[0], rel=1e-13)
 
     def test_kink_of_the_integrand_is_split_out(self):
         # |s - 1.3| has a kink no breakpoint knows of

@@ -183,3 +183,36 @@ def test_check_does_not_load_numpy_ma(tmp_path):
     )
     assert (tmp_path / "hypotheses.csv").exists()
     assert "numpy.ma" not in modules
+
+
+def test_benchmark_hooks_find_every_name(tmp_path):
+    # perfbench wraps package functions and methods by name, imports
+    # others, and calls some while it judges a run: a traced run of every
+    # stage, judged as the benchmark judges it, must find all of them
+    bench = ROOT / "perfbench"
+    script = (
+        "import json, subprocess, sys\n"
+        "from pathlib import Path\n"
+        f"sys.path[:0] = [{str(bench)!r}, {str(SRC.parent)!r}]\n"
+        "import checks, workloads\n"
+        "stages = workloads.PIPELINE_STAGES\n"
+        f"unit = Path({str(tmp_path)!r})\n"
+        "workloads.write_config(unit / 'case.conf', 'decaying_n2', 1.0, "
+        "'out')\n"
+        f"subprocess.run([sys.executable, {str(bench / 'child.py')!r}, "
+        "'case.conf', '--stages', ','.join(stages), '--out', 'run.json', "
+        "'--trace', 'hooks'], cwd=unit, check=True)\n"
+        "result = json.loads((unit / 'run.json').read_text())\n"
+        "report = checks.check_problem(unit / 'case.conf', unit / 'out', "
+        "stages, result, None)\n"
+        "print(report.attempted, report.failures)\n"
+        "print(*sorted(result['trace']['totals']), sep='\\n')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    judged, *timed = proc.stdout.splitlines()
+    assert judged == "8 []"  # roots, reduce and three stages per root
+    assert {"hypotheses.evaluate_hypotheses", "hypotheses.estimate_sigma",
+            "green.derivative", "reduction.omega_eval",
+            "solver.solve_problem"} <= set(timed)
