@@ -5,40 +5,32 @@ rebuilt in log space,
 
     log y_i(t) = lambda_i (t - t0) + int_{t0}^t z_{lambda_i}(s) ds,
 
-so nothing overflows; derivative ratios y^(j)/y come from evaluating the
-exact P_j polynomials on the z-jet, and the Wronskian diagnostic is the
-determinant of the ratio matrix, whose limit is the Vandermonde product
-of the spectrum.  The z-jet and int z come from the solved iterate's
-Chebyshev coefficients.  Envelope checks compare the iterate's derivative
-mass against the case-dependent exponentially weighted integral of the
-independent term, judging stability under window extension instead of
-asserting an unspecified big-O constant.  The envelope is an exponential
-convolution; it and the z-jet are evaluated for a whole window of t at once.
+so nothing overflows.  Read backwards, y' = (lambda_i + z) y, so the
+Leibniz rule gives y^(j)/y from the z-jet; the Wronskian diagnostic is
+the determinant of that ratio matrix, whose limit is the Vandermonde
+product of the spectrum.  Envelope checks compare the iterate's
+derivative mass against the case-dependent exponentially weighted
+integral of |Omega_0(lambda_i, r)| from the problem's table, judging
+stability under window extension instead of asserting an unspecified
+big-O constant.  The envelope, the z-jet and int z (from the iterate's
+Chebyshev coefficients) are evaluated for a whole window of t at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import kernelquad
 from .errors import QuadratureFailure
-from .multipoly import Poly
 from .problem import ProblemSpec
-from .reduction import OmegaTable, build_derivative_polynomials
+from .reduction import OmegaTable
 from .solver import IterateGrid
 from .spectral import Spectrum
 
 ENVELOPE_FLOOR = 1e-300
-
-
-def _r_mass(problem: ProblemSpec, lam: float, s):
-    """|sum_l lam^l r_l(s)|, the independent-term magnitude at mu = lam."""
-    total = 0.0
-    for ell in range(problem.n):
-        total = total + lam ** ell * problem.r_value(ell, s)
-    return np.abs(total)
 
 
 def admissible_beta_interval(spectrum: Spectrum, i: int) -> tuple[float, float]:
@@ -53,6 +45,15 @@ def admissible_beta_interval(spectrum: Spectrum, i: int) -> tuple[float, float]:
     return (lam[i] - lam[i - 1], 0.0)
 
 
+def check_beta(spectrum: Spectrum, i: int, beta: float) -> None:
+    """Raise ValueError naming the interval unless beta is admissible."""
+    lo, hi = admissible_beta_interval(spectrum, i)
+    if i == spectrum.n and not lo < beta <= hi:
+        raise ValueError(f"beta {beta} outside ]{lo}, {hi}] for i = {i}")
+    if i < spectrum.n and not lo <= beta < hi:
+        raise ValueError(f"beta {beta} outside [{lo}, {hi}[ for i = {i}")
+
+
 def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
              t):
     """Case integral of e^{-beta (t - s)} |Omega_0(lambda_i, s, r(s))|,
@@ -63,14 +64,8 @@ def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
     """
     n = spectrum.n
     lam = spectrum.lam[i - 1]
-    lo, hi = admissible_beta_interval(spectrum, i)
-    if i == n:
-        if not lo < beta <= hi:
-            raise ValueError(
-                f"beta {beta} outside ]{lo}, {hi}] for i = {i}"
-            )
-    elif not lo <= beta < hi:
-        raise ValueError(f"beta {beta} outside [{lo}, {hi}[ for i = {i}")
+    check_beta(spectrum, i, beta)
+    alpha0 = (0,) * (n - 1)
 
     terms = []
     if i != 1:
@@ -82,8 +77,9 @@ def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
     # endpoint, in which case only the r-decay helps.
     rate = max(-beta, 1e-3)
     return kernelquad.exp_integrals(
-        lambda s: _r_mass(problem, lam, s), t, problem.t0, terms, rate,
-        problem.tol,
+        lambda s: np.abs(problem.table.omega_value(alpha0, lam,
+                                                   problem.r_list(s))),
+        t, problem.t0, terms, rate, problem.tol,
     ).sum(axis=0)
 
 
@@ -156,6 +152,18 @@ def envelope_stability(problem: ProblemSpec, spectrum: Spectrum,
     return base, doubled, verdict
 
 
+def jet_ratios(lam: float, zjet) -> list:
+    """y^(j)/y for j = 0 .. len(zjet), from the z-jet rows z .. z^(n-2),
+    by the Leibniz rule on y' = w y with w = lam + z:
+    rho_0 = 1 and rho_m = sum_{k<m} C(m-1, k) w^(k) rho_{m-1-k}."""
+    w = [lam + zjet[0], *zjet[1:]]
+    rho = [np.ones_like(w[0])]
+    for m in range(1, len(w) + 1):
+        rho.append(sum(comb(m - 1, k) * w[k] * rho[m - 1 - k]
+                       for k in range(m)))
+    return rho
+
+
 @dataclass(frozen=True)
 class FundamentalSystem:
     """The n reconstructed solutions, in log space, on the solver grids."""
@@ -163,7 +171,6 @@ class FundamentalSystem:
     problem: ProblemSpec
     spectrum: Spectrum
     grids: tuple[IterateGrid, ...]  # index i-1 -> z_{lambda_i}
-    polys: tuple[Poly, ...]  # P_0 .. P_n with y^(j) = P_j * y
 
     def log_y(self, i: int, t):
         """log y_i at scalar or array t; y_i(t0) = 1 by construction."""
@@ -171,33 +178,23 @@ class FundamentalSystem:
         return lam * (np.asarray(t, dtype=float) - self.problem.t0) \
             + self.grids[i - 1].integral(t)  # zero tail model
 
-    def _jet_point(self, i: int, t) -> list:
-        """Poly evaluation point (lambda_i, r = 0, z-jet of root i at t)."""
-        n = self.problem.n
-        point = [0.0] * (2 * n + 2)
-        point[0] = self.spectrum.lam[i - 1]
-        point[n + 1 : 2 * n] = self.grids[i - 1].jet(t)
-        return point
+    def ratios(self, i: int, t) -> list:
+        """y_i^(j) / y_i for j = 0 .. n-1 at scalar or array t."""
+        return jet_ratios(self.spectrum.lam[i - 1], self.grids[i - 1].jet(t))
 
     def derivative_ratio(self, i: int, j: int, t):
-        """y_i^(j) / y_i from the exact P_j polynomial on the z-jet, at
-        scalar or array t."""
+        """y_i^(j) / y_i at scalar or array t."""
         n = self.problem.n
         if not 0 <= j <= n - 1:
             raise ValueError(f"derivative order {j} outside 0..{n - 1}")
-        value = self.polys[j].evaluate(self._jet_point(i, t))
-        return float(value) if np.ndim(t) == 0 else value * np.ones_like(t)
+        value = self.ratios(i, t)[j]
+        return float(value) if np.ndim(t) == 0 else value
 
     def ratio_matrix(self, t) -> np.ndarray:
         """y_i^(j) / y_i with row j and column i - 1, shape (n, n) at
         scalar t and (len(t), n, n) at array t; one jet per root."""
-        n = self.problem.n
-        out = np.empty(np.shape(t) + (n, n))
-        for i in range(1, n + 1):
-            point = self._jet_point(i, t)
-            for j in range(n):
-                out[..., j, i - 1] = self.polys[j].evaluate(point)
-        return out
+        return np.stack([np.stack(self.ratios(i, t), axis=-1)
+                         for i in range(1, self.problem.n + 1)], axis=-1)
 
 
 def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
@@ -211,7 +208,6 @@ def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
         problem=problem,
         spectrum=spectrum,
         grids=tuple(solutions),
-        polys=tuple(build_derivative_polynomials(problem.n)),
     )
 
 
@@ -250,12 +246,13 @@ def log_refined_estimate(problem: ProblemSpec, table: OmegaTable,
     def f(s):
         return table.evaluate_F(lam, problem.r_list(s), solution.jet(s))
 
-    value = kernelquad.integral(f, problem.t0, min(t, solution.t_max))
+    value = kernelquad.integral(f, problem.t0, min(t, solution.t_max),
+                                problem.tol)
     if t > solution.t_max:
         alpha0 = (0,) * (problem.n - 1)
 
         def f_tail(s):
             return table.omega_value(alpha0, lam, problem.r_list(s))
 
-        value += kernelquad.integral(f_tail, solution.t_max, t)
+        value += kernelquad.integral(f_tail, solution.t_max, t, problem.tol)
     return lam * (t - problem.t0) + value / pi_i

@@ -24,17 +24,9 @@ from . import asymptotics, oracle
 from .errors import ConfigError, PoincarefpError
 from .exprparse import parse_expression
 from .hypotheses import evaluate_hypotheses
-from .problem import (
-    DEFAULT_ETA,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_MAX_ITER,
-    DEFAULT_T_MAX,
-    DEFAULT_TOL,
-    ProblemSpec,
-)
-from .reduction import build_reduced_rhs
+from .problem import ProblemSpec
 from .solver import ode_residual, solve_problem
-from .spectral import find_roots, shift_spectrum
+from .spectral import shift_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -126,6 +118,14 @@ def load_config(path) -> Config:
             raise ConfigError(f"missing required config key {key!r}")
         return default
 
+    def number(key, kind=float):
+        """Pop a numeric setting as kind (float or int)."""
+        value = raw.pop(key)
+        if isinstance(value, (int, float) if kind is float else int):
+            return kind(value)
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
     n = take("n", required=True)
     if not isinstance(n, int) or n < 2:
         raise ConfigError(f"n must be an integer >= 2, got {n!r}")
@@ -153,16 +153,12 @@ def load_config(path) -> Config:
             raise ConfigError(f"bad beta override key {key!r}")
         if not 1 <= idx <= n:
             raise ConfigError(f"beta override index {idx} outside 1..{n}")
-        beta_overrides[idx] = float(raw.pop(key))
+        beta_overrides[idx] = number(key)
 
-    problem_kwargs = dict(
-        t0=float(take("t0", 0.0)),
-        t_max=float(take("t_max", DEFAULT_T_MAX)),
-        grid_points=int(take("grid_points", DEFAULT_GRID_POINTS)),
-        tol=float(take("tol", DEFAULT_TOL)),
-        eta=float(take("eta", DEFAULT_ETA)),
-        max_iter=int(take("max_iter", DEFAULT_MAX_ITER)),
-    )
+    # an absent setting takes ProblemSpec's default
+    problem_kwargs = {key: number(key, kind) for key, kind in (
+        ("t0", float), ("t_max", float), ("tol", float), ("eta", float),
+        ("grid_points", int), ("max_iter", int)) if key in raw}
     output_dir = Path(str(take("output_dir", "out")))
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")
@@ -204,7 +200,7 @@ def _write_csv(path: Path, header, rows):
 
 def cmd_roots(config: Config) -> int:
     try:
-        spectrum = find_roots(config.problem.a)
+        spectrum = config.problem.spectrum
     except PoincarefpError as exc:
         print(f"(H1) fail: {exc}")
         return EXIT_FAIL
@@ -220,7 +216,7 @@ def cmd_roots(config: Config) -> int:
 
 
 def cmd_reduce(config: Config) -> int:
-    table = build_reduced_rhs(config.problem.a, config.problem.n)
+    table = config.problem.table
     out = config.output_dir / "omega_table.txt"
     lines = [
         f"Omega table for n = {config.problem.n}, "
@@ -323,7 +319,12 @@ def cmd_verify(config: Config, results=None) -> int:
     """Diagnostics on the solves in ``results`` (root index -> (operator,
     grid, certificate)); solves every root first when none are given."""
     problem = config.problem
-    spectrum = find_roots(problem.a)
+    spectrum = problem.spectrum
+    for i, beta in config.beta_overrides.items():
+        try:
+            asymptotics.check_beta(spectrum, i, beta)
+        except ValueError as exc:
+            raise ConfigError(f"beta_{i}: {exc}") from None
     if results is None:
         try:
             results = _solve_all(config)

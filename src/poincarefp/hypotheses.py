@@ -30,8 +30,8 @@ from . import kernelquad
 from .errors import ComplexRoots, QuadratureFailure, RepeatedRoots
 from .green import GreenKernel, build_kernel, upsilon
 from .problem import ProblemSpec
-from .reduction import OmegaTable, build_reduced_rhs
-from .spectral import Spectrum, find_roots, shift_spectrum
+from .reduction import OmegaTable
+from .spectral import Spectrum, shift_spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
@@ -195,7 +195,7 @@ def hypothesis_grid(problem: ProblemSpec) -> tuple[float, ...]:
 def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     """Full hypothesis check for root index i (1-based)."""
     try:
-        spectrum = find_roots(problem.a)
+        spectrum = problem.spectrum
     except (ComplexRoots, RepeatedRoots) as exc:
         return HypothesisReport(
             base_index=i,
@@ -210,10 +210,14 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
 
     shifted = shift_spectrum(spectrum, i)
     kernel = build_kernel(shifted)
-    table = build_reduced_rhs(problem.a, problem.n)
+    phi1 = compute_phi1(kernel)
     grid = hypothesis_grid(problem)
+    if not grid:
+        reason = "no sample point: the grid starts at t0 + 1 > t_max"
+        return HypothesisReport(i, spectrum, "pass", h1_detail, l_samples={},
+                                phi1=phi1, r2_detail=reason, r3_detail=reason)
 
-    masses = kernel_masses(problem, kernel, table, np.array(grid))
+    masses = kernel_masses(problem, kernel, problem.table, np.array(grid))
     r_verdict = _limit_verdict(masses[0])
     l1_verdict = _limit_verdict(masses[1])
     higher_limsup = float(np.max(masses[2:].sum(axis=0)[-3:]))
@@ -225,9 +229,8 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     ]
     r2_verdict = _combined_verdict([r_verdict, l1_verdict, higher_verdict])
 
-    phi1 = compute_phi1(kernel)
     sigma = tuple(
-        estimate_sigma(problem, table, gam, shifted.mu, grid)
+        estimate_sigma(problem, problem.table, gam, shifted.mu, grid)
         for gam in shifted.gamma
     )
     sigma_parts = []

@@ -270,7 +270,7 @@ def exp_integrals(f, t, t0: float, terms, rate: float,
     return out.reshape((len(terms),) + np.shape(t))
 
 
-def integral(f, lo: float, hi, tol: float = 1e-10):
+def integral(f, lo: float, hi, tol: float):
     """int_lo^hi f(s) ds for scalar or array hi >= lo."""
     return exp_integrals(f, hi, lo, [ExpTerm(0.0, True)], 1.0, tol)[0]
 

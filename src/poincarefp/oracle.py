@@ -229,10 +229,7 @@ def _dense_output(K, rows, t_old, t, y_old, y, points):
 
 def initial_jet(fs: FundamentalSystem, i: int) -> np.ndarray:
     """(y, y', ..., y^(n-1)) at t0 for y_i, normalised to y(t0) = 1."""
-    n = fs.problem.n
-    return np.array([
-        fs.derivative_ratio(i, j, fs.problem.t0) for j in range(n)
-    ])
+    return np.array(fs.ratios(i, fs.problem.t0))
 
 
 @dataclass(frozen=True)
@@ -291,7 +288,8 @@ def abel_check(problem: ProblemSpec, fs: FundamentalSystem,
     log_sum = sum(fs.log_y(i, t) for i in range(1, problem.n + 1))
     measured = np.log(abs(ratio_t)) + log_sum - np.log(abs(ratio_t0))
     trace = kernelquad.integral(
-        lambda s: problem.r_value(problem.n - 1, s), problem.t0, t
+        lambda s: problem.r_value(problem.n - 1, s), problem.t0, t,
+        problem.tol,
     )
     expected = -problem.a[-1] * (t - problem.t0) - trace
     return float(measured), float(expected)

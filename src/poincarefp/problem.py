@@ -3,21 +3,20 @@
 A problem is the order n, the constant coefficients a_0..a_{n-1}, the
 perturbation functions r_0..r_{n-1} (as parsed expressions of t), the
 left endpoint t0, and the tuning knobs the pipeline needs downstream.
+Its ``spectrum`` and Omega ``table`` are derived once, on first use; a
+failed spectrum raises again on every access, as a raise is not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
 
 from .errors import ConfigError
 from .exprparse import Expression, evaluate_expression, parse_expression
-
-DEFAULT_T_MAX = 220.0
-DEFAULT_GRID_POINTS = 200
-DEFAULT_TOL = 1e-10
-DEFAULT_ETA = 0.5
-DEFAULT_MAX_ITER = 80
+from .reduction import MAX_ORDER, OmegaTable, build_reduced_rhs
+from .spectral import Spectrum, find_roots
 
 
 @dataclass(frozen=True)
@@ -26,16 +25,16 @@ class ProblemSpec:
     a: tuple[float, ...]
     r_sources: tuple[str, ...]
     t0: float = 0.0
-    t_max: float = DEFAULT_T_MAX
-    grid_points: int = DEFAULT_GRID_POINTS
-    tol: float = DEFAULT_TOL
-    eta: float = DEFAULT_ETA
-    max_iter: int = DEFAULT_MAX_ITER
+    t_max: float = 220.0
+    grid_points: int = 200
+    tol: float = 1e-10
+    eta: float = 0.5
+    max_iter: int = 80
     r_exprs: tuple[Expression, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"n must be >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_ORDER:
+            raise ConfigError(f"n must be in 2..{MAX_ORDER}, got {self.n}")
         if len(self.a) != self.n:
             raise ConfigError(
                 f"expected {self.n} coefficients a, got {len(self.a)}"
@@ -61,6 +60,16 @@ class ProblemSpec:
                 "r_exprs",
                 tuple(parse_expression(src) for src in self.r_sources),
             )
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """The characteristic roots of the unperturbed equation."""
+        return find_roots(self.a)
+
+    @cached_property
+    def table(self) -> OmegaTable:
+        """The Omega table of the reduced equation."""
+        return build_reduced_rhs(self.a, self.n)
 
     def r_value(self, i: int, t):
         """r_i evaluated at scalar or array t."""

@@ -35,12 +35,8 @@ from . import chebgrid, kernelquad
 from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
 from .green import GreenKernel, build_kernel
 from .problem import ProblemSpec
-from .reduction import OmegaTable, build_reduced_rhs
-from .spectral import (
-    find_roots,
-    reduced_linear_coefficients,
-    shift_spectrum,
-)
+from .reduction import OmegaTable
+from .spectral import reduced_linear_coefficients, shift_spectrum
 
 DIVERGENCE_STRIKES = 3
 RETRY_ETA = 0.9
@@ -224,11 +220,10 @@ def _discretisation_error(coeffs: np.ndarray) -> float:
 
 
 def picard_solve(operator: FixedPointOperator, eta: float | None = None,
-                 tol: float | None = None, max_iter: int | None = None,
                  eta_regime: str = "default",
                  ) -> tuple[IterateGrid, ContractionCertificate]:
     """Iterate T from zero until the successive difference drops below
-    tol.
+    the problem's tol, for at most its max_iter steps.
 
     Raises InvarianceViolated when an iterate leaves the ball of radius
     eta, DivergenceDetected after three consecutive non-contracting
@@ -236,13 +231,11 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
     """
     problem = operator.problem
     eta = problem.eta if eta is None else eta
-    tol = problem.tol if tol is None else tol
-    max_iter = problem.max_iter if max_iter is None else max_iter
 
     values = operator.zero()
     diffs: list[float] = []
     strikes = 0
-    for _ in range(max_iter):
+    for _ in range(problem.max_iter):
         new = operator.apply(values)
         diff = _norm0(new - values)
         diffs.append(diff)
@@ -260,11 +253,11 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
         else:
             strikes = 0
         values = new
-        if diff <= tol:
+        if diff <= problem.tol:
             break
     else:
         raise MaxIterations(
-            f"no convergence within {max_iter} iterations; last "
+            f"no convergence within {problem.max_iter} iterations; last "
             f"difference {diffs[-1]}"
         )
 
@@ -301,11 +294,8 @@ def solve_problem(problem: ProblemSpec, i: int):
     Returns (operator, grid, certificate).  An invariance violation at
     the configured eta is retried once in the relaxed eta = 0.9 regime.
     """
-    spectrum = find_roots(problem.a)
-    shifted = shift_spectrum(spectrum, i)
-    kernel = build_kernel(shifted)
-    table = build_reduced_rhs(problem.a, problem.n)
-    operator = FixedPointOperator(problem, kernel, table)
+    kernel = build_kernel(shift_spectrum(problem.spectrum, i))
+    operator = FixedPointOperator(problem, kernel, problem.table)
     try:
         grid, cert = picard_solve(operator)
     except InvarianceViolated:

@@ -3,6 +3,8 @@ double-integral quadrature identity."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -15,12 +17,16 @@ from poincarefp.asymptotics import (
     check_envelope,
     envelope,
     envelope_stability,
+    jet_ratios,
     log_refined_estimate,
     pi_product,
     wronskian_diagnostic,
 )
 from poincarefp.problem import ProblemSpec
-from poincarefp.reduction import build_reduced_rhs
+from poincarefp.reduction import (
+    build_derivative_polynomials,
+    build_reduced_rhs,
+)
 from poincarefp.solver import IterateGrid
 from poincarefp.spectral import find_roots
 
@@ -171,6 +177,33 @@ class TestFundamentalSystem:
             )
 
 
+class TestLeibnizRatios:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_match_the_exact_polynomials(self, n):
+        # y^(j) = P_j y with the P_j of the reduction's recurrence; their
+        # coefficients are positive, so P_j at |point| bounds the terms
+        polys = build_derivative_polynomials(n)
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            lam = rng.uniform(-4.0, 4.0)
+            zjet = rng.uniform(-2.0, 2.0, size=n - 1)
+            got = jet_ratios(lam, zjet)
+            assert len(got) == n
+            point = [lam] + [0.0] * n + list(zjet) + [0.0, 0.0]
+            for j in range(n):
+                want = polys[j].evaluate(point)
+                bound = polys[j].evaluate([abs(v) for v in point])
+                assert abs(got[j] - want) <= 1e-13 * bound, (j, got[j], want)
+
+    def test_rows_of_an_array_jet(self):
+        zjet = np.array([[0.1, -0.2, 0.3], [0.5, 0.0, -1.0]])
+        got = jet_ratios(2.0, zjet)
+        for col in range(3):
+            single = jet_ratios(2.0, zjet[:, col])
+            assert [rho[col] for rho in got] == single
+        assert got[0].shape == (3,)
+
+
 class TestWronskian:
     def test_trivial_equals_vandermonde(self, trivial_problem):
         from poincarefp import solve_problem
@@ -227,6 +260,29 @@ class TestRefinedEstimate:
         # it must be moderate and settle to a constant
         assert abs(gaps[0]) < np.log(3.0)
         assert abs(gaps[1] - gaps[0]) < 0.01
+
+
+    def test_config_tolerance_reaches_every_plain_integral(
+            self, e1_problem, e1_system, e1_solves, monkeypatch):
+        # log_refined_estimate and abel_check integrate at the problem's
+        # tol, not at a default of their own
+        from poincarefp import kernelquad
+        from poincarefp.oracle import abel_check
+
+        integral = kernelquad.integral
+        tols = []
+
+        def spy(f, lo, hi, tol):
+            tols.append(tol)
+            return integral(f, lo, hi, tol)
+
+        monkeypatch.setattr(kernelquad, "integral", spy)
+        problem = replace(e1_problem, tol=1e-7)
+        grid = e1_solves[0][1][1]
+        log_refined_estimate(problem, problem.table, problem.spectrum, 1,
+                             grid, grid.t_max + 5.0)  # window and tail
+        abel_check(problem, e1_system, 5.0)
+        assert tols == [1e-7, 1e-7, 1e-7]
 
 
 class TestQuadratureIdentity:

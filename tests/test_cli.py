@@ -9,6 +9,7 @@ import pytest
 
 from poincarefp.cli import (
     EXIT_FAIL,
+    EXIT_INDETERMINATE,
     EXIT_OK,
     EXIT_USAGE,
     load_config,
@@ -109,6 +110,32 @@ class TestNumericSettings:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, MINIMAL + line + "\n"))
 
+    @pytest.mark.parametrize("lines, message", [
+        ("t0 = abc", "t0 must be a number"),
+        ("t_max = abc", "t_max must be a number"),
+        ("tol = abc", "tol must be a number"),
+        ("eta = abc", "eta must be a number"),
+        ("grid_points = abc", "grid_points must be an integer"),
+        ("max_iter = abc", "max_iter must be an integer"),
+        ("beta_1 = abc", "beta_1 must be a number"),
+        ("t_max = [1, 2]", "t_max must be a number"),
+        ("grid_points = 200.5", "grid_points must be an integer"),
+        ("max_iter = 1.5", "max_iter must be an integer"),
+        ("max_iter = 80.0", "max_iter must be an integer"),
+        ('tol = "1e-10"', "tol must be a number"),
+        ("n = 9\na = [0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+         'r = ["0", "0", "0", "0", "0", "0", "0", "0", "0"]',
+         "n must be in 2..8"),
+    ], ids=lambda v: v.split("\n")[0])
+    def test_malformed_setting_exits_as_a_config_error(self, tmp_path,
+                                                       capsys, lines,
+                                                       message):
+        # later lines override MINIMAL's; no traceback, exit code 1
+        path = write_config(tmp_path, MINIMAL + lines + "\n")
+        code = main(["roots", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert f"config error: {message}" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_roots_golden(self, tmp_path, capsys):
@@ -182,6 +209,20 @@ class TestSubcommands:
         assert [cell[4] for cell in cells if cell[:3] == ["1", "R", "128.0"]
                 ] == ["pass (numerical)"]
 
+    def test_check_on_a_window_shorter_than_one(self, tmp_path, capsys):
+        # the hypothesis grid starts at t0 + 1: R2 and R3 have no sample,
+        # so they read indeterminate, and the H1 and phi1 rows remain
+        text = MINIMAL.replace('"0", "0"', '"exp(-t)", "0"')
+        path = write_config(tmp_path, text + "t_max = 0.5\n")
+        code = main(["check", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INDETERMINATE
+        out = capsys.readouterr().out
+        assert out.count("(R2) indeterminate: no sample point") == 2
+        assert out.count("(R3) indeterminate: no sample point") == 2
+        lines = (tmp_path / "hypotheses.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["1", "H1"], ["1", "phi1"], ["2", "H1"], ["2", "phi1"]]
+
     def test_unknown_subcommand(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ConfigError):
@@ -227,6 +268,42 @@ class TestEndToEnd:
         calls.clear()
         run("verify", config)
         assert sorted(calls) == [1, 2]
+
+    def test_all_derives_the_algebra_once(self, tmp_path, monkeypatch):
+        # one spectrum, one Omega table and one set of P_j per problem,
+        # however many stages and roots read them
+        from poincarefp import reduction, spectral
+
+        counts = {"table": 0, "polys": 0, "spectrum": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(reduction.OmegaTable, "__post_init__",
+                            counted("table", reduction.OmegaTable
+                                    .__post_init__))
+        monkeypatch.setattr(reduction, "build_derivative_polynomials",
+                            counted("polys",
+                                    reduction.build_derivative_polynomials))
+        monkeypatch.setattr(spectral, "char_poly_coeffs",
+                            counted("spectrum", spectral.char_poly_coeffs))
+        config = load_config(CONFIGS / "spread_n4.conf")
+        config.output_dir = tmp_path
+        assert run("all", config) == EXIT_FAIL
+        assert counts == {"table": 1, "polys": 1, "spectrum": 1}
+
+    def test_out_of_range_beta_override(self, tmp_path, capsys):
+        # beta_1 must lie in [lambda_2 - lambda_1, 0[ = [-2, 0[
+        text = (CONFIGS / "decaying_n2.conf").read_text(encoding="utf-8")
+        path = write_config(tmp_path, text + "beta_1 = 5\n")
+        code = main(["verify", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: beta_1: beta 5.0 outside [-2.0" in err
+        assert not (tmp_path / "diagnostics.csv").exists()
 
     def test_verify_passes_on_golden(self, tmp_path):
         out = tmp_path / "out"

@@ -220,9 +220,11 @@ class TestEvaluateHypotheses:
             n=2, a=(1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
-        report = evaluate_hypotheses(problem, 1)
-        assert report.h1_verdict == "fail"
-        assert report.spectrum is None
+        # a failed spectrum is not cached: every root meets the error again
+        for i in (1, 2):
+            report = evaluate_hypotheses(problem, i)
+            assert report.h1_verdict == "fail"
+            assert report.spectrum is None
 
     def test_root_finder_bug_propagates(self, n2_problem, monkeypatch):
         # only the two spectrum hypotheses are verdicts; any other error
@@ -230,9 +232,9 @@ class TestEvaluateHypotheses:
         def broken(a):
             raise RuntimeError("root finder defect")
 
-        monkeypatch.setattr("poincarefp.hypotheses.find_roots", broken)
+        monkeypatch.setattr("poincarefp.problem.find_roots", broken)
         with pytest.raises(RuntimeError, match="defect"):
-            evaluate_hypotheses(n2_problem, 1)
+            evaluate_hypotheses(replace(n2_problem), 1)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_one_kernel_pass_per_root(self, e1_problem, monkeypatch, i):

@@ -78,12 +78,13 @@ class TestClosedForms:
 
     def test_plain_integral(self):
         # int_0^10 (1 + s)^-2 ds = 1 - 1/11
-        got = kernelquad.integral(lambda s: (1.0 + s) ** -2, 0.0, 10.0)
+        got = kernelquad.integral(lambda s: (1.0 + s) ** -2, 0.0, 10.0,
+                                  1e-10)
         assert got == pytest.approx(10.0 / 11.0, rel=1e-14)
 
     def test_target_below_lower_limit_rejected(self):
         with pytest.raises(ValueError):
-            kernelquad.integral(decaying(1.0), 1.0, 0.5)
+            kernelquad.integral(decaying(1.0), 1.0, 0.5, 1e-10)
 
 
 class TestTail:
@@ -176,7 +177,8 @@ class TestKinks:
 
     def test_kink_of_the_integrand_is_split_out(self):
         # |s - 1.3| has a kink no breakpoint knows of
-        got = kernelquad.integral(lambda s: np.abs(s - 1.3), 0.0, 3.0)
+        got = kernelquad.integral(lambda s: np.abs(s - 1.3), 0.0, 3.0,
+                                  1e-10)
         assert got == pytest.approx((1.3 ** 2 + 1.7 ** 2) / 2, rel=1e-10)
 
     def test_sign_changing_coefficient_mass(self):

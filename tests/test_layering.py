@@ -155,6 +155,50 @@ def test_detector_sees_a_scipy_import(tmp_path):
     ]
 
 
+def multipoly_imports(path: Path) -> list[str]:
+    """Every import of the exact-polynomial module, in any form."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                           for alias in node.names]
+        else:
+            continue
+        if any("multipoly" in name.split(".") for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_only_reduction_imports_multipoly():
+    # the exact algebra is derived once, in reduction; every run path
+    # reads its compiled float arrays or the Leibniz rule instead
+    offenders = {
+        path.name: uses
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "reduction.py" and (uses := multipoly_imports(path))
+    }
+    assert not offenders
+
+
+def test_detector_sees_a_multipoly_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .multipoly import Poly\n"
+        "from . import multipoly\n"
+        "import poincarefp.multipoly\n"
+        "from poincarefp import chebgrid, multipoly as mp\n"
+        "from .reduction import build_reduced_rhs\n"
+        "multipoly = 'a name, not an import'\n",
+        encoding="utf-8",
+    )
+    assert multipoly_imports(probe) == [
+        "line 1", "line 2", "line 3", "line 4",
+    ]
+
+
 def modules_after(code: str) -> set[str]:
     """sys.modules of a fresh interpreter after it ran ``code``."""
     script = code + "\nimport sys\nprint('--', *sys.modules, sep='\\n')\n"
