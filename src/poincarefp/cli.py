@@ -41,6 +41,10 @@ class Config:
     problem: ProblemSpec
     output_dir: Path
     beta_overrides: dict = field(default_factory=dict)  # i -> beta
+    # (problem, solves) from _solve_all: the solves hold for that exact
+    # problem instance only
+    _solved: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
 
 def _parse_scalar(text: str):
@@ -138,9 +142,10 @@ def load_config(path) -> Config:
     if not isinstance(r, list) or len(r) != n:
         raise ConfigError(f"r must be a list of {n} expression strings")
     r = [str(src) for src in r]
+    r_exprs = []
     for src in r:
         try:
-            parse_expression(src)
+            r_exprs.append(parse_expression(src))
         except PoincarefpError as exc:
             raise ConfigError(f"bad expression in r: {src!r}: {exc}")
 
@@ -167,6 +172,7 @@ def load_config(path) -> Config:
             n=n,
             a=tuple(float(v) for v in a),
             r_sources=tuple(r),
+            r_exprs=tuple(r_exprs),
             **problem_kwargs,
         )
     except PoincarefpError as exc:
@@ -275,23 +281,27 @@ def cmd_check(config: Config) -> int:
     return EXIT_OK
 
 
-def _solve_all(config: Config):
+def _solve_all(config: Config) -> dict:
+    """Root index -> (operator, grid, certificate) for config.problem.
+
+    Every root is solved once per problem: the solves are kept with the
+    config and reused until its ``problem`` is replaced."""
     problem = config.problem
-    results = {}
-    for i in range(1, problem.n + 1):
-        results[i] = solve_problem(problem, i)
-    return results
+    if config._solved is None or config._solved[0] is not problem:
+        solves = {i: solve_problem(problem, i)
+                  for i in range(1, problem.n + 1)}
+        config._solved = (problem, solves)
+    return config._solved[1]
 
 
-def _solve_stage(config: Config):
-    """Solve every root and write its z CSV and certificate; returns
-    (exit code, results or None)."""
+def cmd_solve(config: Config) -> int:
+    """Solve every root and write its z CSV and certificate."""
     problem = config.problem
     try:
         results = _solve_all(config)
     except PoincarefpError as exc:
         print(f"solve failed: {exc}")
-        return EXIT_FAIL, None
+        return EXIT_FAIL
     for i, (operator, grid, cert) in results.items():
         columns = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
         rows = [
@@ -308,16 +318,12 @@ def _solve_stage(config: Config):
             f"residual {_fmt(cert.final_residual)}; wrote {csv_path} and "
             f"{cert_path}"
         )
-    return EXIT_OK, results
+    return EXIT_OK
 
 
-def cmd_solve(config: Config) -> int:
-    return _solve_stage(config)[0]
-
-
-def cmd_verify(config: Config, results=None) -> int:
-    """Diagnostics on the solves in ``results`` (root index -> (operator,
-    grid, certificate)); solves every root first when none are given."""
+def cmd_verify(config: Config) -> int:
+    """Diagnostics on the solves of every root; reuses those of an
+    earlier stage on the same problem."""
     problem = config.problem
     spectrum = problem.spectrum
     for i, beta in config.beta_overrides.items():
@@ -325,12 +331,11 @@ def cmd_verify(config: Config, results=None) -> int:
             asymptotics.check_beta(spectrum, i, beta)
         except ValueError as exc:
             raise ConfigError(f"beta_{i}: {exc}") from None
-    if results is None:
-        try:
-            results = _solve_all(config)
-        except PoincarefpError as exc:
-            print(f"verify: solve stage failed: {exc}")
-            return EXIT_FAIL
+    try:
+        results = _solve_all(config)
+    except PoincarefpError as exc:
+        print(f"verify: solve stage failed: {exc}")
+        return EXIT_FAIL
     fs = asymptotics.build_fundamental_system(
         problem, spectrum, [results[i][1] for i in range(1, problem.n + 1)]
     )
@@ -395,22 +400,14 @@ def cmd_all(config: Config) -> int:
     """Chain every stage.  Hard failures (bad roots, a solve that does
     not converge) stop the pipeline; adverse hypothesis or diagnostic
     verdicts are results, so they are recorded and the chain continues,
-    with the worst code returned at the end.  Verify reuses the solves
-    of the solve stage."""
+    with the worst code returned at the end."""
     worst = EXIT_OK
-    results = None
-
-    def solve(cfg):
-        nonlocal results
-        code, results = _solve_stage(cfg)
-        return code
-
     for name, command, gating in (
         ("roots", cmd_roots, True),
         ("reduce", cmd_reduce, True),
         ("check", cmd_check, False),
-        ("solve", solve, True),
-        ("verify", lambda cfg: cmd_verify(cfg, results), False),
+        ("solve", cmd_solve, True),
+        ("verify", cmd_verify, False),
     ):
         print(f"== {name} ==")
         code = command(config)

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import kernelquad
 from .errors import ComplexRoots, QuadratureFailure, RepeatedRoots
-from .green import GreenKernel, build_kernel, upsilon
+from .green import GreenKernel, upsilon
 from .problem import ProblemSpec
 from .reduction import OmegaTable
-from .spectral import Spectrum, shift_spectrum
+from .spectral import Spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
@@ -208,8 +208,8 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
         f"roots ({roots_text}), separation {spectrum.separation:.6g}"
     )
 
-    shifted = shift_spectrum(spectrum, i)
-    kernel = build_kernel(shifted)
+    kernel = problem.kernels[i - 1]
+    shifted = kernel.gamma
     phi1 = compute_phi1(kernel)
     grid = hypothesis_grid(problem)
     if not grid:

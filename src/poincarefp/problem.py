@@ -3,8 +3,9 @@
 A problem is the order n, the constant coefficients a_0..a_{n-1}, the
 perturbation functions r_0..r_{n-1} (as parsed expressions of t), the
 left endpoint t0, and the tuning knobs the pipeline needs downstream.
-Its ``spectrum`` and Omega ``table`` are derived once, on first use; a
-failed spectrum raises again on every access, as a raise is not cached.
+Its ``spectrum``, Omega ``table`` and Green ``kernels`` are derived once,
+on first use; a failed spectrum raises again on every access (and so do
+the kernels built on it), as a raise is not cached.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from math import inf
 
 from .errors import ConfigError
 from .exprparse import Expression, evaluate_expression, parse_expression
+from .green import GreenKernel, build_kernel
 from .reduction import MAX_ORDER, OmegaTable, build_reduced_rhs
-from .spectral import Spectrum, find_roots
+from .spectral import Spectrum, find_roots, shift_spectrum
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,12 @@ class ProblemSpec:
     def table(self) -> OmegaTable:
         """The Omega table of the reduced equation."""
         return build_reduced_rhs(self.a, self.n)
+
+    @cached_property
+    def kernels(self) -> tuple[GreenKernel, ...]:
+        """The Green kernel of each root; entry i - 1 is root i's."""
+        return tuple(build_kernel(shift_spectrum(self.spectrum, i))
+                     for i in range(1, self.n + 1))
 
     def r_value(self, i: int, t):
         """r_i evaluated at scalar or array t."""

@@ -201,13 +201,25 @@ class OmegaTable:
 
     def combine(self, omegas: np.ndarray, zvals):
         """sum_alpha omegas[row] * z-jet^alpha in table order, for
-        omegas from ``omega_values``; zvals holds z .. z^(n-2)."""
+        omegas from ``omega_values``; zvals holds z .. z^(n-2).
+
+        Each power z_k^p is formed once per call by repeated
+        multiplication and shared across rows.  No ``**``: numpy's float
+        pow takes a slow scalar path on negative bases, and products are
+        exact per operation, so an odd power of -z_k is bitwise -(z_k^p).
+        """
+        powers = []  # powers[k][p - 1] = z_k^p
+        for z, top in zip(zvals, self.exponents.max(axis=0, initial=0)):
+            row = [z]
+            for _ in range(1, top):
+                row.append(row[-1] * z)
+            powers.append(row)
         total = 0.0
         for omega, alpha in zip(omegas, self.exponents.tolist()):
             term = omega
             for k, power in enumerate(alpha):
                 if power:
-                    term = term * zvals[k] ** power
+                    term = term * powers[k][power - 1]
             total = total + term
         return total
 

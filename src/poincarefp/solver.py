@@ -33,10 +33,10 @@ import numpy as np
 
 from . import chebgrid, kernelquad
 from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
-from .green import GreenKernel, build_kernel
+from .green import GreenKernel
 from .problem import ProblemSpec
 from .reduction import OmegaTable
-from .spectral import reduced_linear_coefficients, shift_spectrum
+from .spectral import reduced_linear_coefficients
 
 DIVERGENCE_STRIKES = 3
 RETRY_ETA = 0.9
@@ -294,8 +294,8 @@ def solve_problem(problem: ProblemSpec, i: int):
     Returns (operator, grid, certificate).  An invariance violation at
     the configured eta is retried once in the relaxed eta = 0.9 regime.
     """
-    kernel = build_kernel(shift_spectrum(problem.spectrum, i))
-    operator = FixedPointOperator(problem, kernel, problem.table)
+    operator = FixedPointOperator(problem, problem.kernels[i - 1],
+                                  problem.table)
     try:
         grid, cert = picard_solve(operator)
     except InvarianceViolated:

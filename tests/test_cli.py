@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -264,36 +266,62 @@ class TestEndToEnd:
         config.output_dir = tmp_path / "out"
         run("all", config)
         assert sorted(calls) == [1, 2]
-        # verify on its own still solves
+        # a later stage on the same problem reuses the solves
         calls.clear()
         run("verify", config)
+        assert calls == []
+        # a replaced problem is solved again, even an equal one
+        config.problem = replace(config.problem)
+        run("verify", config)
+        assert sorted(calls) == [1, 2]
+        # verify on its own still solves
+        calls.clear()
+        fresh = load_config(write_config(tmp_path, MINIMAL))
+        fresh.output_dir = tmp_path / "fresh"
+        run("verify", fresh)
         assert sorted(calls) == [1, 2]
 
     def test_all_derives_the_algebra_once(self, tmp_path, monkeypatch):
-        # one spectrum, one Omega table and one set of P_j per problem,
-        # however many stages and roots read them
-        from poincarefp import reduction, spectral
+        # one spectrum, one Omega table, one set of P_j, one Green kernel
+        # and one solve per root, and one parse per r expression, however
+        # many stages and roots read them, in one call of `all` or stage
+        # by stage
+        from poincarefp import exprparse, green, reduction, solver, spectral
 
-        counts = {"table": 0, "polys": 0, "spectrum": 0}
+        counts = dict.fromkeys(
+            ("table", "polys", "spectrum", "kernel", "solve", "parse"), 0)
 
-        def counted(key, func):
+        def count_calls(key, owner, name):
+            """Count calls of owner.name, also through every poincarefp
+            module that imported it by name."""
+            original = getattr(owner, name)
+
             def wrapper(*args, **kwargs):
                 counts[key] += 1
-                return func(*args, **kwargs)
-            return wrapper
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(reduction.OmegaTable, "__post_init__",
-                            counted("table", reduction.OmegaTable
-                                    .__post_init__))
-        monkeypatch.setattr(reduction, "build_derivative_polynomials",
-                            counted("polys",
-                                    reduction.build_derivative_polynomials))
-        monkeypatch.setattr(spectral, "char_poly_coeffs",
-                            counted("spectrum", spectral.char_poly_coeffs))
-        config = load_config(CONFIGS / "spread_n4.conf")
-        config.output_dir = tmp_path
-        assert run("all", config) == EXIT_FAIL
-        assert counts == {"table": 1, "polys": 1, "spectrum": 1}
+            monkeypatch.setattr(owner, name, wrapper)
+            for modname, module in list(sys.modules.items()):
+                if modname.startswith("poincarefp") and \
+                        getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        count_calls("table", reduction.OmegaTable, "__post_init__")
+        count_calls("polys", reduction, "build_derivative_polynomials")
+        count_calls("spectrum", spectral, "char_poly_coeffs")
+        count_calls("kernel", green, "build_kernel")
+        count_calls("solve", solver, "solve_problem")
+        count_calls("parse", exprparse, "parse_expression")
+        for stages in (["all"], ["roots", "reduce", "check", "solve",
+                                 "verify"]):
+            counts.update(dict.fromkeys(counts, 0))
+            config = load_config(CONFIGS / "spread_n4.conf")
+            assert counts["parse"] == config.problem.n == 4
+            config.output_dir = tmp_path / stages[0]
+            codes = [run(stage, config) for stage in stages]
+            assert EXIT_FAIL in codes
+            assert counts == {"table": 1, "polys": 1, "spectrum": 1,
+                              "kernel": 4, "solve": 4, "parse": 4}, stages
 
     def test_out_of_range_beta_override(self, tmp_path, capsys):
         # beta_1 must lie in [lambda_2 - lambda_1, 0[ = [-2, 0[

@@ -11,6 +11,7 @@ import pytest
 
 from poincarefp.cli import COMMANDS, main
 from poincarefp.multipoly import Poly
+from poincarefp.spectral import find_roots
 from poincarefp.reduction import (
     OmegaTable,
     _mu,
@@ -147,11 +148,11 @@ class TestOmegaTable:
             assert table.omega_value((0, 0), mu, [0.0, 0.0, 0.0]) == 0.0
 
 
-def _poly_at(poly: Poly, n: int, mu, rvals):
-    """Exact-table reference: the Poly at (mu, r), z-jet zero, and the
-    same evaluation with every coefficient and value made nonnegative
-    (the scale of the rounding error)."""
-    point = [mu, *rvals] + [0.0] * (n + 1)
+def _poly_at(poly: Poly, n: int, mu, rvals, zvals=()):
+    """Exact-table reference: the Poly at (mu, r, z-jet), the z-jet zero
+    where not given, and the same evaluation with every coefficient and
+    value made nonnegative (the scale of the rounding error)."""
+    point = [mu, *rvals, *zvals] + [0.0] * (n + 1 - len(zvals))
     mags = Poly(poly.nvars, {e: abs(c) for e, c in poly.terms.items()})
     return poly.evaluate(point), mags.evaluate([np.abs(v) for v in point])
 
@@ -237,6 +238,63 @@ class TestCompiledTable:
         for stage in COMMANDS:
             main([stage, str(config), "--output-dir", str(tmp_path)])
             assert not calls, f"{stage} evaluated {len(calls)} Polys"
+
+
+# the equations of the shipped e1_n3 and spread_n4 configs
+SHIPPED = {"e1_n3": (-6.0, 11.0, -6.0), "spread_n4": (4.0, 0.0, -5.0, 0.0)}
+JET_SIGNS = ("negative", "positive", "mixed")
+
+
+def _seeded_jet(n: int, sign: str, seed: int) -> np.ndarray:
+    """A z-jet z .. z^(n-2) of 4096 points with the given signs."""
+    rng = np.random.default_rng(seed)
+    jet = rng.uniform(0.01, 2.0, size=(n - 1, 4096))
+    if sign == "mixed":
+        return jet * rng.choice([-1.0, 1.0], size=jet.shape)
+    return -jet if sign == "negative" else jet
+
+
+def _monomials(table: OmegaTable, zvals) -> np.ndarray:
+    """Row k: the k-th z-jet monomial as ``combine`` forms it (a unit
+    omega per row, so every other row adds an exact zero)."""
+    rows = len(table.table)
+    return table.combine(np.eye(rows)[:, :, None], zvals)
+
+
+@pytest.mark.parametrize("sign", JET_SIGNS)
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+class TestCombine:
+    def test_sign_flip_flips_odd_powers_bitwise(self, name, sign):
+        a = SHIPPED[name]
+        table = build_reduced_rhs(a, len(a))
+        jet = _seeded_jet(table.n, sign, seed=len(a))
+        base = _monomials(table, jet)
+        for k in range(table.n - 1):
+            flipped = jet.copy()
+            flipped[k] = -flipped[k]
+            got = _monomials(table, flipped)
+            for row, alpha in enumerate(table.exponents):
+                want = -base[row] if alpha[k] % 2 else base[row]
+                assert np.array_equal(got[row].view(np.uint64),
+                                      want.view(np.uint64)), (alpha, k)
+
+    def test_matches_the_pow_reference(self, name, sign):
+        a = SHIPPED[name]
+        n = len(a)
+        table = build_reduced_rhs(a, n)
+        jet = _seeded_jet(n, sign, seed=10 + n)
+        # each monomial against Poly.evaluate's z^p
+        for row, alpha in zip(_monomials(table, jet), table.table):
+            mono = Poly(_nvars(n), {(0,) * (n + 1) + alpha + (0, 0): 1})
+            want = mono.evaluate([0.0] * (n + 1) + list(jet) + [0.0, 0.0])
+            assert np.all(np.abs(row - want) <= 1e-14 * np.abs(want))
+        # and F at every root, with r drawn from [-1, 1]
+        rng = np.random.default_rng(n)
+        for mu in find_roots(a).lam:
+            rv = list(rng.uniform(-1.0, 1.0, size=(n, jet.shape[1])))
+            want, scale = _poly_at(table.f_poly, n, mu, rv, jet)
+            got = table.evaluate_F(mu, rv, jet)
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 class TestPrintedCrossChecks:
