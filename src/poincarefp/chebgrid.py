@@ -15,9 +15,14 @@ one inverse real FFT, at arbitrary t by one product with cos(m phi(t)),
 and its antiderivative and derivative as Chebyshev series in
 x = cos(phi).  Integrals between nodes use GL_ORDER Gauss-Legendre points
 per panel [phi_k, phi_k + h], placed uniformly in phi as well, so every
-panel point is phi_k + delta_g with the same offsets delta_g for every k
-and interpolating onto all panels is one inverse FFT of d_m e^{i m delta_g}.
-The dense barycentric matrices below are kept only as test references.
+panel point is phi_k + delta_g with the same offsets delta_g for every k,
+and the inverse FFT of d_m e^{i m delta_g} gives p at phi_j + delta_g for
+all 2(count - 1) angles phi_j.  The Gauss-Legendre offsets are mirror
+pairs, delta_{G-1-g} = h - delta_g, and p is even and 2 pi-periodic, so
+the second half of that transform, read backwards, is every panel at the
+mirrored offset: interpolating onto all panels is one inverse FFT over
+ceil(GL_ORDER / 2) offsets.  The dense barycentric matrices below are
+kept only as test references.
 """
 
 from __future__ import annotations
@@ -91,20 +96,35 @@ class AnglePanels:
         self.count = count
         self.points = mid - half * np.cos(angles)
         self.weights = half * np.sin(angles) * (h / 2) * w
-        # e^{i m delta_g}: shifts the cosine series by one panel offset
-        self.phases = np.exp(1j * np.outer(delta, np.arange(count)))
+        # the offsets pair up, delta_{G-1-g} = h - delta_g (leggauss
+        # nodes are exactly antisymmetric), so only the first ceil(G / 2)
+        # get a phase row e^{i m delta_g}
+        kept = (GL_ORDER + 1) // 2
+        self.phases = np.exp(1j * np.outer(delta[:kept], np.arange(count)))
+        # panel k at offset g as a flat index into the (kept, L)
+        # transforms, L = 2 (count - 1): entry k of row g, or for a
+        # mirrored offset entry L - 1 - k of row G - 1 - g
+        length = 2 * (count - 1)
+        g = np.arange(GL_ORDER)
+        k = np.arange(count - 1)[:, None]
+        self._mirror = np.where(g < kept, g * length + k,
+                                (GL_ORDER - g) * length - 1 - k)
 
     def interpolate(self, values: np.ndarray) -> np.ndarray:
         """Node interpolant of ``values`` (shape (..., count)) at every
         panel point, shape (..., count - 1, GL_ORDER)."""
         spectrum = _even_spectrum(values)
-        # entry k of irfft(V e^{i m delta}) is sum_m d_m cos(m (phi_k +
+        # entry j of irfft(V e^{i m delta}) is sum_m d_m cos(m (phi_j +
         # delta)): its 1/L and the doubled interior terms turn V into d,
         # and it keeps only the real part of the Nyquist term, which is
-        # all of that term since (count - 1) phi_k is a multiple of pi
+        # all of that term since (count - 1) phi_j is a multiple of pi.
+        # Entry L - 1 - k is at 2 pi - phi_k - h + delta, which by
+        # evenness is panel k at the mirrored offset h - delta.
         shifted = np.fft.irfft(spectrum[..., None, :] * self.phases,
                                n=2 * (self.count - 1), axis=-1)
-        return np.swapaxes(shifted[..., : self.count - 1], -1, -2)
+        flat = shifted.reshape(shifted.shape[:-2] + (-1,))
+        # np.take: several times faster here than the same fancy index
+        return np.take(flat, self._mirror, axis=-1)
 
 
 def _even_spectrum(values: np.ndarray) -> np.ndarray:

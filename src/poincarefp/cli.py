@@ -22,7 +22,6 @@ import numpy as np
 
 from . import asymptotics, oracle
 from .errors import ConfigError, PoincarefpError
-from .exprparse import parse_expression
 from .hypotheses import evaluate_hypotheses
 from .problem import ProblemSpec
 from .solver import ode_residual, solve_problem
@@ -142,12 +141,6 @@ def load_config(path) -> Config:
     if not isinstance(r, list) or len(r) != n:
         raise ConfigError(f"r must be a list of {n} expression strings")
     r = [str(src) for src in r]
-    r_exprs = []
-    for src in r:
-        try:
-            r_exprs.append(parse_expression(src))
-        except PoincarefpError as exc:
-            raise ConfigError(f"bad expression in r: {src!r}: {exc}")
 
     beta_overrides = {}
     for key in [k for k in raw if k.startswith("beta_")]:
@@ -172,7 +165,6 @@ def load_config(path) -> Config:
             n=n,
             a=tuple(float(v) for v in a),
             r_sources=tuple(r),
-            r_exprs=tuple(r_exprs),
             **problem_kwargs,
         )
     except PoincarefpError as exc:
@@ -187,21 +179,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write the header and rows.  A numpy scalar cell is written as the
+    Python value it holds; csv writes a float by repr, its shortest
+    round-trip decimal, and any other cell by str."""
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            formatted = []
-            for cell in row:
-                if isinstance(cell, bool):
-                    formatted.append(str(cell))
-                elif isinstance(cell, (int, np.integer)):
-                    formatted.append(str(int(cell)))
-                elif isinstance(cell, (float, np.floating)):
-                    formatted.append(_fmt(cell))
-                else:
-                    formatted.append(str(cell))
-            writer.writerow(formatted)
+        writer.writerows(
+            [cell.item() if isinstance(cell, np.generic) else cell
+             for cell in row]
+            for row in rows
+        )
 
 
 def cmd_roots(config: Config) -> int:
@@ -304,11 +292,7 @@ def cmd_solve(config: Config) -> int:
         return EXIT_FAIL
     for i, (operator, grid, cert) in results.items():
         columns = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
-        rows = [
-            (grid.nodes[k], *[grid.values[j][k]
-                              for j in range(problem.n - 1)])
-            for k in range(len(grid.nodes))
-        ]
+        rows = zip(grid.nodes.tolist(), *grid.values.tolist())
         csv_path = config.output_dir / f"z_lambda_{i}.csv"
         _write_csv(csv_path, columns, rows)
         cert_path = config.output_dir / f"certificate_{i}.txt"

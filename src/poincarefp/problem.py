@@ -1,8 +1,10 @@
 """Problem container: equation data plus numerical parameters.
 
 A problem is the order n, the constant coefficients a_0..a_{n-1}, the
-perturbation functions r_0..r_{n-1} (as parsed expressions of t), the
-left endpoint t0, and the tuning knobs the pipeline needs downstream.
+perturbation functions r_0..r_{n-1} (expression sources of t, parsed on
+construction, so a ``dataclasses.replace`` of ``r_sources`` parses the new
+ones), the left endpoint t0, and the tuning knobs the pipeline needs
+downstream.
 Its ``spectrum``, Omega ``table`` and Green ``kernels`` are derived once,
 on first use; a failed spectrum raises again on every access (and so do
 the kernels built on it), as a raise is not cached.
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
 
-from .errors import ConfigError
+from .errors import ConfigError, PoincarefpError
 from .exprparse import Expression, evaluate_expression, parse_expression
 from .green import GreenKernel, build_kernel
 from .reduction import MAX_ORDER, OmegaTable, build_reduced_rhs
@@ -32,7 +34,8 @@ class ProblemSpec:
     tol: float = 1e-10
     eta: float = 0.5
     max_iter: int = 80
-    r_exprs: tuple[Expression, ...] = field(default=(), repr=False)
+    r_exprs: tuple[Expression, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_ORDER:
@@ -56,12 +59,13 @@ class ProblemSpec:
             raise ConfigError("grid_points must be at least 16")
         if not 0 < self.eta:
             raise ConfigError("eta must be positive")
-        if not self.r_exprs:
-            object.__setattr__(
-                self,
-                "r_exprs",
-                tuple(parse_expression(src) for src in self.r_sources),
-            )
+        exprs = []
+        for src in self.r_sources:
+            try:
+                exprs.append(parse_expression(src))
+            except PoincarefpError as exc:
+                raise ConfigError(f"bad expression in r: {src!r}: {exc}")
+        object.__setattr__(self, "r_exprs", tuple(exprs))
 
     @cached_property
     def spectrum(self) -> Spectrum:

@@ -15,7 +15,8 @@ The z-independent Omega_alpha(mu, r(s)) in P are evaluated once per
 operator.  The panel integrals need the z-jet between the Chebyshev
 nodes.  The quadrature points of ``chebgrid.AnglePanels`` sit at the same
 angle offsets in every panel, so each application of T interpolates the
-jet onto all of them with one real FFT and one batched inverse FFT:
+jet onto all of them with one real FFT and one batched inverse FFT, whose
+two halves serve the two offsets of a Gauss-Legendre mirror pair:
 O(N log N) work and O(N) memory per iteration, and no interpolation
 matrix.  A solved iterate keeps its cosine coefficients; the error
 estimate, z^(j) and int z at any t, and the top derivative of

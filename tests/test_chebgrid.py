@@ -16,8 +16,39 @@ def grid(count, a=0.0, b=220.0):
     return nodes, chebgrid.AnglePanels(a, b, count)
 
 
+def mpmath_error(order):
+    """Largest error of the interpolant of random node data at the exact
+    angles phi_k + delta_g, against the barycentric formula in
+    x = -cos(phi) at 30 digits; checks one phase row per mirror pair of
+    offsets on the way."""
+    count = 65
+    _, panels = grid(count, -1.0, 1.0)
+    assert panels.phases.shape == ((order + 1) // 2, count)
+    values = np.random.default_rng(7).uniform(-1, 1, count)
+    h = np.pi / (count - 1)
+    x, _ = np.polynomial.legendre.leggauss(order)
+    delta = h * (1 + x) / 2
+    got = panels.interpolate(values)
+    assert got.shape == (count - 1, order)
+    with mpmath.workdps(30):
+        angles = [mpmath.pi * k / (count - 1) for k in range(count)]
+        nodes = [-mpmath.cos(phi) for phi in angles]
+        bary = [(-1) ** k * (0.5 if k in (0, count - 1) else 1)
+                for k in range(count)]
+        worst = 0.0
+        for k in range(count - 1):
+            for g, d in enumerate(delta):
+                xt = -mpmath.cos(angles[k] + mpmath.mpf(float(d)))
+                kern = [w / (xt - xn) for w, xn in zip(bary, nodes)]
+                ref = sum(c * float(v) for c, v in zip(kern, values)) \
+                    / sum(kern)
+                worst = max(worst, abs(float(ref) - got[k, g]))
+    return worst
+
+
 class TestInterpolation:
-    @pytest.mark.parametrize("count", [16, 17, 160])
+    # at count = 200 the transform length 2 * 199 has the prime factor 199
+    @pytest.mark.parametrize("count", [16, 17, 160, 200])
     def test_matches_barycentric_matrix(self, count):
         nodes, panels = grid(count)
         weights = chebgrid.lobatto_weights(count)
@@ -35,29 +66,12 @@ class TestInterpolation:
             assert err <= 1e-13 * np.max(np.abs(row))
 
     def test_random_data_against_mpmath(self):
-        # the interpolant at the exact angle phi_k + delta_g, from the
-        # barycentric formula in x = -cos(phi) at 30 digits
-        count = 65
-        _, panels = grid(count, -1.0, 1.0)
-        values = np.random.default_rng(7).uniform(-1, 1, count)
-        h = np.pi / (count - 1)
-        x, _ = np.polynomial.legendre.leggauss(chebgrid.GL_ORDER)
-        delta = h * (1 + x) / 2
-        got = panels.interpolate(values)
-        with mpmath.workdps(30):
-            angles = [mpmath.pi * k / (count - 1) for k in range(count)]
-            nodes = [-mpmath.cos(phi) for phi in angles]
-            bary = [(-1) ** k * (0.5 if k in (0, count - 1) else 1)
-                    for k in range(count)]
-            worst = 0.0
-            for k in range(count - 1):
-                for g, d in enumerate(delta):
-                    xt = -mpmath.cos(angles[k] + mpmath.mpf(float(d)))
-                    kern = [w / (xt - xn) for w, xn in zip(bary, nodes)]
-                    ref = sum(c * float(v) for c, v in zip(kern, values)) \
-                        / sum(kern)
-                    worst = max(worst, abs(float(ref) - got[k, g]))
-        assert worst < 1e-14
+        assert mpmath_error(chebgrid.GL_ORDER) < 1e-14
+
+    def test_odd_order_against_mpmath(self, monkeypatch):
+        # the middle offset h / 2 of an odd order pairs with itself
+        monkeypatch.setattr(chebgrid, "GL_ORDER", 11)
+        assert mpmath_error(11) < 1e-14
 
     def test_coefficients_reproduce_nodes(self):
         count = 33

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poincarefp import cli
 from poincarefp.cli import (
     EXIT_FAIL,
     EXIT_INDETERMINATE,
@@ -105,6 +106,17 @@ class TestNumericSettings:
         # leaves Picard with no iterate, and tol <= 0 or NaN never converges
         with pytest.raises(ConfigError):
             ProblemSpec(n=2, a=(-1.0, 0.0), r_sources=("0", "0"), **setting)
+
+    def test_replaced_r_is_the_r_evaluated(self):
+        # the parsed r follows r_sources through dataclasses.replace
+        problem = ProblemSpec(n=2, a=(-1.0, 0.0),
+                              r_sources=("1/(1+t)^2", "0"))
+        scaled = replace(problem, r_sources=("40/(1+t)^2", "0"))
+        assert problem.r_value(0, 0.0) == 1.0
+        assert scaled.r_value(0, 0.0) == 40.0
+        with pytest.raises(ConfigError,
+                           match=r"bad expression in r: '1\+\('"):
+            replace(problem, r_sources=("1+(", "0"))
 
     @pytest.mark.parametrize("line", ["t_max = inf", "tol = -1",
                                       "tol = nan", "max_iter = 0"])
@@ -253,8 +265,6 @@ class TestEndToEnd:
         assert "wronskian_ratio" in diag
 
     def test_all_solves_each_root_once(self, tmp_path, monkeypatch):
-        from poincarefp import cli
-
         calls = []
 
         def counting_solve(problem, i):
@@ -377,6 +387,35 @@ class TestEndToEnd:
             text = path.read_text(encoding="utf-8")
             assert "anticausal tail bounds = " in text
             assert "np." not in text, path.name
+
+    def test_z_csv_cells_are_reprs_of_the_solve(self, tmp_path):
+        config = load_config(CONFIGS / "e1_n3.conf")
+        config.output_dir = tmp_path
+        assert run("solve", config) == EXIT_OK
+        for i in (1, 2, 3):
+            _, grid, _ = solve_problem(config.problem, i)
+            raw = (tmp_path / f"z_lambda_{i}.csv").read_bytes()
+            lines = raw.split(b"\r\n")
+            assert lines[0] == b"t,z,z1"
+            assert lines[-1] == b""  # every line ends in \r\n
+            body = [line.decode().split(",") for line in lines[1:-1]]
+            assert len(body) == len(grid.nodes)
+            for k, cells in enumerate(body):
+                assert cells == [repr(float(grid.nodes[k]))] + [
+                    repr(float(row[k])) for row in grid.values]
+
+    def test_csv_cells_of_numpy_scalars(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        cli._write_csv(path, ("a", "b"), [
+            (np.float64(0.1), np.float32(0.1)),
+            (np.int64(3), 3),
+            (np.bool_(True), False),
+            (float("inf"), "inf"),
+            (1e-300, ""),
+        ])
+        assert path.read_bytes() == (
+            b"a,b\r\n0.1,0.10000000149011612\r\n3,3\r\nTrue,False\r\n"
+            b"inf,inf\r\n1e-300,\r\n")
 
     def test_main_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.conf"

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from poincarefp import chebgrid
+from poincarefp.cli import load_config
 from poincarefp.errors import DivergenceDetected, InvarianceViolated
 from poincarefp.green import build_kernel
 from poincarefp.multipoly import Poly
@@ -21,6 +23,8 @@ from poincarefp.solver import (
     solve_problem,
 )
 from poincarefp.spectral import find_roots, shift_spectrum
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def build_operator(problem, i):
@@ -293,3 +297,46 @@ class TestOmegaHoisted:
         )
         assert np.array_equal(operator.forcing(values, at_nodes=True),
                               at_nodes)
+
+
+# z at the nodes nearest t = 1, 10 and 50 of every root of the shipped
+# configs: (node index, t, z of root 1, 2, ...), as solved before the
+# mirrored panel interpolation; a change of method that moves them beyond
+# round-off shows here
+SHIPPED_Z = {
+    "e1_n3": [
+        (9, 1.1084358779387173, (-0.09124542588801854, 0.10982723413153392,
+                                 -0.015866043136423064)),
+        (27, 9.842340728279154, (-0.0007656752691300809,
+                                 0.0009093653760142537,
+                                 -0.00027703867399934067)),
+        (63, 50.065434877142245, (-4.119589501842767e-06,
+                                  7.544590083456791e-06,
+                                  -3.4513236627978665e-06)),
+    ],
+    "spread_n4": [
+        (10, 0.9948358267581057, (-0.005505786300508939,
+                                  0.008378991592131724,
+                                  -0.007366093820140489,
+                                  0.00046964492089338517)),
+        (32, 9.993038201712508, (-8.866520968796343e-06,
+                                 5.941792747344761e-06,
+                                 -8.429078176491143e-06,
+                                 1.7692376072370029e-06)),
+        (75, 49.823415087713926, (-7.125159160036342e-09,
+                                  1.2389634804671506e-08,
+                                  -1.2726533719037468e-08,
+                                  5.546042731939051e-09)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_Z))
+def test_shipped_z_at_fixed_t_is_pinned(name):
+    problem = load_config(CONFIGS / f"{name}.conf").problem
+    for i in range(1, problem.n + 1):
+        _, grid, _ = solve_problem(problem, i)
+        for (k, t, zs), target in zip(SHIPPED_Z[name], (1.0, 10.0, 50.0)):
+            assert np.argmin(np.abs(grid.nodes - target)) == k
+            assert grid.nodes[k] == t
+            assert abs(grid.values[0][k] - zs[i - 1]) <= 1e-14, (i, t)
