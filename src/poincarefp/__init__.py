@@ -30,7 +30,7 @@ from .hypotheses import (
     estimate_sigma,
     evaluate_hypotheses,
 )
-from .problem import ProblemSpec
+from .problem import Equation, ProblemSpec
 from .reduction import (
     OmegaTable,
     build_derivative_polynomials,
@@ -59,6 +59,7 @@ __all__ = [
     "ConfigError",
     "ContractionCertificate",
     "DivergenceDetected",
+    "Equation",
     "EvalDomainError",
     "ExpressionError",
     "FixedPointOperator",

@@ -10,7 +10,7 @@ Leibniz rule gives y^(j)/y from the z-jet; the Wronskian diagnostic is
 the determinant of that ratio matrix, whose limit is the Vandermonde
 product of the spectrum.  Envelope checks compare the iterate's
 derivative mass against the case-dependent exponentially weighted
-integral of |Omega_0(lambda_i, r)| from the problem's table, judging
+integral of |Omega_0(lambda_i, r)| from the equation's table, judging
 stability under window extension instead of asserting an unspecified
 big-O constant.  The envelope, the z-jet and int z (from the iterate's
 Chebyshev coefficients) are evaluated for a whole window of t at once.
@@ -26,7 +26,6 @@ import numpy as np
 from . import kernelquad
 from .errors import QuadratureFailure
 from .problem import ProblemSpec
-from .reduction import OmegaTable
 from .solver import IterateGrid
 from .spectral import Spectrum
 
@@ -54,14 +53,15 @@ def check_beta(spectrum: Spectrum, i: int, beta: float) -> None:
         raise ValueError(f"beta {beta} outside [{lo}, {hi}[ for i = {i}")
 
 
-def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
-             t):
+def envelope(problem: ProblemSpec, i: int, beta: float, t):
     """Case integral of e^{-beta (t - s)} |Omega_0(lambda_i, s, r(s))|,
     for scalar or array t.
 
     i = 1 integrates over (t, inf), middle indices over (t0, inf), i = n
     over (t0, t); beta must lie in the case interval.
     """
+    spectrum = problem.equation.spectrum
+    table = problem.equation.table
     n = spectrum.n
     lam = spectrum.lam[i - 1]
     check_beta(spectrum, i, beta)
@@ -77,8 +77,7 @@ def envelope(problem: ProblemSpec, spectrum: Spectrum, i: int, beta: float,
     # endpoint, in which case only the r-decay helps.
     rate = max(-beta, 1e-3)
     return kernelquad.exp_integrals(
-        lambda s: np.abs(problem.table.omega_value(alpha0, lam,
-                                                   problem.r_list(s))),
+        lambda s: np.abs(table.omega_value(alpha0, lam, problem.r_list(s))),
         t, problem.t0, terms, rate, problem.tol,
     ).sum(axis=0)
 
@@ -93,9 +92,8 @@ class EnvelopeCheck:
     verdict: str
 
 
-def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
-                   solution: IterateGrid, i: int, beta: float,
-                   window: tuple[float, float],
+def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
+                   beta: float, window: tuple[float, float],
                    points: int = 25) -> EnvelopeCheck:
     """sup over the window of sum_j |z^(j)(t)| / envelope(t).
 
@@ -105,7 +103,7 @@ def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
     lo = max(window[0], problem.t0)
     hi = min(window[1], solution.t_max)
     ts = np.linspace(lo, hi, points)
-    envs = envelope(problem, spectrum, i, beta, ts)
+    envs = envelope(problem, i, beta, ts)
     masses = np.abs(solution.jet(ts)).sum(axis=0)
     formed = ~(envs < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
     ratios = masses[formed] / envs[formed]
@@ -130,16 +128,15 @@ def check_envelope(problem: ProblemSpec, spectrum: Spectrum,
     )
 
 
-def envelope_stability(problem: ProblemSpec, spectrum: Spectrum,
-                       solution: IterateGrid, i: int, beta: float,
-                       window: tuple[float, float],
+def envelope_stability(problem: ProblemSpec, solution: IterateGrid, i: int,
+                       beta: float, window: tuple[float, float],
                        factor_bound: float = 3.0) -> tuple[EnvelopeCheck,
                                                            EnvelopeCheck, str]:
     """Compare the sup ratio over the window and the doubled window."""
-    base = check_envelope(problem, spectrum, solution, i, beta, window)
+    base = check_envelope(problem, solution, i, beta, window)
     lo, hi = window
     doubled = check_envelope(
-        problem, spectrum, solution, i, beta, (lo, lo + 2 * (hi - lo))
+        problem, solution, i, beta, (lo, lo + 2 * (hi - lo))
     )
     if base.sup_ratio == 0.0 and doubled.sup_ratio == 0.0:
         verdict = "pass (vacuous)"
@@ -169,18 +166,18 @@ class FundamentalSystem:
     """The n reconstructed solutions, in log space, on the solver grids."""
 
     problem: ProblemSpec
-    spectrum: Spectrum
     grids: tuple[IterateGrid, ...]  # index i-1 -> z_{lambda_i}
 
     def log_y(self, i: int, t):
         """log y_i at scalar or array t; y_i(t0) = 1 by construction."""
-        lam = self.spectrum.lam[i - 1]
+        lam = self.problem.equation.spectrum.lam[i - 1]
         return lam * (np.asarray(t, dtype=float) - self.problem.t0) \
             + self.grids[i - 1].integral(t)  # zero tail model
 
     def ratios(self, i: int, t) -> list:
         """y_i^(j) / y_i for j = 0 .. n-1 at scalar or array t."""
-        return jet_ratios(self.spectrum.lam[i - 1], self.grids[i - 1].jet(t))
+        return jet_ratios(self.problem.equation.spectrum.lam[i - 1],
+                          self.grids[i - 1].jet(t))
 
     def derivative_ratio(self, i: int, j: int, t):
         """y_i^(j) / y_i at scalar or array t."""
@@ -197,18 +194,14 @@ class FundamentalSystem:
                          for i in range(1, self.problem.n + 1)], axis=-1)
 
 
-def build_fundamental_system(problem: ProblemSpec, spectrum: Spectrum,
+def build_fundamental_system(problem: ProblemSpec,
                              solutions) -> FundamentalSystem:
     """Assemble the system from the per-root converged iterates."""
     if len(solutions) != problem.n:
         raise ValueError(
             f"need {problem.n} converged solves, got {len(solutions)}"
         )
-    return FundamentalSystem(
-        problem=problem,
-        spectrum=spectrum,
-        grids=tuple(solutions),
-    )
+    return FundamentalSystem(problem=problem, grids=tuple(solutions))
 
 
 def wronskian_diagnostic(fs: FundamentalSystem, t) -> tuple[float, float]:
@@ -216,9 +209,9 @@ def wronskian_diagnostic(fs: FundamentalSystem, t) -> tuple[float, float]:
     spectrum); the common exponential factor cancels in the ratio
     matrix."""
     ratio = float(np.linalg.det(fs.ratio_matrix(t)))
-    lam = fs.spectrum.lam
+    lam = fs.problem.equation.spectrum.lam
     vandermonde = 1.0
-    n = fs.spectrum.n
+    n = fs.problem.n
     for k in range(n):
         for ell in range(k + 1, n):
             vandermonde *= lam[ell] - lam[k]
@@ -235,11 +228,12 @@ def pi_product(spectrum: Spectrum, i: int) -> float:
     return out
 
 
-def log_refined_estimate(problem: ProblemSpec, table: OmegaTable,
-                         spectrum: Spectrum, i: int, solution: IterateGrid,
+def log_refined_estimate(problem: ProblemSpec, i: int, solution: IterateGrid,
                          t: float) -> float:
     """log of the refined formula: lambda_i (t - t0) +
     (1/pi_i) int_{t0}^t F(lambda_i, s, r(s), z-jet(s)) ds."""
+    spectrum = problem.equation.spectrum
+    table = problem.equation.table
     lam = spectrum.lam[i - 1]
     pi_i = pi_product(spectrum, i)
 

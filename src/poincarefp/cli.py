@@ -23,7 +23,7 @@ import numpy as np
 from . import asymptotics, oracle
 from .errors import ConfigError, PoincarefpError
 from .hypotheses import evaluate_hypotheses
-from .problem import ProblemSpec
+from .problem import Equation, ProblemSpec
 from .solver import ode_residual, solve_problem
 from .spectral import shift_spectrum
 
@@ -32,7 +32,8 @@ EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INDETERMINATE = 3
 
-DIAG_T = 50.0
+DIAG_T = 50.0  # derivative-ratio and Wronskian time, measured from t0
+ORACLE_BOUNDS = {"value": 1e-4, "log-derivative": 1e-3}
 
 
 @dataclass
@@ -162,8 +163,7 @@ def load_config(path) -> Config:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")
     try:
         problem = ProblemSpec(
-            n=n,
-            a=tuple(float(v) for v in a),
+            Equation(n, tuple(float(v) for v in a)),
             r_sources=tuple(r),
             **problem_kwargs,
         )
@@ -194,7 +194,7 @@ def _write_csv(path: Path, header, rows):
 
 def cmd_roots(config: Config) -> int:
     try:
-        spectrum = config.problem.spectrum
+        spectrum = config.problem.equation.spectrum
     except PoincarefpError as exc:
         print(f"(H1) fail: {exc}")
         return EXIT_FAIL
@@ -210,7 +210,7 @@ def cmd_roots(config: Config) -> int:
 
 
 def cmd_reduce(config: Config) -> int:
-    table = config.problem.table
+    table = config.problem.equation.table
     out = config.output_dir / "omega_table.txt"
     lines = [
         f"Omega table for n = {config.problem.n}, "
@@ -309,7 +309,7 @@ def cmd_verify(config: Config) -> int:
     """Diagnostics on the solves of every root; reuses those of an
     earlier stage on the same problem."""
     problem = config.problem
-    spectrum = problem.spectrum
+    spectrum = problem.equation.spectrum
     for i, beta in config.beta_overrides.items():
         try:
             asymptotics.check_beta(spectrum, i, beta)
@@ -321,11 +321,13 @@ def cmd_verify(config: Config) -> int:
         print(f"verify: solve stage failed: {exc}")
         return EXIT_FAIL
     fs = asymptotics.build_fundamental_system(
-        problem, spectrum, [results[i][1] for i in range(1, problem.n + 1)]
+        problem, [results[i][1] for i in range(1, problem.n + 1)]
     )
-    t_diag = min(DIAG_T, problem.t_max)
-    # every root is compared with the oracle inside the solved window
-    t_end = min(10.0, problem.t_max)
+    # every sample point lies inside the solved window [t0, t_max]
+    t0, length = problem.t0, problem.t_max - problem.t0
+    t_diag = t0 + min(DIAG_T, length)
+    t_end = t0 + min(10.0, length)
+    window = (t0 + min(10.0, length / 4), t0 + min(100.0, length / 2))
     rows = []
     verdicts = []
 
@@ -346,17 +348,14 @@ def cmd_verify(config: Config) -> int:
         lam = spectrum.lam[i - 1]
         record("derivative_ratio", i, 1, t_diag, ratio, lam,
                abs(ratio - lam) < 0.01)
-        mode = "value" if i == 1 else "log-derivative"
-        comp = oracle.compare_to_fixed_point(problem, fs, i, t_end, mode=mode)
-        bound = 1e-4 if mode == "value" else 1e-3
-        record(f"oracle_{mode}", i, "", t_end, comp.max_error, bound,
+        comp = oracle.compare_to_fixed_point(fs, i, t_end)
+        bound = ORACLE_BOUNDS[comp.mode]
+        record(f"oracle_{comp.mode}", i, "", t_end, comp.max_error, bound,
                comp.max_error < bound)
         lo, hi = asymptotics.admissible_beta_interval(spectrum, i)
         beta = config.beta_overrides.get(i, (lo + hi) / 2)
-        window = (min(10.0, problem.t_max / 4),
-                  min(100.0, problem.t_max / 2))
         base, doubled, verdict = asymptotics.envelope_stability(
-            problem, spectrum, grid, i, beta, window
+            problem, grid, i, beta, window
         )
         record("envelope_stability", i, "", window[1], doubled.sup_ratio,
                base.sup_ratio, verdict.startswith("pass"))

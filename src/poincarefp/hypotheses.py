@@ -30,7 +30,6 @@ from . import kernelquad
 from .errors import ComplexRoots, QuadratureFailure, RepeatedRoots
 from .green import GreenKernel, upsilon
 from .problem import ProblemSpec
-from .reduction import OmegaTable
 from .spectral import Spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
@@ -38,12 +37,12 @@ FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
 SIGMA_TOL_FLOOR = 1e-8  # sigma's divergence probe needs no tighter tol
 
 
-def kernel_masses(problem: ProblemSpec, kernel: GreenKernel,
-                  table: OmegaTable, t) -> np.ndarray:
+def kernel_masses(problem: ProblemSpec, i: int, t) -> np.ndarray:
     """Row 0: R(t) = sum_j |int g^(j)(t, s) Omega_0(mu, r(s)) ds|; row
-    k = 1..n: L_k(t) = int sum_j |g^(j)(t, s)| M_k(s) ds, with M_k the
-    coefficient mass of order k; over the kernel support, scalar or array
-    t."""
+    k = 1..n: L_k(t) = int sum_j |g^(j)(t, s)| M_k(s) ds, with g root i's
+    kernel and M_k the order-k coefficient mass; scalar or array t."""
+    kernel = problem.equation.kernels[i - 1]
+    table = problem.equation.table
     mu = kernel.gamma.mu
     alpha0 = (0,) * (problem.n - 1)
 
@@ -60,18 +59,16 @@ def kernel_masses(problem: ProblemSpec, kernel: GreenKernel,
     return absolute
 
 
-def compute_R(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
-              t):
+def compute_R(problem: ProblemSpec, i: int, t):
     """R(t) of ``kernel_masses`` alone."""
-    return kernel_masses(problem, kernel, table, t)[0]
+    return kernel_masses(problem, i, t)[0]
 
 
-def compute_L(problem: ProblemSpec, kernel: GreenKernel, table: OmegaTable,
-              t, k: int):
+def compute_L(problem: ProblemSpec, i: int, t, k: int):
     """L_k(t), k = 1..n, of ``kernel_masses`` alone."""
     if not 1 <= k <= problem.n:
         raise ValueError(f"coefficient order {k} outside 1..{problem.n}")
-    return kernel_masses(problem, kernel, table, t)[k]
+    return kernel_masses(problem, i, t)[k]
 
 
 def compute_phi1(kernel: GreenKernel) -> float:
@@ -94,8 +91,8 @@ class SigmaEstimate:
     status: str  # "finite" or "divergent"
 
 
-def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
-                   mu: float, t_grid) -> SigmaEstimate:
+def estimate_sigma(problem: ProblemSpec, gamma: float, mu: float,
+                   t_grid) -> SigmaEstimate:
     """sup_t int_{t0}^inf e^{-gamma (t - s)} M(s) ds with
     M = sum_{k>=1} M_k, maximised over the geometric t-grid, at the
     problem's tolerance but no tighter than SIGMA_TOL_FLOOR.
@@ -104,6 +101,8 @@ def estimate_sigma(problem: ProblemSpec, table: OmegaTable, gamma: float,
     (its integrand does not decay), or the supremum keeps growing along
     the tail of the grid.
     """
+    table = problem.equation.table
+
     def mass_ge1(s):
         return sum(table.mass_by_order(mu, problem.r_list(s))[1:])
 
@@ -195,7 +194,7 @@ def hypothesis_grid(problem: ProblemSpec) -> tuple[float, ...]:
 def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     """Full hypothesis check for root index i (1-based)."""
     try:
-        spectrum = problem.spectrum
+        spectrum = problem.equation.spectrum
     except (ComplexRoots, RepeatedRoots) as exc:
         return HypothesisReport(
             base_index=i,
@@ -208,7 +207,7 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
         f"roots ({roots_text}), separation {spectrum.separation:.6g}"
     )
 
-    kernel = problem.kernels[i - 1]
+    kernel = problem.equation.kernels[i - 1]
     shifted = kernel.gamma
     phi1 = compute_phi1(kernel)
     grid = hypothesis_grid(problem)
@@ -217,7 +216,7 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
         return HypothesisReport(i, spectrum, "pass", h1_detail, l_samples={},
                                 phi1=phi1, r2_detail=reason, r3_detail=reason)
 
-    masses = kernel_masses(problem, kernel, problem.table, np.array(grid))
+    masses = kernel_masses(problem, i, np.array(grid))
     r_verdict = _limit_verdict(masses[0])
     l1_verdict = _limit_verdict(masses[1])
     higher_limsup = float(np.max(masses[2:].sum(axis=0)[-3:]))
@@ -230,7 +229,7 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     r2_verdict = _combined_verdict([r_verdict, l1_verdict, higher_verdict])
 
     sigma = tuple(
-        estimate_sigma(problem, problem.table, gam, shifted.mu, grid)
+        estimate_sigma(problem, gam, shifted.mu, grid)
         for gam in shifted.gamma
     )
     sigma_parts = []

@@ -242,8 +242,8 @@ class OracleComparison:
     nfev: int
 
 
-def compare_to_fixed_point(problem: ProblemSpec, fs: FundamentalSystem,
-                           i: int, t_end: float, points: int = 40,
+def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
+                           points: int = 40,
                            mode: str | None = None) -> OracleComparison:
     """Integrate y_i from its reconstructed initial jet and compare.
 
@@ -252,6 +252,7 @@ def compare_to_fixed_point(problem: ProblemSpec, fs: FundamentalSystem,
     reconstructed ratio.  Default: "value" for the dominant direction
     (i = 1), "log-derivative" otherwise.
     """
+    problem = fs.problem
     if mode is None:
         mode = "value" if i == 1 else "log-derivative"
     t_eval = np.linspace(problem.t0, t_end, points)
@@ -279,11 +280,11 @@ def compare_to_fixed_point(problem: ProblemSpec, fs: FundamentalSystem,
     )
 
 
-def abel_check(problem: ProblemSpec, fs: FundamentalSystem,
-               t: float) -> tuple[float, float]:
+def abel_check(fs: FundamentalSystem, t: float) -> tuple[float, float]:
     """Abel identity cross-check: the log of |W(t)/W(t0)| must equal
     -a_{n-1} (t - t0) - int_{t0}^t r_{n-1}(s) ds.  Returns (measured,
     expected)."""
+    problem = fs.problem
     ratio_t0, ratio_t = np.linalg.det(fs.ratio_matrix([problem.t0, t]))
     log_sum = sum(fs.log_y(i, t) for i in range(1, problem.n + 1))
     measured = np.log(abs(ratio_t)) + log_sum - np.log(abs(ratio_t0))

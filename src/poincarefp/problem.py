@@ -1,13 +1,15 @@
-"""Problem container: equation data plus numerical parameters.
+"""Problem container: an equation, its perturbation, the window and the
+numerical parameters.
 
-A problem is the order n, the constant coefficients a_0..a_{n-1}, the
-perturbation functions r_0..r_{n-1} (expression sources of t, parsed on
-construction, so a ``dataclasses.replace`` of ``r_sources`` parses the new
-ones), the left endpoint t0, and the tuning knobs the pipeline needs
-downstream.
-Its ``spectrum``, Omega ``table`` and Green ``kernels`` are derived once,
-on first use; a failed spectrum raises again on every access (and so do
-the kernels built on it), as a raise is not cached.
+An ``Equation`` is the order n and the constant coefficients a_0..a_{n-1};
+the change of variables depends on nothing else, so it owns the
+``spectrum``, the Omega ``table`` and each root's Green ``kernels``,
+derived once, on first use.  A failed spectrum raises again on every
+access (and so do the kernels built on it), as a raise is not cached.
+A ``ProblemSpec`` adds the perturbations r_0..r_{n-1} (expression sources
+of t, parsed on construction), the window [t0, t_max] and the tuning
+knobs; a ``dataclasses.replace`` of any of them keeps the equation, so it
+derives nothing again, and parses a replaced ``r_sources``.
 """
 
 from __future__ import annotations
@@ -24,18 +26,9 @@ from .spectral import Spectrum, find_roots, shift_spectrum
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
+class Equation:
     n: int
     a: tuple[float, ...]
-    r_sources: tuple[str, ...]
-    t0: float = 0.0
-    t_max: float = 220.0
-    grid_points: int = 200
-    tol: float = 1e-10
-    eta: float = 0.5
-    max_iter: int = 80
-    r_exprs: tuple[Expression, ...] = field(init=False, repr=False,
-                                            compare=False)
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_ORDER:
@@ -44,28 +37,6 @@ class ProblemSpec:
             raise ConfigError(
                 f"expected {self.n} coefficients a, got {len(self.a)}"
             )
-        if len(self.r_sources) != self.n:
-            raise ConfigError(
-                f"expected {self.n} perturbation expressions, got "
-                f"{len(self.r_sources)}"
-            )
-        if not -inf < self.t0 < self.t_max < inf:
-            raise ConfigError("t_max must exceed t0, and both be finite")
-        if not 0 < self.tol < inf:
-            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.grid_points < 16:
-            raise ConfigError("grid_points must be at least 16")
-        if not 0 < self.eta:
-            raise ConfigError("eta must be positive")
-        exprs = []
-        for src in self.r_sources:
-            try:
-                exprs.append(parse_expression(src))
-            except PoincarefpError as exc:
-                raise ConfigError(f"bad expression in r: {src!r}: {exc}")
-        object.__setattr__(self, "r_exprs", tuple(exprs))
 
     @cached_property
     def spectrum(self) -> Spectrum:
@@ -82,6 +53,52 @@ class ProblemSpec:
         """The Green kernel of each root; entry i - 1 is root i's."""
         return tuple(build_kernel(shift_spectrum(self.spectrum, i))
                      for i in range(1, self.n + 1))
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    equation: Equation
+    r_sources: tuple[str, ...]
+    t0: float = 0.0
+    t_max: float = 220.0
+    grid_points: int = 200
+    tol: float = 1e-10
+    eta: float = 0.5
+    max_iter: int = 80
+    r_exprs: tuple[Expression, ...] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self):
+        if len(self.r_sources) != self.n:
+            raise ConfigError(
+                f"expected {self.n} perturbation expressions, got "
+                f"{len(self.r_sources)}"
+            )
+        if not -inf < self.t0 < self.t_max < inf:
+            raise ConfigError("t_max must exceed t0, and both be finite")
+        if not 0 < self.tol < inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.grid_points < 16:
+            raise ConfigError("grid_points must be at least 16")
+        if not 0 < self.eta < inf:
+            raise ConfigError(f"eta must be finite and > 0, got {self.eta}")
+        exprs = []
+        for src in self.r_sources:
+            try:
+                exprs.append(parse_expression(src))
+            except PoincarefpError as exc:
+                raise ConfigError(f"bad expression in r: {src!r}: {exc}")
+        object.__setattr__(self, "r_exprs", tuple(exprs))
+
+    @property
+    def n(self) -> int:
+        return self.equation.n
+
+    @property
+    def a(self) -> tuple[float, ...]:
+        return self.equation.a
 
     def r_value(self, i: int, t):
         """r_i evaluated at scalar or array t."""

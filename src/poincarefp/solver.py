@@ -34,9 +34,7 @@ import numpy as np
 
 from . import chebgrid, kernelquad
 from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
-from .green import GreenKernel
 from .problem import ProblemSpec
-from .reduction import OmegaTable
 from .spectral import reduced_linear_coefficients
 
 DIVERGENCE_STRIKES = 3
@@ -56,7 +54,6 @@ class IterateGrid:
     nodes: np.ndarray
     values: np.ndarray
     coeffs: np.ndarray
-    mu: float
 
     @property
     def t0(self) -> float:
@@ -124,26 +121,25 @@ class ContractionCertificate:
 
 
 class FixedPointOperator:
-    """Precomputed discretisation of T on a fixed Chebyshev window."""
+    """Precomputed discretisation of root i's T on a fixed Chebyshev grid."""
 
-    def __init__(self, problem: ProblemSpec, kernel: GreenKernel,
-                 table: OmegaTable):
+    def __init__(self, problem: ProblemSpec, i: int):
         self.problem = problem
-        self.kernel = kernel
-        self.table = table
-        self.mu = kernel.gamma.mu
+        self.kernel = problem.equation.kernels[i - 1]
+        self.mu = self.kernel.gamma.mu
 
         count = problem.grid_points
         self.nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, count)
         self.panels = chebgrid.AnglePanels(problem.t0, problem.t_max, count)
         pts = self.panels.points
+        table = problem.equation.table
         self.omega_panels = table.omega_values(self.mu,
                                                problem.r_list(pts.ravel()))
         self.omega_nodes = table.omega_values(self.mu,
                                               problem.r_list(self.nodes))
 
-        self.gammas = kernel.gamma.gamma
-        self.causal = kernel.causal
+        self.gammas = self.kernel.gamma.gamma
+        self.causal = self.kernel.causal
         # per-gamma panel weights and inter-node decay factors
         self.exp_weights = [
             kernelquad.exp_weights(self.nodes, pts, self.panels.weights,
@@ -160,11 +156,11 @@ class FixedPointOperator:
         if not anti:
             return {}
         problem = self.problem
+        table = problem.equation.table
         alpha0 = (0,) * (problem.n - 1)
 
         def forcing0(s):
-            return -self.table.omega_value(alpha0, self.mu,
-                                           problem.r_list(s))
+            return -table.omega_value(alpha0, self.mu, problem.r_list(s))
 
         terms = [kernelquad.ExpTerm(self.gammas[ell], False) for ell in anti]
         rate = min(self.gammas[ell] for ell in anti)
@@ -176,10 +172,11 @@ class FixedPointOperator:
     def forcing(self, values: np.ndarray, at_nodes: bool = False) -> np.ndarray:
         """P = -F along the panel points (or the nodes) for the iterate
         sampled in ``values``."""
+        table = self.problem.equation.table
         if at_nodes:
-            return -self.table.combine(self.omega_nodes, values)
+            return -table.combine(self.omega_nodes, values)
         zjet = self.panels.interpolate(values).reshape(values.shape[0], -1)
-        return -self.table.combine(self.omega_panels, zjet)
+        return -table.combine(self.omega_panels, zjet)
 
     def kernel_integrals(self, forcing_panels: np.ndarray) -> np.ndarray:
         """I_gamma and A_gamma at every node via the panel recurrence, one
@@ -202,7 +199,6 @@ class FixedPointOperator:
             nodes=self.nodes,
             values=values,
             coeffs=chebgrid.chebyshev_coefficients(values),
-            mu=self.mu,
         )
 
     def zero(self) -> np.ndarray:
@@ -295,8 +291,7 @@ def solve_problem(problem: ProblemSpec, i: int):
     Returns (operator, grid, certificate).  An invariance violation at
     the configured eta is retried once in the relaxed eta = 0.9 regime.
     """
-    operator = FixedPointOperator(problem, problem.kernels[i - 1],
-                                  problem.table)
+    operator = FixedPointOperator(problem, i)
     try:
         grid, cert = picard_solve(operator)
     except InvarianceViolated:
@@ -318,7 +313,7 @@ def ode_residual(operator: FixedPointOperator, grid: IterateGrid) -> float:
     lhs = chebgrid.series_at_nodes(
         chebgrid.derivative(grid.coeffs[n - 2], grid.t0, grid.t_max)
     )
-    b = reduced_linear_coefficients(problem.a, grid.mu)
+    b = reduced_linear_coefficients(problem.a, operator.mu)
     for j in range(n - 1):
         lhs += b[j] * grid.values[j]
     rhs = operator.forcing(grid.values, at_nodes=True)

@@ -6,17 +6,15 @@ import time
 
 import pytest
 
-from poincarefp import ProblemSpec, find_roots, solve_problem
+from poincarefp import Equation, ProblemSpec, solve_problem
 from poincarefp.asymptotics import build_fundamental_system
-from poincarefp.reduction import build_reduced_rhs
 
 
 @pytest.fixture(scope="session")
 def e1_problem() -> ProblemSpec:
     """y''' - 6y'' + 11y' + (-6 + (1+t)^-3) y = 0, spectrum (3, 2, 1)."""
     return ProblemSpec(
-        n=3,
-        a=(-6.0, 11.0, -6.0),
+        Equation(3, (-6.0, 11.0, -6.0)),
         r_sources=("1/(1+t)^3", "0", "0"),
         t0=0.0,
         t_max=220.0,
@@ -35,20 +33,10 @@ def e1_solves(e1_problem):
 
 
 @pytest.fixture(scope="session")
-def e1_spectrum(e1_problem):
-    return find_roots(e1_problem.a)
-
-
-@pytest.fixture(scope="session")
-def e1_table(e1_problem):
-    return build_reduced_rhs(e1_problem.a, e1_problem.n)
-
-
-@pytest.fixture(scope="session")
-def e1_system(e1_problem, e1_spectrum, e1_solves):
+def e1_system(e1_problem, e1_solves):
     results, _ = e1_solves
     return build_fundamental_system(
-        e1_problem, e1_spectrum, [results[i][1] for i in (1, 2, 3)]
+        e1_problem, [results[i][1] for i in (1, 2, 3)]
     )
 
 
@@ -56,8 +44,7 @@ def e1_system(e1_problem, e1_spectrum, e1_solves):
 def trivial_problem() -> ProblemSpec:
     """Same spectrum as the golden problem but r identically zero."""
     return ProblemSpec(
-        n=3,
-        a=(-6.0, 11.0, -6.0),
+        Equation(3, (-6.0, 11.0, -6.0)),
         r_sources=("0", "0", "0"),
         t0=0.0,
         t_max=120.0,

@@ -103,9 +103,11 @@ def _eval_float_poly(terms, point) -> float:
 
 
 class ScalarModel:
-    """Scalar kernel derivatives and coefficient masses for one root."""
+    """Scalar kernel derivatives and coefficient masses for root i of the
+    problem."""
 
-    def __init__(self, problem, kernel, table):
+    def __init__(self, problem, i: int):
+        kernel = problem.equation.kernels[i - 1]
         self.problem = problem
         self.n = problem.n
         self.mu = kernel.gamma.mu
@@ -117,7 +119,8 @@ class ScalarModel:
         ]
         self.rate = kernel.decay_rate()
         self.omegas = {
-            alpha: _float_poly(poly) for alpha, poly in table.table.items()
+            alpha: _float_poly(poly)
+            for alpha, poly in problem.equation.table.table.items()
         }
 
     def g(self, t: float, s: float, j: int) -> float:
@@ -189,8 +192,9 @@ def quad_sigma(model: ScalarModel, gamma: float, t: float,
     return value + quad_with_tail(f, t, rate, tol)
 
 
-def quad_envelope(problem, spectrum, i: int, beta: float, t: float,
+def quad_envelope(problem, i: int, beta: float, t: float,
                   tol: float = 1e-10) -> float:
+    spectrum = problem.equation.spectrum
     lam = spectrum.lam[i - 1]
 
     def f(s):

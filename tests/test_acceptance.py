@@ -34,10 +34,8 @@ from poincarefp.reduction import (
 )
 from poincarefp.solver import ode_residual, solve_problem
 from poincarefp.spectral import (
-    find_roots,
     reduced_char_coeffs,
     reduced_linear_coefficients,
-    shift_spectrum,
 )
 
 
@@ -190,14 +188,13 @@ class TestAcceptance:
             )
         report(5, ok, "; ".join(details) + f"; {elapsed:.1f}s")
 
-    def test_criterion_06_oracle_equivalence(self, e1_problem, e1_system):
-        comp1 = compare_to_fixed_point(e1_problem, e1_system, 1, 10.0,
-                                       mode="value")
+    def test_criterion_06_oracle_equivalence(self, e1_system):
+        comp1 = compare_to_fixed_point(e1_system, 1, 10.0, mode="value")
         ok = comp1.max_error < 1e-4
         details = [f"i=1 value {comp1.max_error:.2e}"]
         for i in (2, 3):
             comp = compare_to_fixed_point(
-                e1_problem, e1_system, i, 10.0, mode="log-derivative"
+                e1_system, i, 10.0, mode="log-derivative"
             )
             ok = ok and comp.max_error < 1e-3
             details.append(f"i={i} log-deriv {comp.max_error:.2e}")
@@ -206,7 +203,8 @@ class TestAcceptance:
     def test_criterion_07_asymptotic_ratios(self, e1_system):
         ok = True
         details = []
-        for i, lam in zip((1, 2, 3), e1_system.spectrum.lam):
+        for i, lam in zip((1, 2, 3),
+                          e1_system.problem.equation.spectrum.lam):
             ratio = e1_system.derivative_ratio(i, 1, 50.0)
             err = abs(ratio - lam)
             ok = ok and err < 0.01
@@ -222,17 +220,17 @@ class TestAcceptance:
             f"W/prod y = {ratio:.6f} vs -2, relative error {err:.2e}",
         )
 
-    def test_criterion_09_envelope_stability(self, e1_problem, e1_spectrum,
-                                             e1_solves):
+    def test_criterion_09_envelope_stability(self, e1_problem, e1_solves):
         results, _ = e1_solves
+        spectrum = e1_problem.equation.spectrum
         ok = True
         details = []
         for i in (1, 2, 3):
-            lo, hi = admissible_beta_interval(e1_spectrum, i)
+            lo, hi = admissible_beta_interval(spectrum, i)
             beta = (lo + hi) / 2.0
             _, grid, _ = results[i]
             base, doubled, verdict = envelope_stability(
-                e1_problem, e1_spectrum, grid, i, beta, (10.0, 100.0)
+                e1_problem, grid, i, beta, (10.0, 100.0)
             )
             factor = (
                 doubled.sup_ratio / base.sup_ratio
@@ -283,25 +281,18 @@ class TestAcceptance:
     def test_criterion_11_trivial_limit(self, trivial_problem):
         from poincarefp.asymptotics import build_fundamental_system
 
-        spectrum = find_roots(trivial_problem.a)
-        table = build_reduced_rhs(trivial_problem.a, trivial_problem.n)
         ok = True
         grids = []
         for i in (1, 2, 3):
             _, grid, cert = solve_problem(trivial_problem, i)
             ok = ok and float(np.max(np.abs(grid.values))) == 0.0
             grids.append(grid)
-            kernel = build_kernel(shift_spectrum(spectrum, i))
             for t in (1.0, 8.0):
-                ok = ok and compute_R(
-                    trivial_problem, kernel, table, t
-                ) == 0.0
-                ok = ok and compute_L(
-                    trivial_problem, kernel, table, t, 1
-                ) == 0.0
-        fs = build_fundamental_system(trivial_problem, spectrum, grids)
+                ok = ok and compute_R(trivial_problem, i, t) == 0.0
+                ok = ok and compute_L(trivial_problem, i, t, 1) == 0.0
+        fs = build_fundamental_system(trivial_problem, grids)
         worst = 0.0
-        for i, lam in zip((1, 2, 3), spectrum.lam):
+        for i, lam in zip((1, 2, 3), trivial_problem.equation.spectrum.lam):
             for t in (1.0, 10.0):
                 worst = max(
                     worst,

@@ -22,13 +22,9 @@ from poincarefp.asymptotics import (
     pi_product,
     wronskian_diagnostic,
 )
-from poincarefp.problem import ProblemSpec
-from poincarefp.reduction import (
-    build_derivative_polynomials,
-    build_reduced_rhs,
-)
+from poincarefp.problem import Equation, ProblemSpec
+from poincarefp.reduction import build_derivative_polynomials
 from poincarefp.solver import IterateGrid
-from poincarefp.spectral import find_roots
 
 
 @pytest.fixture(scope="module")
@@ -37,58 +33,54 @@ def exp_problem():
     up to the lambda^l weights; here r0 = e^{-t} only, so the mass is
     exactly e^{-s} for every root."""
     return ProblemSpec(
-        n=2, a=(-1.0, 0.0), r_sources=("exp(-t)", "0"), t_max=64.0,
+        Equation(2, (-1.0, 0.0)), r_sources=("exp(-t)", "0"), t_max=64.0,
         grid_points=64,
     )
 
 
 class TestEnvelope:
     def test_zero_perturbation(self, trivial_problem):
-        spectrum = find_roots(trivial_problem.a)
-        assert envelope(trivial_problem, spectrum, 3, 0.5, 4.0) == 0.0
+        assert envelope(trivial_problem, 3, 0.5, 4.0) == 0.0
 
     def test_case_n_closed_form(self, exp_problem):
         # i = n, beta = 0.5: int_0^t e^{-0.5 (t-s)} e^{-s} ds
         #                     = 2 (e^{-0.5 t} - e^{-t})
-        spectrum = find_roots(exp_problem.a)
         for t in (1.0, 3.0):
             expected = 2 * (np.exp(-0.5 * t) - np.exp(-t))
-            got = envelope(exp_problem, spectrum, 2, 0.5, t)
+            got = envelope(exp_problem, 2, 0.5, t)
             assert got == pytest.approx(expected, rel=1e-8)
 
     def test_case_1_closed_form(self, exp_problem):
         # i = 1, beta = -0.5: int_t^inf e^{0.5 (t-s)} e^{-s} ds
         #                      = (2/3) e^{-t}
-        spectrum = find_roots(exp_problem.a)
         for t in (0.5, 2.0):
             expected = (2.0 / 3.0) * np.exp(-t)
-            got = envelope(exp_problem, spectrum, 1, -0.5, t)
+            got = envelope(exp_problem, 1, -0.5, t)
             assert got == pytest.approx(expected, rel=1e-8)
 
     def test_beta_interval_enforced(self, exp_problem):
-        spectrum = find_roots(exp_problem.a)
         with pytest.raises(ValueError):
-            envelope(exp_problem, spectrum, 1, 0.5, 1.0)
+            envelope(exp_problem, 1, 0.5, 1.0)
         with pytest.raises(ValueError):
-            envelope(exp_problem, spectrum, 2, -0.5, 1.0)
+            envelope(exp_problem, 2, -0.5, 1.0)
         with pytest.raises(ValueError):
-            envelope(exp_problem, spectrum, 1, -3.0, 1.0)
+            envelope(exp_problem, 1, -3.0, 1.0)
 
     def test_boundary_beta_admissible(self, exp_problem):
         # closed endpoints: beta = gamma_1 for i = 1, beta = gamma_{n-1}
         # for i = n
-        spectrum = find_roots(exp_problem.a)
-        assert envelope(exp_problem, spectrum, 1, -2.0, 1.0) > 0.0
-        assert envelope(exp_problem, spectrum, 2, 2.0, 1.0) > 0.0
+        assert envelope(exp_problem, 1, -2.0, 1.0) > 0.0
+        assert envelope(exp_problem, 2, 2.0, 1.0) > 0.0
 
-    def test_intervals(self, e1_spectrum):
-        assert admissible_beta_interval(e1_spectrum, 1) == pytest.approx(
+    def test_intervals(self, e1_problem):
+        spectrum = e1_problem.equation.spectrum
+        assert admissible_beta_interval(spectrum, 1) == pytest.approx(
             (-1.0, 0.0)
         )
-        assert admissible_beta_interval(e1_spectrum, 2) == pytest.approx(
+        assert admissible_beta_interval(spectrum, 2) == pytest.approx(
             (-1.0, 0.0)
         )
-        assert admissible_beta_interval(e1_spectrum, 3) == pytest.approx(
+        assert admissible_beta_interval(spectrum, 3) == pytest.approx(
             (0.0, 1.0)
         )
 
@@ -97,11 +89,8 @@ class TestEnvelopeCheck:
     def test_trivial_vacuous_pass(self, trivial_problem):
         from poincarefp import solve_problem
 
-        spectrum = find_roots(trivial_problem.a)
         _, grid, _ = solve_problem(trivial_problem, 3)
-        check = check_envelope(
-            trivial_problem, spectrum, grid, 3, 0.5, (10.0, 20.0)
-        )
+        check = check_envelope(trivial_problem, grid, 3, 0.5, (10.0, 20.0))
         assert check.sup_ratio == 0.0
         assert check.verdict == "pass (vacuous)"
 
@@ -111,22 +100,21 @@ class TestEnvelopeCheck:
         # A constant iterate z = 1e-3 would give ratios up to 1e-3 / 1e-318
         # there, so those points must be missing from samples and sup.
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("exp(-7*t)/10", "0"),
+            Equation(2, (-1.0, 0.0)), r_sources=("exp(-7*t)/10", "0"),
             t_max=120.0, grid_points=32,
         )
-        spectrum = find_roots(problem.a)
         nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, 32)
         values = np.full((1, 32), 1e-3)
         solution = IterateGrid(
             nodes=nodes, values=values,
-            coeffs=chebgrid.chebyshev_coefficients(values), mu=1.0,
+            coeffs=chebgrid.chebyshev_coefficients(values),
         )
         ts = np.linspace(95.0, 104.0, 10)
-        envs = envelope(problem, spectrum, 1, -1.0, ts)
+        envs = envelope(problem, 1, -1.0, ts)
         below = (envs > 0.0) & (envs < ENVELOPE_FLOOR)
         assert below.sum() == 6 and not np.any(envs == 0.0)
-        check = check_envelope(problem, spectrum, solution, 1, -1.0,
-                               (95.0, 104.0), points=10)
+        check = check_envelope(problem, solution, 1, -1.0, (95.0, 104.0),
+                               points=10)
         sampled = [t for t, _ in check.samples]
         assert sampled == pytest.approx(list(ts[~below]), abs=1e-12)
         ratios = [ratio for _, ratio in check.samples]
@@ -135,11 +123,11 @@ class TestEnvelopeCheck:
                                                 rel=1e-6)
         assert check.verdict == "computed"
 
-    def test_golden_stability(self, e1_problem, e1_spectrum, e1_solves):
+    def test_golden_stability(self, e1_problem, e1_solves):
         results, _ = e1_solves
         _, grid, _ = results[3]
         base, doubled, verdict = envelope_stability(
-            e1_problem, e1_spectrum, grid, 3, 0.5, (10.0, 50.0)
+            e1_problem, grid, 3, 0.5, (10.0, 50.0)
         )
         assert verdict == "pass"
         assert doubled.sup_ratio < 3.0 * base.sup_ratio
@@ -153,28 +141,24 @@ class TestFundamentalSystem:
     def test_trivial_is_pure_exponential(self, trivial_problem):
         from poincarefp import solve_problem
 
-        spectrum = find_roots(trivial_problem.a)
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
-        fs = build_fundamental_system(trivial_problem, spectrum, grids)
-        for i, lam in zip((1, 2, 3), spectrum.lam):
+        fs = build_fundamental_system(trivial_problem, grids)
+        for i, lam in zip((1, 2, 3), (3.0, 2.0, 1.0)):
             for t in (1.0, 10.0, 50.0):
                 assert fs.log_y(i, t) == pytest.approx(lam * t, abs=1e-9)
 
     def test_derivative_ratio_tends_to_lambda(self, e1_system):
-        for i, lam in zip((1, 2, 3), e1_system.spectrum.lam):
+        for i, lam in zip((1, 2, 3), (3.0, 2.0, 1.0)):
             ratio = e1_system.derivative_ratio(i, 1, 50.0)
             assert ratio == pytest.approx(lam, abs=0.01)
 
     def test_ratio_order_zero_is_one(self, e1_system):
         assert e1_system.derivative_ratio(2, 0, 7.0) == 1.0
 
-    def test_missing_solve_rejected(self, e1_problem, e1_spectrum,
-                                    e1_solves):
+    def test_missing_solve_rejected(self, e1_problem, e1_solves):
         results, _ = e1_solves
         with pytest.raises(ValueError):
-            build_fundamental_system(
-                e1_problem, e1_spectrum, [results[1][1]]
-            )
+            build_fundamental_system(e1_problem, [results[1][1]])
 
 
 class TestLeibnizRatios:
@@ -208,9 +192,8 @@ class TestWronskian:
     def test_trivial_equals_vandermonde(self, trivial_problem):
         from poincarefp import solve_problem
 
-        spectrum = find_roots(trivial_problem.a)
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
-        fs = build_fundamental_system(trivial_problem, spectrum, grids)
+        fs = build_fundamental_system(trivial_problem, grids)
         ratio, vandermonde = wronskian_diagnostic(fs, 4.0)
         assert vandermonde == pytest.approx(-2.0, rel=1e-12)
         assert ratio == pytest.approx(vandermonde, rel=1e-10)
@@ -229,31 +212,26 @@ class TestWronskian:
 
 
 class TestRefinedEstimate:
-    def test_pi_products(self, e1_spectrum):
-        assert pi_product(e1_spectrum, 1) == pytest.approx(2.0)
-        assert pi_product(e1_spectrum, 2) == pytest.approx(-1.0)
-        assert pi_product(e1_spectrum, 3) == pytest.approx(2.0)
+    def test_pi_products(self, e1_problem):
+        spectrum = e1_problem.equation.spectrum
+        assert pi_product(spectrum, 1) == pytest.approx(2.0)
+        assert pi_product(spectrum, 2) == pytest.approx(-1.0)
+        assert pi_product(spectrum, 3) == pytest.approx(2.0)
 
     def test_trivial_reduces_to_exponential(self, trivial_problem):
         from poincarefp import solve_problem
 
-        spectrum = find_roots(trivial_problem.a)
-        table = build_reduced_rhs(trivial_problem.a, trivial_problem.n)
         _, grid, _ = solve_problem(trivial_problem, 2)
-        got = log_refined_estimate(
-            trivial_problem, table, spectrum, 2, grid, 3.0
-        )
+        got = log_refined_estimate(trivial_problem, 2, grid, 3.0)
         assert abs(got - 2.0 * 3.0) <= 1e-10
 
-    def test_golden_tracks_reconstruction(self, e1_problem, e1_table,
-                                          e1_spectrum, e1_solves,
+    def test_golden_tracks_reconstruction(self, e1_problem, e1_solves,
                                           e1_system):
         results, _ = e1_solves
         _, grid, _ = results[1]
         gaps = [
-            log_refined_estimate(
-                e1_problem, e1_table, e1_spectrum, 1, grid, t
-            ) - e1_system.log_y(1, t)
+            log_refined_estimate(e1_problem, 1, grid, t)
+            - e1_system.log_y(1, t)
             for t in (20.0, 50.0)
         ]
         # the residual multiplicative factor is reported, not certified;
@@ -279,9 +257,9 @@ class TestRefinedEstimate:
         monkeypatch.setattr(kernelquad, "integral", spy)
         problem = replace(e1_problem, tol=1e-7)
         grid = e1_solves[0][1][1]
-        log_refined_estimate(problem, problem.table, problem.spectrum, 1,
-                             grid, grid.t_max + 5.0)  # window and tail
-        abel_check(problem, e1_system, 5.0)
+        log_refined_estimate(problem, 1, grid,
+                             grid.t_max + 5.0)  # window and tail
+        abel_check(replace(e1_system, problem=problem), 5.0)
         assert tols == [1e-7, 1e-7, 1e-7]
 
 

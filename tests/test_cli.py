@@ -20,7 +20,7 @@ from poincarefp.cli import (
     run,
 )
 from poincarefp.errors import ConfigError
-from poincarefp.problem import ProblemSpec
+from poincarefp.problem import Equation, ProblemSpec
 from poincarefp.solver import solve_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -100,16 +100,19 @@ class TestNumericSettings:
         {"t_max": float("inf")}, {"t_max": float("nan")},
         {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
         {"tol": float("inf")}, {"max_iter": 0}, {"max_iter": -3},
+        {"eta": float("inf")},
     ], ids=repr)
     def test_rejected_when_the_problem_is_built(self, setting):
         # at t_max = inf the hypothesis grid would never end, max_iter = 0
-        # leaves Picard with no iterate, and tol <= 0 or NaN never converges
+        # leaves Picard with no iterate, tol <= 0 or NaN never converges,
+        # and no iterate can leave a ball of radius eta = inf
         with pytest.raises(ConfigError):
-            ProblemSpec(n=2, a=(-1.0, 0.0), r_sources=("0", "0"), **setting)
+            ProblemSpec(Equation(2, (-1.0, 0.0)), r_sources=("0", "0"),
+                        **setting)
 
     def test_replaced_r_is_the_r_evaluated(self):
         # the parsed r follows r_sources through dataclasses.replace
-        problem = ProblemSpec(n=2, a=(-1.0, 0.0),
+        problem = ProblemSpec(Equation(2, (-1.0, 0.0)),
                               r_sources=("1/(1+t)^2", "0"))
         scaled = replace(problem, r_sources=("40/(1+t)^2", "0"))
         assert problem.r_value(0, 0.0) == 1.0
@@ -119,7 +122,8 @@ class TestNumericSettings:
             replace(problem, r_sources=("1+(", "0"))
 
     @pytest.mark.parametrize("line", ["t_max = inf", "tol = -1",
-                                      "tol = nan", "max_iter = 0"])
+                                      "tol = nan", "max_iter = 0",
+                                      "eta = inf"])
     def test_rejected_in_a_config_file(self, tmp_path, line):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, MINIMAL + line + "\n"))
@@ -332,6 +336,16 @@ class TestEndToEnd:
             assert EXIT_FAIL in codes
             assert counts == {"table": 1, "polys": 1, "spectrum": 1,
                               "kernel": 4, "solve": 4, "parse": 4}, stages
+        # a problem replaced in its window and its r keeps the equation:
+        # it parses its r and solves again, but derives no algebra
+        counts.update(dict.fromkeys(counts, 0))
+        equation = config.problem.equation
+        config.problem = replace(config.problem, t0=1.0, r_sources=(
+            "1/(4*(1+t)^4)", "0", "0", "0"))
+        assert config.problem.equation is equation
+        assert run("all", config) == EXIT_FAIL
+        assert counts == {"table": 0, "polys": 0, "spectrum": 0,
+                          "kernel": 0, "solve": 4, "parse": 4}
 
     def test_out_of_range_beta_override(self, tmp_path, capsys):
         # beta_1 must lie in [lambda_2 - lambda_1, 0[ = [-2, 0[
@@ -349,19 +363,28 @@ class TestEndToEnd:
         assert run("verify", config) == EXIT_OK
 
     def test_oracle_horizon_stays_in_the_solved_window(self, tmp_path):
-        # with t_max < 10 the dominant root is compared up to t_max too,
-        # not against the zero tail beyond the solved window
-        config = load_config(write_config(tmp_path, MINIMAL + "t_max = 8\n"))
-        config.output_dir = tmp_path / "out"
-        run("verify", config)
-        diag = config.output_dir / "diagnostics.csv"
-        lines = diag.read_text().splitlines()
-        header = lines[0].split(",")
-        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-        oracle_t = {row["quantity"]: row["t"] for row in rows
-                    if row["quantity"].startswith("oracle_")}
-        assert oracle_t == {"oracle_value": "8.0",
-                            "oracle_log-derivative": "8.0"}
+        # with t_max - t0 < 10 the dominant root is compared up to t_max
+        # too, not against the zero tail beyond the solved window; every
+        # sample time is measured from t0, so a later t0 moves them all
+        for name, window, end in (("short", "t_max = 8", "8.0"),
+                                  ("late_short", "t0 = 20\nt_max = 28",
+                                   "28.0"),
+                                  ("late", "t0 = 20", "30.0")):
+            config = load_config(write_config(tmp_path, MINIMAL + window
+                                              + "\n"))
+            config.output_dir = tmp_path / name
+            run("verify", config)
+            diag = config.output_dir / "diagnostics.csv"
+            lines = diag.read_text().splitlines()
+            header = lines[0].split(",")
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            oracle_t = {row["quantity"]: row["t"] for row in rows
+                        if row["quantity"].startswith("oracle_")}
+            assert oracle_t == {"oracle_value": end,
+                                "oracle_log-derivative": end}, name
+            problem = config.problem
+            assert all(problem.t0 < float(row["t"]) <= problem.t_max
+                       for row in rows if row["t"]), name
 
     def test_determinism_byte_identical(self, tmp_path):
         out_a = tmp_path / "a"

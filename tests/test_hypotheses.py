@@ -26,16 +26,15 @@ from poincarefp.hypotheses import (
     hypothesis_grid,
 )
 from poincarefp.multipoly import Poly
-from poincarefp.problem import ProblemSpec
-from poincarefp.reduction import OmegaTable, _nvars, _r, build_reduced_rhs
-from poincarefp.spectral import find_roots, shift_spectrum
+from poincarefp.problem import Equation, ProblemSpec
+from poincarefp.reduction import OmegaTable, _nvars, _r
 
 
 @pytest.fixture(scope="module")
 def n2_problem():
+    """Root 1 (mu = 1) has gamma = (-2,); root 2 (mu = -1) gamma = (2,)."""
     return ProblemSpec(
-        n=2,
-        a=(-1.0, 0.0),
+        Equation(2, (-1.0, 0.0)),
         r_sources=("exp(-3*t)", "0"),
         t0=0.0,
         t_max=64.0,
@@ -43,87 +42,58 @@ def n2_problem():
     )
 
 
-@pytest.fixture(scope="module")
-def n2_kernel(n2_problem):
-    spectrum = find_roots(n2_problem.a)
-    return build_kernel(shift_spectrum(spectrum, 1))  # mu = 1, gamma = (-2,)
-
-
-@pytest.fixture(scope="module")
-def n2_table(n2_problem):
-    return build_reduced_rhs(n2_problem.a, n2_problem.n)
-
-
 class TestComputeR:
-    def test_closed_form_exponential(self, n2_problem, n2_kernel, n2_table):
+    def test_closed_form_exponential(self, n2_problem):
         # R(t) = |int_0^t e^{-2(t-s)} e^{-3s} ds| = e^{-2t} - e^{-3t}
         for t in (0.5, 1.0, 2.0):
             expected = np.exp(-2 * t) - np.exp(-3 * t)
-            got = compute_R(n2_problem, n2_kernel, n2_table, t)
+            got = compute_R(n2_problem, 1, t)
             assert got == pytest.approx(expected, rel=1e-8)
 
-    def test_vanishes_at_t0(self, n2_problem, n2_kernel, n2_table):
+    def test_vanishes_at_t0(self, n2_problem):
         # the causal kernel support collapses at the left endpoint
-        assert compute_R(n2_problem, n2_kernel, n2_table, 0.0) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert compute_R(n2_problem, 1, 0.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_decays_to_zero(self, n2_problem, n2_kernel, n2_table):
-        assert compute_R(n2_problem, n2_kernel, n2_table, 20.0) < 1e-15
+    def test_decays_to_zero(self, n2_problem):
+        assert compute_R(n2_problem, 1, 20.0) < 1e-15
 
-    def test_zero_perturbation(self, n2_kernel, n2_table):
-        problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "0"), t_max=64.0,
-            grid_points=64,
-        )
-        assert compute_R(problem, n2_kernel, n2_table, 3.0) == 0.0
+    def test_zero_perturbation(self, n2_problem):
+        problem = replace(n2_problem, r_sources=("0", "0"))
+        assert compute_R(problem, 1, 3.0) == 0.0
 
-    def test_quadrature_self_consistency(self, n2_problem, n2_kernel,
-                                         n2_table):
-        loose = compute_R(replace(n2_problem, tol=1e-8), n2_kernel,
-                          n2_table, 1.5)
-        tight = compute_R(replace(n2_problem, tol=1e-10), n2_kernel,
-                          n2_table, 1.5)
+    def test_quadrature_self_consistency(self, n2_problem):
+        loose = compute_R(replace(n2_problem, tol=1e-8), 1, 1.5)
+        tight = compute_R(replace(n2_problem, tol=1e-10), 1, 1.5)
         assert loose == pytest.approx(tight, abs=1e-8)
 
-    def test_config_tolerance_reaches_R(self, n2_problem, n2_table):
+    def test_config_tolerance_reaches_R(self, n2_problem):
         # mu = -1: the anticausal kernel e^{2(t-s)} on s >= t, so
         # R(t) = int_t^inf e^{2(t-s)} e^{-3s} ds = e^{-3t} / 5, and the
         # tail cutoff follows the problem's tol
-        kernel = build_kernel(shift_spectrum(find_roots(n2_problem.a), 2))
-        loose = compute_R(replace(n2_problem, tol=1e-6), kernel, n2_table,
-                          1.5)
-        tight = compute_R(n2_problem, kernel, n2_table, 1.5)
+        loose = compute_R(replace(n2_problem, tol=1e-6), 2, 1.5)
+        tight = compute_R(n2_problem, 2, 1.5)
         assert loose != tight
         assert loose == pytest.approx(np.exp(-4.5) / 5, rel=1e-6)
         assert tight == pytest.approx(np.exp(-4.5) / 5, rel=1e-10)
 
 
 class TestComputeL:
-    def test_constant_mass_closed_form(self, n2_problem, n2_kernel,
-                                       n2_table):
+    def test_constant_mass_closed_form(self, n2_problem):
         # order-2 mass is the constant 1 (the z^2 coefficient), so
         # L_2(t) = int_0^t e^{-2(t-s)} ds = (1 - e^{-2t}) / 2
         for t in (0.5, 2.0, 10.0):
             expected = (1.0 - np.exp(-2 * t)) / 2.0
-            got = compute_L(n2_problem, n2_kernel, n2_table, t, 2)
+            got = compute_L(n2_problem, 1, t, 2)
             assert got == pytest.approx(expected, rel=1e-8)
 
-    def test_linear_mass_vanishes_without_r1(self, n2_problem, n2_kernel,
-                                             n2_table):
-        assert compute_L(n2_problem, n2_kernel, n2_table, 2.0, 1) == 0.0
+    def test_linear_mass_vanishes_without_r1(self, n2_problem):
+        assert compute_L(n2_problem, 1, 2.0, 1) == 0.0
 
-    def test_anticausal_side_included(self):
+    def test_anticausal_side_included(self, n2_problem):
         # mu = -1 gives gamma = (+2): anticausal kernel, so L_2 covers
         # [t, inf) and equals int_t^inf e^{2(t-s)} ds = 1/2 everywhere
-        problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "0"), t_max=64.0,
-            grid_points=64,
-        )
-        spectrum = find_roots(problem.a)
-        kernel = build_kernel(shift_spectrum(spectrum, 2))
-        table = build_reduced_rhs(problem.a, problem.n)
-        got = compute_L(problem, kernel, table, 3.0, 2)
+        problem = replace(n2_problem, r_sources=("0", "0"))
+        got = compute_L(problem, 2, 3.0, 2)
         assert got == pytest.approx(0.5, rel=1e-8)
 
 
@@ -140,62 +110,63 @@ class TestPhi1:
         k = build_kernel(make_shifted((1.0, -1.0)))
         assert compute_phi1(k) == pytest.approx(2.0)
 
-    def test_single_root(self, n2_kernel):
-        assert compute_phi1(n2_kernel) == pytest.approx(1.0)
+    def test_single_root(self, n2_problem):
+        kernel = n2_problem.equation.kernels[0]
+        assert compute_phi1(kernel) == pytest.approx(1.0)
+
+
+def r1_only_table(monkeypatch):
+    """Make the next equation derive a custom n = 2 table whose only
+    |alpha| >= 1 coefficient is r1, so sigma's mass is |r1| alone."""
+    table = OmegaTable(
+        n=2,
+        a=(-1.0, 0.0),
+        table={(1,): _r(2, 1)},
+        f_poly=Poly(_nvars(2)),
+    )
+    monkeypatch.setattr("poincarefp.problem.build_reduced_rhs",
+                        lambda a, n: table)
 
 
 class TestSigma:
-    def test_finite_closed_form_for_decaying_mass(self):
-        # custom table whose only |alpha| >= 1 coefficient is r1, with
+    def test_finite_closed_form_for_decaying_mass(self, monkeypatch):
         # r1(s) = e^{-3s}: sigma_2(t) = int_0^inf e^{-2(t-s)}e^{-3s} ds
         # = e^{-2t}, supremum on the grid at its smallest t
+        r1_only_table(monkeypatch)
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "exp(-3*t)"), t_max=64.0,
-            grid_points=64,
-        )
-        table = OmegaTable(
-            n=2,
-            a=(-1.0, 0.0),
-            table={(1,): _r(2, 1)},
-            f_poly=Poly(_nvars(2)),
+            Equation(2, (-1.0, 0.0)), r_sources=("0", "exp(-3*t)"),
+            t_max=64.0, grid_points=64,
         )
         grid = (1.0, 2.0, 4.0, 8.0, 16.0)
-        est = estimate_sigma(problem, table, 2.0, 1.0, grid)
+        est = estimate_sigma(problem, 2.0, 1.0, grid)
         assert est.status == "finite"
         assert est.value == pytest.approx(np.exp(-2.0), rel=1e-6)
         assert est.arg_t == pytest.approx(1.0)
 
-    def test_constant_mass_diverges(self, n2_problem, n2_table):
+    def test_constant_mass_diverges(self, n2_problem):
         # the z^2 coefficient contributes constant mass 1, so the
         # weighted integral cannot converge for gamma > 0 ...
         grid = hypothesis_grid(n2_problem)
-        est = estimate_sigma(n2_problem, n2_table, 2.0, 1.0, grid)
+        est = estimate_sigma(n2_problem, 2.0, 1.0, grid)
         assert est.status == "divergent"
         assert est.value == np.inf
 
-    def test_negative_gamma_supremum_diverges(self, n2_problem, n2_table):
+    def test_negative_gamma_supremum_diverges(self, n2_problem):
         # ... and for gamma < 0 the inner integral grows like e^{|gamma| t}
         grid = hypothesis_grid(n2_problem)
-        est = estimate_sigma(n2_problem, n2_table, -2.0, 1.0, grid)
+        est = estimate_sigma(n2_problem, -2.0, 1.0, grid)
         assert est.status == "divergent"
 
-    def test_monotone_in_mass(self):
-        problem_small = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "exp(-3*t)"), t_max=64.0,
-            grid_points=64,
+    def test_monotone_in_mass(self, monkeypatch):
+        r1_only_table(monkeypatch)
+        small = ProblemSpec(
+            Equation(2, (-1.0, 0.0)), r_sources=("0", "exp(-3*t)"),
+            t_max=64.0, grid_points=64,
         )
-        problem_big = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "3*exp(-3*t)"), t_max=64.0,
-            grid_points=64,
-        )
-        table = OmegaTable(
-            n=2, a=(-1.0, 0.0), table={(1,): _r(2, 1)},
-            f_poly=Poly(_nvars(2)),
-        )
+        big = replace(small, r_sources=("0", "3*exp(-3*t)"))
         grid = (1.0, 2.0, 4.0)
-        small = estimate_sigma(problem_small, table, 2.0, 1.0, grid)
-        big = estimate_sigma(problem_big, table, 2.0, 1.0, grid)
-        assert big.value >= small.value
+        assert (estimate_sigma(big, 2.0, 1.0, grid).value
+                >= estimate_sigma(small, 2.0, 1.0, grid).value)
 
 
 class TestEvaluateHypotheses:
@@ -207,7 +178,7 @@ class TestEvaluateHypotheses:
 
     def test_repeated_roots_suppress_downstream(self):
         problem = ProblemSpec(
-            n=2, a=(1.0, -2.0), r_sources=("0", "0"), t_max=32.0,
+            Equation(2, (1.0, -2.0)), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
         report = evaluate_hypotheses(problem, 1)
@@ -217,7 +188,7 @@ class TestEvaluateHypotheses:
 
     def test_complex_roots_fail_h1(self):
         problem = ProblemSpec(
-            n=2, a=(1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
+            Equation(2, (1.0, 0.0)), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
         # a failed spectrum is not cached: every root meets the error again
@@ -233,14 +204,15 @@ class TestEvaluateHypotheses:
             raise RuntimeError("root finder defect")
 
         monkeypatch.setattr("poincarefp.problem.find_roots", broken)
+        fresh = Equation(n2_problem.n, n2_problem.a)  # nothing cached yet
         with pytest.raises(RuntimeError, match="defect"):
-            evaluate_hypotheses(replace(n2_problem), 1)
+            evaluate_hypotheses(replace(n2_problem, equation=fresh), 1)
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_one_kernel_pass_per_root(self, e1_problem, monkeypatch, i):
         # R and every L_k come from one panel rule over the kernel's
         # exponentials; sigma's rules run over e^{-gamma (t - s)} instead
-        gammas = shift_spectrum(find_roots(e1_problem.a), i).gamma
+        gammas = e1_problem.equation.kernels[i - 1].gamma.gamma
         sample = kernelquad._sample
         passes = []
 

@@ -27,9 +27,7 @@ from poincarefp.hypotheses import (
     estimate_sigma,
     hypothesis_grid,
 )
-from poincarefp.problem import ProblemSpec
-from poincarefp.reduction import build_reduced_rhs
-from poincarefp.spectral import find_roots, shift_spectrum
+from poincarefp.problem import Equation, ProblemSpec
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.conf"))
 TARGETS = np.array([0.0, 0.5, 1.0, 3.0, 7.5])
@@ -183,37 +181,32 @@ class TestKinks:
 
     def test_sign_changing_coefficient_mass(self):
         # M_1 = |r_1| = |0.5 - e^{-s}| has a kink at s = ln 2
-        problem = ProblemSpec(n=2, a=(-1.0, 0.0),
+        problem = ProblemSpec(Equation(2, (-1.0, 0.0)),
                               r_sources=("0", "0.5 - exp(-t)"), t_max=64.0,
                               grid_points=64)
-        kernel = build_kernel(shift_spectrum(find_roots(problem.a), 1))
-        table = build_reduced_rhs(problem.a, problem.n)
-        model = ScalarModel(problem, kernel, table)
+        model = ScalarModel(problem, 1)
         for t in (1.0, 2.0, 4.0):
-            got = compute_L(problem, kernel, table, t, 1)
+            got = compute_L(problem, 1, t, 1)
             assert agree(got, quad_L(model, t, 1))
 
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=lambda p: p.stem)
 def shipped(request):
-    problem = load_config(request.param).problem
-    return problem, find_roots(problem.a), build_reduced_rhs(problem.a,
-                                                             problem.n)
+    return load_config(request.param).problem
 
 
 class TestAgainstQuadOracle:
     def test_R_and_L(self, shipped):
-        problem, spectrum, table = shipped
+        problem = shipped
         grid = np.array(hypothesis_grid(problem))
         bad = []
         for i in range(1, problem.n + 1):
-            kernel = build_kernel(shift_spectrum(spectrum, i))
-            model = ScalarModel(problem, kernel, table)
-            got = compute_R(problem, kernel, table, grid)
+            model = ScalarModel(problem, i)
+            got = compute_R(problem, i, grid)
             bad += [("R", i, t) for t, v in zip(grid, got)
                     if not agree(v, quad_R(model, t))]
             for k in range(1, problem.n + 1):
-                got = compute_L(problem, kernel, table, grid, k)
+                got = compute_L(problem, i, grid, k)
                 bad += [(f"L_{k}", i, t) for t, v in zip(grid, got)
                         if not agree(v, quad_L(model, t, k))]
         assert not bad
@@ -221,13 +214,13 @@ class TestAgainstQuadOracle:
     def test_sigma(self, shipped):
         # a finite sigma matches the oracle at its argmax; a divergent one
         # has an oracle tail that does not decay or keeps growing
-        problem, spectrum, table = shipped
+        problem = shipped
         grid = hypothesis_grid(problem)
         for i in range(1, problem.n + 1):
-            shifted = shift_spectrum(spectrum, i)
-            model = ScalarModel(problem, build_kernel(shifted), table)
+            model = ScalarModel(problem, i)
+            shifted = problem.equation.kernels[i - 1].gamma
             for gam in shifted.gamma:
-                est = estimate_sigma(problem, table, gam, shifted.mu, grid)
+                est = estimate_sigma(problem, gam, shifted.mu, grid)
                 if est.status == "finite":
                     ref = quad_sigma(model, gam, est.arg_t)
                     assert agree(est.value, ref)
@@ -239,13 +232,14 @@ class TestAgainstQuadOracle:
                 assert ref[1] > 1.1 * ref[0]
 
     def test_envelope(self, shipped):
-        problem, spectrum, _ = shipped
+        problem = shipped
         # the windows and beta of the verify stage
         lo = min(10.0, problem.t_max / 4)
         hi = min(100.0, problem.t_max / 2)
         ts = np.linspace(lo, min(lo + 2 * (hi - lo), problem.t_max), 25)
+        spectrum = problem.equation.spectrum
         for i in range(1, problem.n + 1):
             beta = sum(admissible_beta_interval(spectrum, i)) / 2
-            got = envelope(problem, spectrum, i, beta, ts)
-            ref = [quad_envelope(problem, spectrum, i, beta, t) for t in ts]
+            got = envelope(problem, i, beta, ts)
+            ref = [quad_envelope(problem, i, beta, t) for t in ts]
             assert all(agree(v, q) for v, q in zip(got, ref))

@@ -199,6 +199,90 @@ def test_detector_sees_a_multipoly_import(tmp_path):
     ]
 
 
+PROBLEM = {"problem", "ProblemSpec"}
+ALGEBRA = {"table", "spectrum", "kernel", "OmegaTable", "Spectrum",
+           "GreenKernel"}
+SYSTEM = {"fs", "FundamentalSystem"}
+
+
+def _kinds(name: str, ann) -> set[str]:
+    """A parameter's or field's name and the name its annotation spells."""
+    if isinstance(ann, ast.Constant):
+        return {name, str(ann.value)}
+    if isinstance(ann, ast.Name):
+        return {name, ann.id}
+    if isinstance(ann, ast.Attribute):
+        return {name, ann.attr}
+    return {name}
+
+
+def restated_algebra(path: Path) -> list[str]:
+    """Every public function, public method, ``__init__`` or class with
+    annotated fields (a dataclass's ``__init__``) that takes a problem next
+    to its own algebra (a table, spectrum or kernel), or next to a
+    fundamental system, which holds the problem already."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    params = {}  # name -> (line, [(parameter, annotation)])
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            params[node.name] = (node.lineno, node.args)
+        elif isinstance(node, ast.ClassDef):
+            params[node.name] = (node.lineno, [
+                (field.target.id, field.annotation) for field in node.body
+                if isinstance(field, ast.AnnAssign)
+                and isinstance(field.target, ast.Name)])
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    params[f"{node.name}.{method.name}"] = (method.lineno,
+                                                            method.args)
+    found = []
+    for name, (line, args) in params.items():
+        short = name.rsplit(".", 1)[-1]
+        if short.startswith("_") and short != "__init__":
+            continue
+        if isinstance(args, ast.arguments):
+            args = [(arg.arg, arg.annotation) for arg in
+                    args.posonlyargs + args.args + args.kwonlyargs]
+        kinds = set().union(*(_kinds(*arg) for arg in args))
+        if kinds & PROBLEM and kinds & (ALGEBRA | SYSTEM):
+            found.append(f"{name} (line {line})")
+    return found
+
+
+def test_no_function_takes_the_problem_and_its_algebra():
+    # the problem's equation owns its spectrum, table and kernels, and a
+    # fundamental system its problem: a second argument for either could
+    # disagree with the first and nothing would notice
+    offenders = {
+        path.name: defs
+        for path in sorted(SRC.glob("*.py"))
+        if (defs := restated_algebra(path))
+    }
+    assert not offenders
+
+
+def test_detector_sees_restated_algebra(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def envelope(problem, spectrum, i): ...\n"
+        "class Operator:\n"
+        "    def __init__(self, spec: ProblemSpec, omega: 'OmegaTable'):\n"
+        "        ...\n"
+        "    def apply(self, values, problem, kernel): ...\n"
+        "def abel_check(problem, system: FundamentalSystem, t): ...\n"
+        "def check_beta(spectrum, i, beta): ...\n"
+        "def _helper(problem, table): ...\n"
+        "class System:\n"
+        "    problem: ProblemSpec\n"
+        "    roots: Spectrum\n",
+        encoding="utf-8",
+    )
+    assert restated_algebra(probe) == [
+        "envelope (line 1)", "Operator.__init__ (line 3)",
+        "Operator.apply (line 5)", "abel_check (line 6)", "System (line 9)",
+    ]
+
+
 def modules_after(code: str) -> set[str]:
     """sys.modules of a fresh interpreter after it ran ``code``."""
     script = code + "\nimport sys\nprint('--', *sys.modules, sep='\\n')\n"

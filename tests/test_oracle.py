@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 
-from poincarefp import dop853, find_roots
+from poincarefp import dop853
 from poincarefp.asymptotics import build_fundamental_system
 from poincarefp.cli import load_config
 from poincarefp.errors import IntegrationFailure
@@ -20,7 +20,7 @@ from poincarefp.oracle import (
     initial_jet,
     integrate_original,
 )
-from poincarefp.problem import ProblemSpec
+from poincarefp.problem import Equation, ProblemSpec
 from poincarefp.solver import solve_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -46,7 +46,7 @@ def every_step_rhs(problem: ProblemSpec):
 class TestIntegrateOriginal:
     def test_pure_exponential_n2(self):
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
+            Equation(2, (-1.0, 0.0)), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
         sample = integrate_original(
@@ -56,7 +56,7 @@ class TestIntegrateOriginal:
 
     def test_pure_exponential_growth_ratio(self):
         problem = ProblemSpec(
-            n=3, a=(-6.0, 11.0, -6.0), r_sources=("0", "0", "0"),
+            Equation(3, (-6.0, 11.0, -6.0)), r_sources=("0", "0", "0"),
             t_max=32.0, grid_points=32,
         )
         t_eval = np.array([0.999, 1.0])
@@ -67,7 +67,7 @@ class TestIntegrateOriginal:
 
     def test_tolerance_tightening_improves_error(self):
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
+            Equation(2, (-1.0, 0.0)), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
         t_eval = np.array([2.0])
@@ -109,8 +109,7 @@ def config_system(name):
     config = load_config(CONFIGS / f"{name}.conf")
     problem = config.problem
     grids = [solve_problem(problem, i)[1] for i in range(1, problem.n + 1)]
-    return problem, build_fundamental_system(problem, find_roots(problem.a),
-                                             grids)
+    return problem, build_fundamental_system(problem, grids)
 
 
 class TestAgainstSolveIvp:
@@ -133,7 +132,7 @@ class TestAgainstSolveIvp:
         # at t ~ 1e17 the minimum step (ten ulps, 160) is far above the
         # step that e^{10 t} needs
         problem = ProblemSpec(
-            n=2, a=(-100.0, 0.0), r_sources=("0", "0"), t0=1e17,
+            Equation(2, (-100.0, 0.0)), r_sources=("0", "0"), t0=1e17,
             t_max=1e17 + 1e4, grid_points=32,
         )
         t_end = 1e17 + 1024.0
@@ -148,7 +147,7 @@ class TestAgainstSolveIvp:
     def test_overflow_raises_without_warning(self):
         # y'' = 1e6 y grows like e^{1000 t} and overflows before t = 1
         problem = ProblemSpec(
-            n=2, a=(-1e6, 0.0), r_sources=("0", "0"), t_max=32.0,
+            Equation(2, (-1e6, 0.0)), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
         with warnings.catch_warnings():
@@ -159,7 +158,7 @@ class TestAgainstSolveIvp:
 
     def test_rejects_samples_outside_the_span(self):
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "0"), t_max=32.0,
+            Equation(2, (-1.0, 0.0)), r_sources=("0", "0"), t_max=32.0,
             grid_points=32,
         )
         with pytest.raises(ValueError):
@@ -170,7 +169,7 @@ class TestAgainstSolveIvp:
 class TestCompanionRhs:
     def test_constant_perturbations_evaluated_once(self, monkeypatch):
         problem = ProblemSpec(
-            n=3, a=(-6.0, 11.0, -6.0),
+            Equation(3, (-6.0, 11.0, -6.0)),
             r_sources=("1/(1+t)^3", "0", "exp(1)/100"),
             t_max=32.0, grid_points=32,
         )
@@ -206,14 +205,9 @@ class TestCompanionRhs:
 
 class TestComparisons:
     def test_trivial_problem_value_agreement(self, trivial_problem):
-        from poincarefp import find_roots, solve_problem
-        from poincarefp.asymptotics import build_fundamental_system
-
-        spectrum = find_roots(trivial_problem.a)
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
-        fs = build_fundamental_system(trivial_problem, spectrum, grids)
-        comp = compare_to_fixed_point(trivial_problem, fs, 1, 5.0,
-                                      mode="value")
+        fs = build_fundamental_system(trivial_problem, grids)
+        comp = compare_to_fixed_point(fs, 1, 5.0, mode="value")
         assert comp.max_error < 1e-9
 
     def test_golden_initial_jet(self, e1_system):
@@ -222,41 +216,37 @@ class TestComparisons:
         # lambda_1 + z(t0) with z(t0) = 0 for the causal case-1 kernel
         assert jet[1] == pytest.approx(3.0, abs=1e-9)
 
-    def test_golden_dominant_value_comparison(self, e1_problem, e1_system):
-        comp = compare_to_fixed_point(e1_problem, e1_system, 1, 10.0)
+    def test_golden_dominant_value_comparison(self, e1_system):
+        comp = compare_to_fixed_point(e1_system, 1, 10.0)
         assert comp.mode == "value"
         assert comp.max_error < 1e-4
 
-    def test_golden_dominated_log_derivative(self, e1_problem, e1_system):
+    def test_golden_dominated_log_derivative(self, e1_system):
         for i in (2, 3):
-            comp = compare_to_fixed_point(e1_problem, e1_system, i, 10.0)
+            comp = compare_to_fixed_point(e1_system, i, 10.0)
             assert comp.mode == "log-derivative"
             assert comp.max_error < 1e-3
 
-    def test_unknown_mode_rejected(self, e1_problem, e1_system):
+    def test_unknown_mode_rejected(self, e1_system):
         with pytest.raises(ValueError):
-            compare_to_fixed_point(e1_problem, e1_system, 1, 5.0,
-                                   mode="bogus")
+            compare_to_fixed_point(e1_system, 1, 5.0, mode="bogus")
 
 
 class TestAbel:
-    def test_abel_identity_on_golden(self, e1_problem, e1_system):
-        measured, expected = abel_check(e1_problem, e1_system, 5.0)
+    def test_abel_identity_on_golden(self, e1_system):
+        measured, expected = abel_check(e1_system, 5.0)
         # relative to the size of the exponent a_{n-1} (t - t0)
         assert measured == pytest.approx(expected, rel=1e-6)
 
     def test_trace_perturbation_enters_expected_value(self):
         # y'' + (1+t)^-2 y' - y = 0: a_1 = 0, so the whole Wronskian decay
         # comes from -int_0^10 r_1 = -(1 - 1/11)
-        from poincarefp import find_roots, solve_problem
-        from poincarefp.asymptotics import build_fundamental_system
-
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("0", "1/(1+t)^2"), t_max=120.0,
-            grid_points=160,
+            Equation(2, (-1.0, 0.0)), r_sources=("0", "1/(1+t)^2"),
+            t_max=120.0, grid_points=160,
         )
         grids = [solve_problem(problem, i)[1] for i in (1, 2)]
-        fs = build_fundamental_system(problem, find_roots(problem.a), grids)
-        measured, expected = abel_check(problem, fs, 10.0)
+        fs = build_fundamental_system(problem, grids)
+        measured, expected = abel_check(fs, 10.0)
         assert expected == pytest.approx(-10.0 / 11.0, rel=1e-12)
         assert measured == pytest.approx(expected, rel=1e-8)

@@ -12,33 +12,23 @@ from scipy import integrate
 from poincarefp import chebgrid
 from poincarefp.cli import load_config
 from poincarefp.errors import DivergenceDetected, InvarianceViolated
-from poincarefp.green import build_kernel
 from poincarefp.multipoly import Poly
-from poincarefp.problem import ProblemSpec
-from poincarefp.reduction import build_reduced_rhs
+from poincarefp.problem import Equation, ProblemSpec
 from poincarefp.solver import (
     FixedPointOperator,
     ode_residual,
     picard_solve,
     solve_problem,
 )
-from poincarefp.spectral import find_roots, shift_spectrum
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def build_operator(problem, i):
-    spectrum = find_roots(problem.a)
-    kernel = build_kernel(shift_spectrum(spectrum, i))
-    table = build_reduced_rhs(problem.a, problem.n)
-    return FixedPointOperator(problem, kernel, table)
 
 
 class TestKernelIntegrals:
     def test_matches_adaptive_quadrature(self, e1_problem):
         # one application of T from zero forcing P = -Omega_0; compare the
         # panel recurrence against scipy quad per node and per gamma
-        operator = build_operator(e1_problem, 2)
+        operator = FixedPointOperator(e1_problem, 2)
         zero = operator.zero()
         forcing = operator.forcing(zero)
         integrals = operator.kernel_integrals(forcing)
@@ -46,7 +36,7 @@ class TestKernelIntegrals:
         alpha0 = (0,) * (e1_problem.n - 1)
 
         def p_of(s):
-            return -operator.table.omega_value(
+            return -e1_problem.equation.table.omega_value(
                 alpha0, mu, e1_problem.r_list(s)
             )
 
@@ -72,13 +62,13 @@ class TestKernelIntegrals:
 class TestTrivialProblem:
     def test_zero_perturbation_fixed_point_is_zero(self, trivial_problem):
         for i in (1, 2, 3):
-            operator = build_operator(trivial_problem, i)
+            operator = FixedPointOperator(trivial_problem, i)
             grid, cert = picard_solve(operator)
             assert cert.iterations == 1
             assert np.max(np.abs(grid.values)) == 0.0
 
     def test_apply_T_of_zero_is_zero(self, trivial_problem):
-        operator = build_operator(trivial_problem, 1)
+        operator = FixedPointOperator(trivial_problem, 1)
         out = operator.apply(operator.zero())
         assert np.max(np.abs(out)) == 0.0
 
@@ -87,7 +77,7 @@ class TestLinearOracle:
     def test_first_iterate_solves_linear_equation(self, e1_problem):
         # after one application from zero, z = T0 satisfies the linear
         # equation z' jet vs spectral differentiation consistency
-        operator = build_operator(e1_problem, 1)
+        operator = FixedPointOperator(e1_problem, 1)
         first = operator.apply(operator.zero())
         dmat = chebgrid.differentiation_matrix(
             operator.nodes, chebgrid.lobatto_weights(len(operator.nodes))
@@ -100,10 +90,10 @@ class TestLinearOracle:
         # first iterate is z_1(t) = -c int_0^t e^{-2(t-s)} e^{-3s} ds
         c = 1e-6
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=(f"{c!r}*exp(-3*t)", "0"),
+            Equation(2, (-1.0, 0.0)), r_sources=(f"{c!r}*exp(-3*t)", "0"),
             t_max=40.0, grid_points=120,
         )
-        operator = build_operator(problem, 1)
+        operator = FixedPointOperator(problem, 1)
         first = operator.apply(operator.zero())
         for k in (5, 30, 80):
             t = operator.nodes[k]
@@ -184,7 +174,7 @@ class TestPicardOnGolden:
 
 class TestFailureModes:
     def test_invariance_violation_raised(self, e1_problem):
-        operator = build_operator(e1_problem, 2)
+        operator = FixedPointOperator(e1_problem, 2)
         with pytest.raises(InvarianceViolated):
             picard_solve(operator, eta=1e-4)
 
@@ -192,7 +182,7 @@ class TestFailureModes:
         # a perturbation big enough to leave a small default ball but
         # still contracting: force the retry path via a tiny eta default
         problem = ProblemSpec(
-            n=3, a=(-6.0, 11.0, -6.0), r_sources=("1/(1+t)^3", "0", "0"),
+            Equation(3, (-6.0, 11.0, -6.0)), r_sources=("1/(1+t)^3", "0", "0"),
             t_max=120.0, grid_points=120, eta=0.2,
         )
         operator, grid, cert = solve_problem(problem, 2)
@@ -203,17 +193,17 @@ class TestFailureModes:
     def test_divergence_detected_for_strong_coupling(self):
         # blow the perturbation up so Picard stops contracting
         problem = ProblemSpec(
-            n=2, a=(-1.0, 0.0), r_sources=("40/(1+t)^2", "0"),
+            Equation(2, (-1.0, 0.0)), r_sources=("40/(1+t)^2", "0"),
             t_max=60.0, grid_points=100, eta=1e6, max_iter=60,
         )
-        operator = build_operator(problem, 1)
+        operator = FixedPointOperator(problem, 1)
         with pytest.raises(DivergenceDetected):
             picard_solve(operator)
 
 
 def e1_at(grid_points):
     return ProblemSpec(
-        n=3, a=(-6.0, 11.0, -6.0), r_sources=("1/(1+t)^3", "0", "0"),
+        Equation(3, (-6.0, 11.0, -6.0)), r_sources=("1/(1+t)^3", "0", "0"),
         t_max=220.0, grid_points=grid_points,
     )
 
@@ -266,7 +256,7 @@ class TestMemory:
 
 class TestOmegaHoisted:
     def test_apply_evaluates_no_polynomial(self, e1_problem, monkeypatch):
-        operator = build_operator(e1_problem, 2)
+        operator = FixedPointOperator(e1_problem, 2)
         values = operator.apply(operator.zero())
         calls = []
         evaluate = Poly.evaluate
@@ -281,16 +271,17 @@ class TestOmegaHoisted:
         assert calls == []
 
     def test_forcing_equals_table_rhs(self, e1_problem):
-        operator = build_operator(e1_problem, 2)
+        operator = FixedPointOperator(e1_problem, 2)
         values = operator.apply(operator.zero())
         n = e1_problem.n
         pts = operator.panels.points.ravel()
         zjet = list(operator.panels.interpolate(values).reshape(n - 1, -1))
-        expected = operator.table.evaluate_rhs(
+        table = e1_problem.equation.table
+        expected = table.evaluate_rhs(
             operator.mu, [e1_problem.r_value(i, pts) for i in range(n)], zjet
         )
         assert np.array_equal(operator.forcing(values), expected)
-        at_nodes = operator.table.evaluate_rhs(
+        at_nodes = table.evaluate_rhs(
             operator.mu,
             [e1_problem.r_value(i, operator.nodes) for i in range(n)],
             list(values),
