@@ -13,7 +13,6 @@ identical inputs reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,6 @@ from .errors import ConfigError, PoincarefpError
 from .hypotheses import evaluate_hypotheses
 from .problem import Equation, ProblemSpec
 from .solver import ode_residual, solve_problem
-from .spectral import shift_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,17 +128,18 @@ def load_config(path) -> Config:
         what = "a number" if kind is float else "an integer"
         raise ConfigError(f"{key} must be {what}, got {value!r}")
 
+    # types only: Equation and ProblemSpec check n and the lengths
     n = take("n", required=True)
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"n must be an integer >= 2, got {n!r}")
+    if not isinstance(n, int):
+        raise ConfigError(f"n must be an integer, got {n!r}")
     a = take("a", required=True)
-    if not isinstance(a, list) or len(a) != n or not all(
+    if not isinstance(a, list) or not all(
         isinstance(v, (int, float)) for v in a
     ):
-        raise ConfigError(f"a must be a list of {n} numbers")
+        raise ConfigError("a must be a list of numbers")
     r = take("r", required=True)
-    if not isinstance(r, list) or len(r) != n:
-        raise ConfigError(f"r must be a list of {n} expression strings")
+    if not isinstance(r, list):
+        raise ConfigError("r must be a list of expression strings")
     r = [str(src) for src in r]
 
     beta_overrides = {}
@@ -178,18 +177,31 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header, rows):
-    """Write the header and rows.  A numpy scalar cell is written as the
-    Python value it holds; csv writes a float by repr, its shortest
-    round-trip decimal, and any other cell by str."""
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(
-            [cell.item() if isinstance(cell, np.generic) else cell
-             for cell in row]
-            for row in rows
-        )
+def _render(cells) -> list[str]:
+    """The cells as ``csv.writer`` (excel dialect) writes them, each by
+    str; a float's str is its repr, the shortest round-trip decimal.  A
+    numeric numpy array is rendered in C, through the Python scalars of
+    its ``tolist``.  Any other cell goes one by one: a numpy scalar is
+    written as the Python value it holds, and text holding a comma, a
+    quote or a line break is quoted, its quotes doubled."""
+    if isinstance(cells, np.ndarray):
+        return list(map(str, cells.tolist()))
+    out = []
+    for cell in cells:
+        text = str(cell.item() if isinstance(cell, np.generic) else cell)
+        if any(ch in text for ch in ',"\r\n'):
+            text = '"' + text.replace('"', '""') + '"'
+        out.append(text)
+    return out
+
+
+def _write_csv(path: Path, header, columns):
+    """Write the header and the columns of rendered cells, all of one
+    length, as one string: cells joined by commas, every line ended by
+    \\r\\n."""
+    body = map(",".join, zip(*columns))
+    text = "\r\n".join([",".join(_render(header)), *body]) + "\r\n"
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def cmd_roots(config: Config) -> int:
@@ -201,8 +213,7 @@ def cmd_roots(config: Config) -> int:
     roots_text = ", ".join(_fmt(lam) for lam in spectrum.lam)
     print(f"characteristic roots: {roots_text}")
     print(f"separation: {_fmt(spectrum.separation)}")
-    for i in range(1, config.problem.n + 1):
-        shifted = shift_spectrum(spectrum, i)
+    for i, shifted in enumerate(config.problem.equation.shifted, start=1):
         gams = ", ".join(_fmt(g) for g in shifted.gamma)
         print(f"gamma(lambda_{i}): {gams}  [case {shifted.case_index}]")
     print("(H1) pass: roots real and simple")
@@ -259,7 +270,7 @@ def cmd_check(config: Config) -> int:
     _write_csv(
         config.output_dir / "hypotheses.csv",
         ("i", "quantity", "t", "value", "verdict"),
-        rows,
+        map(_render, zip(*rows)),
     )
     print(f"wrote {config.output_dir / 'hypotheses.csv'}")
     if any_fail:
@@ -290,11 +301,12 @@ def cmd_solve(config: Config) -> int:
     except PoincarefpError as exc:
         print(f"solve failed: {exc}")
         return EXIT_FAIL
+    header = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
+    # every root is solved on the problem's nodes: one t column for all
+    t_cells = _render(problem.panel_rule.nodes)
     for i, (operator, grid, cert) in results.items():
-        columns = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
-        rows = zip(grid.nodes.tolist(), *grid.values.tolist())
         csv_path = config.output_dir / f"z_lambda_{i}.csv"
-        _write_csv(csv_path, columns, rows)
+        _write_csv(csv_path, header, [t_cells, *map(_render, grid.values)])
         cert_path = config.output_dir / f"certificate_{i}.txt"
         cert_path.write_text(cert.format(), encoding="utf-8")
         print(
@@ -367,7 +379,7 @@ def cmd_verify(config: Config) -> int:
     _write_csv(
         config.output_dir / "diagnostics.csv",
         ("quantity", "i", "j", "t", "value", "reference", "verdict"),
-        rows,
+        map(_render, zip(*rows)),
     )
     print(f"wrote {config.output_dir / 'diagnostics.csv'}")
     failures = [r for r, v in zip(rows, verdicts) if v == "fail"]

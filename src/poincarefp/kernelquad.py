@@ -16,17 +16,21 @@ fastest exponential; beyond the last target, where only the tail is
 left, panels may grow with their distance from it.  A panel on which f
 has a kink of its own is halved until its rule agrees with the rule on
 its halves.  f is sampled, vectorised, on the panel points, and every
-target comes out of one pass of the exact panel recurrence
+target comes out of the exact panel recurrence
 
     I(b_{p+1}) = e^{gamma (b_{p+1} - b_p)} I(b_p)
                  + int_{b_p}^{b_{p+1}} e^{gamma (b_{p+1} - s)} f(s) ds
 
-(run from the cutoff backwards for the anticausal side); |g^(j)| does not
-split into exponential terms, so ``green_integrals`` uses a dense product.
+(run from the cutoff backwards for the anticausal side).  A first-order
+linear recurrence is a scan (Blelloch, Prefix Sums and Their Applications,
+1990), so ``recurrence`` evaluates it by cumulative products and sums over
+blocks of panels rather than panel by panel.  |g^(j)| does not split into
+exponential terms, so ``green_integrals`` uses a dense product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,7 @@ PANEL_WIDTH = 2.0
 PANEL_EXP_WIDTH = 8.0
 TAIL_GROWTH = 0.5  # panel width per unit distance beyond the last target
 MAX_SPLITS = 60  # halvings of one panel before f counts as unresolved
+SCAN_FLOOR = 1e-150  # least decay product inside one block of ``recurrence``
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 
@@ -95,18 +100,46 @@ def recurrence(panel_sums, decay, causal: bool,
                start: float = 0.0) -> np.ndarray:
     """Integral at every panel edge from the per-panel sums: forwards
     from ``start`` at the first edge (causal) or backwards from ``start``
-    at the last edge (anticausal)."""
-    acc = start
-    vals = [acc]
-    if causal:
-        for d, p in zip(decay.tolist(), panel_sums.tolist()):
-            acc = d * acc + p
-            vals.append(acc)
-        return np.array(vals)
-    for d, p in zip(decay[::-1].tolist(), panel_sums[::-1].tolist()):
-        acc = d * acc + p
-        vals.append(acc)
-    return np.array(vals[::-1])
+    at the last edge (anticausal).
+
+    S_{k+1} = d_k S_k + p_k is scanned in blocks of equal width, all at
+    once.  In a block entered with S_b, the first decay only carries
+    S_b in, and with D_k = d_{b+1} ... d_k (D_b = 1),
+
+        S_{k+1} = D_k (d_b S_b + sum_{j=b}^{k} p_j / D_j).
+
+    The width keeps every D within [SCAN_FLOOR, 1 / SCAN_FLOOR] even if
+    every decay were the farthest from 1, so p_j / D_j cannot overflow;
+    a decay that underflowed to 0 makes the width 1, a plain step.  Only
+    the values carried from block to block are a loop.
+    """
+    if not causal:
+        panel_sums, decay = panel_sums[::-1], decay[::-1]
+    count = len(decay)
+    low, high = decay.min(initial=1.0), decay.max(initial=1.0)
+    span = max(-math.log(low) if low > 0 else math.inf, math.log(high))
+    width = max(1, min(count, int(-math.log(SCAN_FLOOR) / span)
+                       if span else count))
+    rows = -(-count // width)
+    prod = np.ones(rows * width)
+    prod[:count] = decay
+    sums = np.zeros(rows * width)
+    sums[:count] = panel_sums
+    prod, sums = prod.reshape(rows, width), sums.reshape(rows, width)
+    first = prod[:, 0].copy()
+    prod[:, 0] = 1.0
+    np.cumprod(prod, axis=1, out=prod)
+    part = np.cumsum(sums / prod, axis=1)
+    # S at a block's end is gain * S_b + base
+    gain = prod[:, -1] * first
+    base = prod[:, -1] * part[:, -1]
+    entry = [start]
+    for g, b in zip(gain.tolist(), base.tolist()):
+        entry.append(g * entry[-1] + b)
+    out = np.empty(count + 1)
+    out[0] = start
+    out[1:] = (prod * ((first * entry[:-1])[:, None] + part)).ravel()[:count]
+    return out if causal else out[::-1]
 
 
 @dataclass(frozen=True)
@@ -253,8 +286,8 @@ def _resolve(f, edges, tol: float):
 def exp_integrals(f, t, t0: float, terms, rate: float,
                   tol: float) -> np.ndarray:
     """int e^{gamma (t - s)} f(s) ds for every term (first axis) and every
-    target in the scalar or array t, in one pass of the panel recurrence
-    per term.
+    target in the scalar or array t, from one scan of the panel
+    recurrence per term.
 
     ``rate`` is the decay rate that turns the probed integrand into a
     tail bound; a tail that never gets below TAIL_SAFETY * tol raises

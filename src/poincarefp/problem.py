@@ -3,13 +3,16 @@ numerical parameters.
 
 An ``Equation`` is the order n and the constant coefficients a_0..a_{n-1};
 the change of variables depends on nothing else, so it owns the
-``spectrum``, the Omega ``table`` and each root's Green ``kernels``,
-derived once, on first use.  A failed spectrum raises again on every
-access (and so do the kernels built on it), as a raise is not cached.
+``spectrum``, the Omega ``table`` and each root's ``shifted`` spectrum
+and Green ``kernels``, derived once, on first use.  A failed spectrum
+raises again on every access (and so do the values built on it), as a
+raise is not cached.
 A ``ProblemSpec`` adds the perturbations r_0..r_{n-1} (expression sources
 of t, parsed on construction), the window [t0, t_max] and the tuning
 knobs; a ``dataclasses.replace`` of any of them keeps the equation, so it
-derives nothing again, and parses a replaced ``r_sources``.
+derives nothing again, and parses a replaced ``r_sources``.  It also
+owns the solver's ``panel_rule`` on its window, built on first use and
+shared by every root; a replaced problem builds its own, with its own r.
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
 
+import numpy as np
+
+from .chebgrid import AnglePanels, lobatto_nodes
 from .errors import ConfigError, PoincarefpError
 from .exprparse import Expression, evaluate_expression, parse_expression
 from .green import GreenKernel, build_kernel
 from .reduction import MAX_ORDER, OmegaTable, build_reduced_rhs
-from .spectral import Spectrum, find_roots, shift_spectrum
+from .spectral import (ShiftedSpectrum, Spectrum, find_roots,
+                       shift_spectrum)
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,27 @@ class Equation:
         return build_reduced_rhs(self.a, self.n)
 
     @cached_property
+    def shifted(self) -> tuple[ShiftedSpectrum, ...]:
+        """The spectrum shifted to each root; entry i - 1 is root i's."""
+        return tuple(shift_spectrum(self.spectrum, i)
+                     for i in range(1, self.n + 1))
+
+    @cached_property
     def kernels(self) -> tuple[GreenKernel, ...]:
         """The Green kernel of each root; entry i - 1 is root i's."""
-        return tuple(build_kernel(shift_spectrum(self.spectrum, i))
-                     for i in range(1, self.n + 1))
+        return tuple(build_kernel(shifted) for shifted in self.shifted)
+
+
+@dataclass(frozen=True)
+class PanelRule:
+    """The solver's grid on the window: the Chebyshev-Lobatto nodes, the
+    Gauss-Legendre panels between them, and r_0..r_{n-1} at both (the
+    panel points flattened)."""
+
+    nodes: np.ndarray
+    panels: AnglePanels
+    r_nodes: tuple
+    r_panels: tuple
 
 
 @dataclass(frozen=True)
@@ -99,6 +123,14 @@ class ProblemSpec:
     @property
     def a(self) -> tuple[float, ...]:
         return self.equation.a
+
+    @cached_property
+    def panel_rule(self) -> PanelRule:
+        """The solver's grid on [t0, t_max] with grid_points nodes."""
+        nodes = lobatto_nodes(self.t0, self.t_max, self.grid_points)
+        panels = AnglePanels(self.t0, self.t_max, self.grid_points)
+        return PanelRule(nodes, panels, tuple(self.r_list(nodes)),
+                         tuple(self.r_list(panels.points.ravel())))
 
     def r_value(self, i: int, t):
         """r_i evaluated at scalar or array t."""

@@ -8,21 +8,24 @@ exponentials, every kernel integral obeys a one-panel recurrence
     I_gamma(t_{k+1}) = e^{gamma dt_k} I_gamma(t_k)
                        + int_{t_k}^{t_{k+1}} e^{gamma (t_{k+1} - s)} P(s) ds
 
-(and its mirror for the anticausal terms), so one pass over the grid
+(and its mirror for the anticausal terms), so one scan over the grid
 yields every iterate derivative z^(j) = sum_l sign_l c_l gamma_l^j I_l
-simultaneously; the recurrence and its weights come from ``kernelquad``.
-The z-independent Omega_alpha(mu, r(s)) in P are evaluated once per
-operator.  The panel integrals need the z-jet between the Chebyshev
-nodes.  The quadrature points of ``chebgrid.AnglePanels`` sit at the same
-angle offsets in every panel, so each application of T interpolates the
-jet onto all of them with one real FFT and one batched inverse FFT, whose
-two halves serve the two offsets of a Gauss-Legendre mirror pair:
-O(N log N) work and O(N) memory per iteration, and no interpolation
-matrix.  A solved iterate keeps its cosine coefficients; the error
-estimate, z^(j) and int z at any t, and the top derivative of
-``ode_residual`` are all read off them.  Beyond the window the iterate
-is modelled as zero and the anticausal integrals get an explicit
-constant tail computed from the independent forcing term.
+simultaneously; the scan and its weights come from ``kernelquad``, which
+runs it by cumulative products and sums over blocks of panels.  The
+grid, its panels and r on both are the problem's ``panel_rule``, shared
+by every root's operator; the z-independent Omega_alpha(mu, r(s)) in P
+are evaluated once per operator.  The panel integrals need the z-jet
+between the Chebyshev nodes.  The quadrature points of
+``chebgrid.AnglePanels`` sit at the same angle offsets in every panel,
+so each application of T interpolates the jet onto all of them with one
+real FFT and one batched inverse FFT, whose two halves serve the two
+offsets of a Gauss-Legendre mirror pair: O(N log N) work and O(N) memory
+per iteration, and no interpolation matrix.  A solved iterate keeps
+its cosine coefficients; the error estimate, z^(j) and int z at any t,
+and the top derivative of ``ode_residual`` are all read off them.
+Beyond the window the iterate is modelled as zero and the anticausal
+integrals get an explicit constant tail computed from the independent
+forcing term.
 """
 
 from __future__ import annotations
@@ -128,22 +131,19 @@ class FixedPointOperator:
         self.kernel = problem.equation.kernels[i - 1]
         self.mu = self.kernel.gamma.mu
 
-        count = problem.grid_points
-        self.nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, count)
-        self.panels = chebgrid.AnglePanels(problem.t0, problem.t_max, count)
-        pts = self.panels.points
+        rule = problem.panel_rule
+        self.nodes = rule.nodes
+        self.panels = rule.panels
         table = problem.equation.table
-        self.omega_panels = table.omega_values(self.mu,
-                                               problem.r_list(pts.ravel()))
-        self.omega_nodes = table.omega_values(self.mu,
-                                              problem.r_list(self.nodes))
+        self.omega_panels = table.omega_values(self.mu, rule.r_panels)
+        self.omega_nodes = table.omega_values(self.mu, rule.r_nodes)
 
         self.gammas = self.kernel.gamma.gamma
         self.causal = self.kernel.causal
         # per-gamma panel weights and inter-node decay factors
         self.exp_weights = [
-            kernelquad.exp_weights(self.nodes, pts, self.panels.weights,
-                                   gam, causal)
+            kernelquad.exp_weights(self.nodes, self.panels.points,
+                                   self.panels.weights, gam, causal)
             for gam, causal in zip(self.gammas, self.causal)
         ]
         self.tail_constants = self._tail_constants()
@@ -183,8 +183,8 @@ class FixedPointOperator:
         row per kernel term."""
         fp = forcing_panels.reshape(self.panels.points.shape)
         return np.array([
-            kernelquad.recurrence((weights * fp).sum(axis=1), decay, causal,
-                                  self.tail_constants.get(ell, 0.0))
+            kernelquad.recurrence(np.einsum("pg,pg->p", weights, fp), decay,
+                                  causal, self.tail_constants.get(ell, 0.0))
             for ell, ((weights, decay), causal)
             in enumerate(zip(self.exp_weights, self.causal))
         ])

@@ -144,6 +144,11 @@ class TestNumericSettings:
         ("n = 9\na = [0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
          'r = ["0", "0", "0", "0", "0", "0", "0", "0", "0"]',
          "n must be in 2..8"),
+        # the order and the lengths are checked where the problem is
+        # built, with one message each, whatever the value
+        ('n = 1\na = [0]\nr = ["0"]', "n must be in 2..8, got 1"),
+        ("a = [-1]", "expected 2 coefficients a, got 1"),
+        ('r = ["0"]', "expected 2 perturbation expressions, got 1"),
     ], ids=lambda v: v.split("\n")[0])
     def test_malformed_setting_exits_as_a_config_error(self, tmp_path,
                                                        capsys, lines,
@@ -296,14 +301,15 @@ class TestEndToEnd:
         assert sorted(calls) == [1, 2]
 
     def test_all_derives_the_algebra_once(self, tmp_path, monkeypatch):
-        # one spectrum, one Omega table, one set of P_j, one Green kernel
-        # and one solve per root, and one parse per r expression, however
-        # many stages and roots read them, in one call of `all` or stage
-        # by stage
-        from poincarefp import exprparse, green, reduction, solver, spectral
+        # one spectrum, one Omega table, one set of P_j, one shifted
+        # spectrum, Green kernel and solve per root, one parse per r
+        # expression and one solver panel rule, however many stages and
+        # roots read them, in one call of `all` or stage by stage
+        from poincarefp import (chebgrid, exprparse, green, reduction,
+                                solver, spectral)
 
-        counts = dict.fromkeys(
-            ("table", "polys", "spectrum", "kernel", "solve", "parse"), 0)
+        counts = dict.fromkeys(("table", "polys", "spectrum", "shift",
+                                "kernel", "solve", "parse", "panels"), 0)
 
         def count_calls(key, owner, name):
             """Count calls of owner.name, also through every poincarefp
@@ -323,9 +329,11 @@ class TestEndToEnd:
         count_calls("table", reduction.OmegaTable, "__post_init__")
         count_calls("polys", reduction, "build_derivative_polynomials")
         count_calls("spectrum", spectral, "char_poly_coeffs")
+        count_calls("shift", spectral, "shift_spectrum")
         count_calls("kernel", green, "build_kernel")
         count_calls("solve", solver, "solve_problem")
         count_calls("parse", exprparse, "parse_expression")
+        count_calls("panels", chebgrid.AnglePanels, "__init__")
         for stages in (["all"], ["roots", "reduce", "check", "solve",
                                  "verify"]):
             counts.update(dict.fromkeys(counts, 0))
@@ -335,9 +343,11 @@ class TestEndToEnd:
             codes = [run(stage, config) for stage in stages]
             assert EXIT_FAIL in codes
             assert counts == {"table": 1, "polys": 1, "spectrum": 1,
-                              "kernel": 4, "solve": 4, "parse": 4}, stages
+                              "shift": 4, "kernel": 4, "solve": 4,
+                              "parse": 4, "panels": 1}, stages
         # a problem replaced in its window and its r keeps the equation:
-        # it parses its r and solves again, but derives no algebra
+        # it parses its r, builds its panel rule and solves again, but
+        # derives no algebra
         counts.update(dict.fromkeys(counts, 0))
         equation = config.problem.equation
         config.problem = replace(config.problem, t0=1.0, r_sources=(
@@ -345,7 +355,14 @@ class TestEndToEnd:
         assert config.problem.equation is equation
         assert run("all", config) == EXIT_FAIL
         assert counts == {"table": 0, "polys": 0, "spectrum": 0,
-                          "kernel": 0, "solve": 4, "parse": 4}
+                          "shift": 0, "kernel": 0, "solve": 4, "parse": 4,
+                          "panels": 1}
+        # roots prints every shifted spectrum without building a kernel
+        counts.update(dict.fromkeys(counts, 0))
+        config = load_config(CONFIGS / "spread_n4.conf")
+        config.output_dir = tmp_path / "roots"
+        assert run("roots", config) == EXIT_OK
+        assert (counts["shift"], counts["kernel"]) == (4, 0)
 
     def test_out_of_range_beta_override(self, tmp_path, capsys):
         # beta_1 must lie in [lambda_2 - lambda_1, 0[ = [-2, 0[
@@ -429,16 +446,43 @@ class TestEndToEnd:
 
     def test_csv_cells_of_numpy_scalars(self, tmp_path):
         path = tmp_path / "cells.csv"
-        cli._write_csv(path, ("a", "b"), [
+        cli._write_csv(path, ("a", "b"), map(cli._render, zip(*[
             (np.float64(0.1), np.float32(0.1)),
             (np.int64(3), 3),
             (np.bool_(True), False),
             (float("inf"), "inf"),
             (1e-300, ""),
-        ])
+        ])))
         assert path.read_bytes() == (
             b"a,b\r\n0.1,0.10000000149011612\r\n3,3\r\nTrue,False\r\n"
             b"inf,inf\r\n1e-300,\r\n")
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        # every kind of cell the stages write, and text csv must quote,
+        # as columns of cells and as a numeric array column
+        import csv
+
+        rows = [
+            (1, "H1", "", np.float64(2.0000000000000013), "pass"),
+            (np.int64(2), "sigma(-0.9999999999999991)", 1e-300, "inf",
+             "pass (numerical)"),
+            (3, "L_2", 128.0, np.float64(-7.450580596923828e-09), "fail"),
+            ("", "wronskian_ratio", -1.5e16, float("inf"), np.bool_(False)),
+            (4, 'a "quoted", odd\r\ncell', np.float32(0.1), 5e-324, True),
+        ]
+        values = np.array([0.0, -1.25e-17, 3.0e16, 2.5, 1 / 3])
+        written = tmp_path / "cells.csv"
+        cli._write_csv(written, ("i", "q", "t", "value", "verdict", "z"),
+                       [*map(cli._render, zip(*rows)), cli._render(values)])
+        reference = tmp_path / "reference.csv"
+        with reference.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("i", "q", "t", "value", "verdict", "z"))
+            writer.writerows(
+                [cell.item() if isinstance(cell, np.generic) else cell
+                 for cell in row] + [z]
+                for row, z in zip(rows, values.tolist()))
+        assert written.read_bytes() == reference.read_bytes()
 
     def test_main_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.conf"

@@ -1,10 +1,12 @@
-"""Kernel quadrature: closed forms, tails, kinks, and agreement with the
+"""Kernel quadrature: the scan of the panel recurrence against the exact
+recurrence, closed forms, tails, kinks, and agreement with the
 adaptive-quadrature oracle on the shipped configs."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -83,6 +85,67 @@ class TestClosedForms:
     def test_target_below_lower_limit_rejected(self):
         with pytest.raises(ValueError):
             kernelquad.integral(decaying(1.0), 1.0, 0.5, 1e-10)
+
+
+def exact_scan(sums, decay, causal, start):
+    """S_{k+1} = d_k S_k + p_k to 40 digits, and the magnitude a rounded
+    scan is measured against, M_k = |D S_0| + sum_j |p_j D_k / D_j| with
+    D the products of the decays in between."""
+    if not causal:
+        sums, decay = sums[::-1], decay[::-1]
+    with mpmath.workdps(40):
+        acc = mpmath.mpf(start)
+        mag = abs(acc)
+        vals, mags = [float(acc)], [float(mag)]
+        for d, p in zip(decay.tolist(), sums.tolist()):
+            acc = d * acc + p
+            mag = d * mag + abs(p)
+            vals.append(float(acc))
+            mags.append(float(mag))
+    vals, mags = np.array(vals), np.array(mags)
+    return (vals, mags) if causal else (vals[::-1], mags[::-1])
+
+
+def scan_case(kind, length):
+    """Seeded panel sums and decays of one kind."""
+    rng = np.random.default_rng(length)
+    sums = rng.standard_normal(length)
+    if kind == "mixed":
+        # e^-0.25 per panel on average: the product passes SCAN_FLOOR
+        # long before the last panel, so blocks end where S is of its
+        # usual size
+        return sums, np.exp(-rng.uniform(0.0, 0.5, length))
+    if kind == "underflowed":
+        # every seventh decay underflowed to 0
+        return sums, np.where(np.arange(length) % 7 == 3, np.exp(-800.0),
+                              np.exp(-0.01))
+    return sums, np.full(length, {"one": 1.0, "slow": np.exp(-0.01),
+                                  "fast": np.exp(-40.0)}[kind])
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("length", [1, 2, 1599])
+    @pytest.mark.parametrize("kind", ["one", "slow", "fast", "underflowed",
+                                      "mixed"])
+    @pytest.mark.parametrize("causal", [True, False],
+                             ids=["causal", "anticausal"])
+    @pytest.mark.parametrize("start", [0.0, 3.5])
+    def test_matches_the_exact_recurrence(self, length, kind, causal,
+                                          start):
+        sums, decay = scan_case(kind, length)
+        got = kernelquad.recurrence(sums, decay, causal, start)
+        exact, mag = exact_scan(sums, decay, causal, start)
+        assert got.shape == (length + 1,)
+        assert got[0 if causal else -1] == start
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - exact) <= 4 * eps * mag)
+
+    def test_long_runs_cross_block_ends(self):
+        # two of the cases above end a block with S still in play
+        _, mixed = scan_case("mixed", 1599)
+        assert np.cumprod(mixed).min() < kernelquad.SCAN_FLOOR
+        _, underflowed = scan_case("underflowed", 1599)
+        assert 0.0 in underflowed
 
 
 class TestTail:

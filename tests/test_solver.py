@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,36 @@ class TestOmegaHoisted:
         )
         assert np.array_equal(operator.forcing(values, at_nodes=True),
                               at_nodes)
+
+
+class TestPanelRule:
+    def test_roots_share_the_problems_rule(self, e1_problem):
+        first, second = (FixedPointOperator(e1_problem, i) for i in (1, 2))
+        assert first.panels is second.panels
+        assert first.nodes is second.nodes
+
+    def test_replaced_r_is_solved_at_the_panel_points(self, e1_problem):
+        # a replace builds its own rule with the new r, and solves as a
+        # problem built with that r from the start
+        original = FixedPointOperator(e1_problem, 1)
+        sources = ("2/(1+t)^3", "0", "0")
+        scaled = replace(e1_problem, r_sources=sources)
+        operator = FixedPointOperator(scaled, 1)
+        assert operator.panels is not original.panels
+        pts = operator.panels.points.ravel()
+        expected = scaled.equation.table.omega_values(
+            operator.mu, scaled.r_list(pts))
+        assert np.array_equal(operator.omega_panels, expected)
+        assert not np.array_equal(operator.omega_panels,
+                                  original.omega_panels)
+        fresh = ProblemSpec(e1_problem.equation, r_sources=sources,
+                            t_max=e1_problem.t_max,
+                            grid_points=e1_problem.grid_points)
+        _, grid, _ = solve_problem(scaled, 1)
+        _, reference, _ = solve_problem(fresh, 1)
+        _, unscaled, _ = solve_problem(e1_problem, 1)
+        assert np.array_equal(grid.values, reference.values)
+        assert not np.allclose(grid.values, unscaled.values)
 
 
 # z at the nodes nearest t = 1, 10 and 50 of every root of the shipped
