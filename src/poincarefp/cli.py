@@ -262,11 +262,8 @@ def cmd_check(config: Config) -> int:
                 rows.append((i, f"L_{k}", t, value, verdict))
         rows.append((i, "phi1", "", report.phi1, ""))
         for est in report.sigma:
-            rows.append((
-                i, f"sigma({_fmt(est.gamma)})", "",
-                est.value if np.isfinite(est.value) else "inf",
-                report.r3_verdict if est.status == "finite" else est.status,
-            ))
+            rows.append((i, f"sigma({_fmt(est.gamma)})", "", est.value,
+                         est.status))
     _write_csv(
         config.output_dir / "hypotheses.csv",
         ("i", "quantity", "t", "value", "verdict"),

@@ -12,12 +12,15 @@ Three groups of conditions are checked for a chosen root index i:
         where M collects all coefficient masses of order >= 1 and phi_1
         is the gap-product bound of the kernel.
 
-Every quantity is an integral of a fixed function of s against the
-kernel or an exponential in t - s, evaluated by ``kernelquad`` for the
-whole t-grid at once; R and every L_k share one pass per root, which
-samples [Omega_0, M_1, ..., M_n] once on a panel rule cut off where the
-tail drops below the tolerance.  An integrand that refuses to decay marks
-the quantity divergent and the verdict indeterminate.
+R and every L_k are integrals of a fixed function of s against the
+kernel, evaluated by ``kernelquad`` for the whole t-grid at once; they
+share one pass per root, which samples [Omega_0, M_1, ..., M_n] once on a
+panel rule cut off where the tail drops below the tolerance.  An
+integrand that refuses to decay marks the quantity divergent and the
+verdict indeterminate.  sigma_gamma needs no quadrature: z^n enters F
+only through (z + mu)^n, so its coefficient is the constant 1, M >= 1,
+and sigma_gamma is infinite for every gamma by the derivation in
+``estimate_sigma``.  (R3) therefore reads indeterminate on every problem.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernelquad
-from .errors import ComplexRoots, QuadratureFailure, RepeatedRoots
+from .errors import ComplexRoots, RepeatedRoots
 from .green import GreenKernel, upsilon
 from .problem import ProblemSpec
 from .spectral import Spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
-SIGMA_TOL_FLOOR = 1e-8  # sigma's divergence probe needs no tighter tol
 
 
 def kernel_masses(problem: ProblemSpec, i: int, t) -> np.ndarray:
@@ -86,55 +88,40 @@ def compute_phi1(kernel: GreenKernel) -> float:
 @dataclass(frozen=True)
 class SigmaEstimate:
     gamma: float
-    value: float  # inf when divergent
-    arg_t: float  # grid point attaining the supremum (nan when divergent)
-    status: str  # "finite" or "divergent"
+    value: float  # inf: no table has a finite sigma (estimate_sigma)
+    arg_t: float  # nan: no grid point attains the supremum
+    status: str  # "divergent"
 
 
-def estimate_sigma(problem: ProblemSpec, gamma: float, mu: float,
-                   t_grid) -> SigmaEstimate:
-    """sup_t int_{t0}^inf e^{-gamma (t - s)} M(s) ds with
-    M = sum_{k>=1} M_k, maximised over the geometric t-grid, at the
-    problem's tolerance but no tighter than SIGMA_TOL_FLOOR.
+def estimate_sigma(problem: ProblemSpec, gamma: float,
+                   mu: float) -> SigmaEstimate:
+    """sigma_gamma = sup_t int_{t0}^inf e^{-gamma (t - s)} M(s) ds with
+    M = sum_{k>=1} M_k, by derivation instead of quadrature.
 
-    Divergence is detected two ways: the inner integral fails to converge
-    (its integrand does not decay), or the supremum keeps growing along
-    the tail of the grid.
+    Let m be the largest |Omega_alpha(mu)| over the table's rows with
+    |alpha| >= 1 that do not depend on r; then M(s) >= m for every s.
+    For gamma >= 0 the integrand is at least m e^{-gamma (t - t0)} > 0 for
+    every s >= t0, so the integral diverges as s -> inf.  For gamma < 0
+    the part over [t0, t] alone is at least
+    m (e^{|gamma| (t - t0)} - 1) / |gamma|, which is unbounded in t.
+    Either way sigma_gamma = inf whenever m > 0, and every table that
+    ``build_reduced_rhs`` makes has m >= 1: z^n enters F only through
+    (z + mu)^n, so Omega_(n, 0, ..., 0) is the constant 1.  A table
+    without such a row is a defect, not a verdict: ValueError.
     """
     table = problem.equation.table
-
-    def mass_ge1(s):
-        return sum(table.mass_by_order(mu, problem.r_list(s))[1:])
-
-    # the weight spans [t0, inf), so both sides carry the same exponent;
-    # for gamma > 0 the tail decays only if the mass outruns e^{gamma s}
-    terms = (kernelquad.ExpTerm(-gamma, True),
-             kernelquad.ExpTerm(-gamma, False))
-    rate = gamma * 0.5 if gamma > 0 else -gamma
-
-    try:
-        values = kernelquad.exp_integrals(
-            mass_ge1, np.asarray(t_grid, dtype=float), problem.t0, terms,
-            rate, max(problem.tol, SIGMA_TOL_FLOOR),
-        ).sum(axis=0)
-    except QuadratureFailure:
+    n = problem.n
+    r_free = ~table.coeffs[:, :, 1:].any(axis=(1, 2))
+    rows = r_free & (table.exponents.sum(axis=1) >= 1)
+    omegas = table.omega_values(mu, [0.0] * n)[rows]
+    if np.abs(omegas).max(initial=0.0) > 0:
         return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
                              status="divergent")
-
-    # sigma_gamma(t) = e^{-gamma t} int_{t0}^inf e^{gamma s} M(s) ds is
-    # monotone in t, so the sampled sup sits at an end of the grid and
-    # needs no refinement
-    best = int(np.argmax(values))
-    # a supremum still growing at the end of the geometric grid is not
-    # attained on any finite window
-    if best >= len(values) - 1 and len(values) >= 3:
-        if values[-1] > 1.1 * values[-2] >= 1.1 * 0.9 * values[-3] and (
-            values[-1] > values[-3]
-        ):
-            return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
-                                 status="divergent")
-    return SigmaEstimate(gamma=gamma, value=float(values[best]),
-                         arg_t=float(t_grid[best]), status="finite")
+    z_n = (n,) + (0,) * (n - 2)
+    raise ValueError(
+        f"Omega table has no nonzero r-free row of order >= 1 (such as "
+        f"Omega{z_n} = 1, the z^{n} coefficient): sigma_gamma is not derived"
+    )
 
 
 @dataclass(frozen=True)
@@ -153,7 +140,7 @@ class HypothesisReport:
     higher_verdict: str = "indeterminate"  # limsup sum_{k>=2} L_k < 1
     r2_verdict: str = "indeterminate"  # all three of the above
     r2_detail: str = ""
-    r3_verdict: str = "indeterminate"
+    r3_verdict: str = "indeterminate"  # every sigma_gamma is inf
     r3_detail: str = ""
 
     def lines(self) -> list[str]:
@@ -229,24 +216,11 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     r2_verdict = _combined_verdict([r_verdict, l1_verdict, higher_verdict])
 
     sigma = tuple(
-        estimate_sigma(problem, gam, shifted.mu, grid)
-        for gam in shifted.gamma
+        estimate_sigma(problem, gam, shifted.mu) for gam in shifted.gamma
     )
-    sigma_parts = []
-    sigma_flags = []
-    for est in sigma:
-        if est.status == "divergent":
-            sigma_parts.append(f"sigma({est.gamma:g}) divergent")
-            sigma_flags.append("indeterminate")
-        else:
-            product = phi1 * est.value
-            sigma_parts.append(
-                f"phi1*sigma({est.gamma:g}) = {product:.4g} "
-                f"at t = {est.arg_t:g}"
-            )
-            sigma_flags.append("pass" if product < 1.0 else "fail")
-    r3_verdict = _combined_verdict(sigma_flags)
-    r3_detail = f"phi1 = {phi1:.6g}; " + "; ".join(sigma_parts)
+    r3_detail = f"phi1 = {phi1:.6g}; " + "; ".join(
+        f"sigma({est.gamma:g}) {est.status}" for est in sigma
+    )
 
     return HypothesisReport(
         base_index=i,
@@ -264,6 +238,5 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
         higher_verdict=higher_verdict,
         r2_verdict=r2_verdict,
         r2_detail="; ".join(parts),
-        r3_verdict=r3_verdict,
         r3_detail=r3_detail,
     )

@@ -4,8 +4,8 @@ Every integral the fixed-point argument asks for is a fixed function f(s)
 integrated against exponentials e^{gamma (t - s)}, over the causal side
 [t0, t] or the anticausal side [t, inf) of a target t.  That covers the
 kernel integrals of the Picard operator and the tail constants of its
-zero tail model, the hypothesis quantities R(t), L_k(t) and sigma_gamma(t),
-and the envelope of the asymptotic diagnostics.
+zero tail model, the hypothesis quantities R(t) and L_k(t), and the
+envelope of the asymptotic diagnostics.
 
 All of them use one composite Gauss-Legendre rule.  Its breakpoints are
 t0, every target t, every point t - u where a kernel derivative g^(j)(u)
@@ -291,15 +291,24 @@ def exp_integrals(f, t, t0: float, terms, rate: float,
 
     ``rate`` is the decay rate that turns the probed integrand into a
     tail bound; a tail that never gets below TAIL_SAFETY * tol raises
-    QuadratureFailure.
+    QuadratureFailure.  So does a value at a target that is not finite:
+    a growing weight, such as a causal term with gamma > 0, may overflow.
+    Past the last target, where no value is read, it may do so silently.
     """
-    smp = _sample(f, np.ravel(t), t0, terms, rate, tol)
+    flat = np.ravel(t)
+    smp = _sample(f, flat, t0, terms, rate, tol)
     out = np.empty((len(terms), len(smp.targets)))
-    for row, term in enumerate(terms):
-        wts, decay = exp_weights(smp.edges, smp.points, smp.weights,
-                                 term.gamma, term.causal)
-        sums = (wts * smp.values[0]).sum(axis=1)
-        out[row] = recurrence(sums, decay, term.causal)[smp.targets]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, term in enumerate(terms):
+            wts, decay = exp_weights(smp.edges, smp.points, smp.weights,
+                                     term.gamma, term.causal)
+            sums = (wts * smp.values[0]).sum(axis=1)
+            out[row] = recurrence(sums, decay, term.causal)[smp.targets]
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        raise QuadratureFailure(
+            f"integral at t = {flat[bad][0]} is not finite (overflow)"
+        )
     return out.reshape((len(terms),) + np.shape(t))
 
 

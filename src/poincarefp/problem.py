@@ -70,12 +70,11 @@ class Equation:
 @dataclass(frozen=True)
 class PanelRule:
     """The solver's grid on the window: the Chebyshev-Lobatto nodes, the
-    Gauss-Legendre panels between them, and r_0..r_{n-1} at both (the
-    panel points flattened)."""
+    Gauss-Legendre panels between them, and r_0..r_{n-1} at the panel
+    points (flattened)."""
 
     nodes: np.ndarray
     panels: AnglePanels
-    r_nodes: tuple
     r_panels: tuple
 
 
@@ -129,7 +128,7 @@ class ProblemSpec:
         """The solver's grid on [t0, t_max] with grid_points nodes."""
         nodes = lobatto_nodes(self.t0, self.t_max, self.grid_points)
         panels = AnglePanels(self.t0, self.t_max, self.grid_points)
-        return PanelRule(nodes, panels, tuple(self.r_list(nodes)),
+        return PanelRule(nodes, panels,
                          tuple(self.r_list(panels.points.ravel())))
 
     def r_value(self, i: int, t):

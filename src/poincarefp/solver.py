@@ -12,9 +12,9 @@ exponentials, every kernel integral obeys a one-panel recurrence
 yields every iterate derivative z^(j) = sum_l sign_l c_l gamma_l^j I_l
 simultaneously; the scan and its weights come from ``kernelquad``, which
 runs it by cumulative products and sums over blocks of panels.  The
-grid, its panels and r on both are the problem's ``panel_rule``, shared
-by every root's operator; the z-independent Omega_alpha(mu, r(s)) in P
-are evaluated once per operator.  The panel integrals need the z-jet
+grid, its panels and r on the panels are the problem's ``panel_rule``,
+shared by every root's operator; the z-independent Omega_alpha(mu, r(s))
+in P are evaluated once per operator.  The panel integrals need the z-jet
 between the Chebyshev nodes.  The quadrature points of
 ``chebgrid.AnglePanels`` sit at the same angle offsets in every panel,
 so each application of T interpolates the jet onto all of them with one
@@ -136,7 +136,6 @@ class FixedPointOperator:
         self.panels = rule.panels
         table = problem.equation.table
         self.omega_panels = table.omega_values(self.mu, rule.r_panels)
-        self.omega_nodes = table.omega_values(self.mu, rule.r_nodes)
 
         self.gammas = self.kernel.gamma.gamma
         self.causal = self.kernel.causal
@@ -169,12 +168,10 @@ class FixedPointOperator:
         )
         return {ell: float(v) for ell, v in zip(anti, values[:, 0])}
 
-    def forcing(self, values: np.ndarray, at_nodes: bool = False) -> np.ndarray:
-        """P = -F along the panel points (or the nodes) for the iterate
-        sampled in ``values``."""
+    def forcing(self, values: np.ndarray) -> np.ndarray:
+        """P = -F along the panel points for the iterate sampled in
+        ``values``."""
         table = self.problem.equation.table
-        if at_nodes:
-            return -table.combine(self.omega_nodes, values)
         zjet = self.panels.interpolate(values).reshape(values.shape[0], -1)
         return -table.combine(self.omega_panels, zjet)
 
@@ -316,7 +313,9 @@ def ode_residual(operator: FixedPointOperator, grid: IterateGrid) -> float:
     b = reduced_linear_coefficients(problem.a, operator.mu)
     for j in range(n - 1):
         lhs += b[j] * grid.values[j]
-    rhs = operator.forcing(grid.values, at_nodes=True)
+    rhs = problem.equation.table.evaluate_rhs(
+        operator.mu, problem.r_list(grid.nodes), list(grid.values)
+    )
     residual = lhs - rhs
     interior = slice(1, -1)
     scale = max(1.0, float(np.max(np.abs(rhs))))

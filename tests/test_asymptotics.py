@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from helpers import coeffs_from_roots
 from poincarefp import chebgrid
 from poincarefp.asymptotics import (
     ENVELOPE_FLOOR,
@@ -22,6 +23,7 @@ from poincarefp.asymptotics import (
     pi_product,
     wronskian_diagnostic,
 )
+from poincarefp.errors import QuadratureFailure
 from poincarefp.problem import Equation, ProblemSpec
 from poincarefp.reduction import build_derivative_polynomials
 from poincarefp.solver import IterateGrid
@@ -71,6 +73,28 @@ class TestEnvelope:
         # for i = n
         assert envelope(exp_problem, 1, -2.0, 1.0) > 0.0
         assert envelope(exp_problem, 2, 2.0, 1.0) > 0.0
+
+    def test_overflow_at_a_target_raises(self):
+        # a middle root's causal weight is e^{|beta| (t - s)}: on roots
+        # (30, 1, -1, -30), lambda_3 at its default beta = -14.5 overflows
+        # from about t = 49 on, which must raise rather than read inf;
+        # below that, and on (10, 1, -1, -10) at beta = -4.5, every target
+        # stays finite, however far past them the scan overflows
+        def spread(outer):
+            roots = (outer, 1.0, -1.0, -outer)
+            return ProblemSpec(
+                Equation(4, coeffs_from_roots(roots)),
+                r_sources=("1/(2*(1+t)^4)", "0", "0", "0"), t_max=160.0,
+            )
+
+        wide, narrow = spread(30.0), spread(10.0)
+        ts = np.array([10.0, 45.0, 80.0, 115.0, 150.0])
+        with pytest.raises(QuadratureFailure,
+                           match=r"t = 80.0 is not finite"):
+            envelope(wide, 3, -14.5, ts)
+        assert np.isfinite(envelope(wide, 3, -14.5, ts[:2])).all()
+        values = envelope(narrow, 3, -4.5, ts)
+        assert np.isfinite(values).all() and values[-1] > 1e291
 
     def test_intervals(self, e1_problem):
         spectrum = e1_problem.equation.spectrum

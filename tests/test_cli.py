@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import coeffs_from_roots
 from poincarefp import cli
 from poincarefp.cli import (
     EXIT_FAIL,
@@ -245,6 +246,32 @@ class TestSubcommands:
         lines = (tmp_path / "hypotheses.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["1", "H1"], ["1", "phi1"], ["2", "H1"], ["2", "phi1"]]
+
+    @pytest.mark.parametrize("roots", [
+        (30.0, 1.0, -1.0, -30.0),
+        (10.0, 1.0, -1.0, -10.0),
+        (1.0, 0.999, -1.0),
+        (4.0, 3.0, 2.0, 1.0, -1.0, -2.0, -3.0, -4.0),
+    ], ids=["spread-30", "spread-10", "near-pair", "n8"])
+    def test_check_reads_r3_indeterminate_on_every_root(self, tmp_path,
+                                                        capsys, roots):
+        # every sigma_gamma is infinite by derivation, so (R3) cannot be
+        # decided on any root; a quadrature once read overflowed sigmas
+        # as finite ("fail"), a near-zero gamma as a finite 6820, and
+        # overflowed at n = 8.  (R2) still fails, so check exits 2.
+        n = len(roots)
+        a = ", ".join(repr(float(v)) for v in coeffs_from_roots(roots))
+        r = ", ".join(['"1/(2*(1+t)^4)"'] + ['"0"'] * (n - 1))
+        path = write_config(tmp_path, f"n = {n}\na = [{a}]\nr = [{r}]\n"
+                            "t_max = 160.0\n")
+        code = main(["check", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_FAIL
+        out = capsys.readouterr().out
+        assert out.count("(R3) indeterminate: phi1 = ") == n
+        sigma = [line.split(",")[3:] for line in
+                 (tmp_path / "hypotheses.csv").read_text().splitlines()
+                 if ",sigma(" in line]
+        assert sigma == [["inf", "divergent"]] * (n * (n - 1))
 
     def test_unknown_subcommand(self, tmp_path):
         config = load_config(write_config(tmp_path, MINIMAL))

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import coeffs_from_roots
 from poincarefp import kernelquad
 from poincarefp.green import build_kernel
 from poincarefp.hypotheses import (
@@ -23,7 +24,6 @@ from poincarefp.hypotheses import (
     compute_phi1,
     estimate_sigma,
     evaluate_hypotheses,
-    hypothesis_grid,
 )
 from poincarefp.multipoly import Poly
 from poincarefp.problem import Equation, ProblemSpec
@@ -117,7 +117,8 @@ class TestPhi1:
 
 def r1_only_table(monkeypatch):
     """Make the next equation derive a custom n = 2 table whose only
-    |alpha| >= 1 coefficient is r1, so sigma's mass is |r1| alone."""
+    |alpha| >= 1 coefficient is r1: it lacks the z^2 row that makes
+    every real table's sigma infinite."""
     table = OmegaTable(
         n=2,
         a=(-1.0, 0.0),
@@ -129,44 +130,51 @@ def r1_only_table(monkeypatch):
 
 
 class TestSigma:
-    def test_finite_closed_form_for_decaying_mass(self, monkeypatch):
-        # r1(s) = e^{-3s}: sigma_2(t) = int_0^inf e^{-2(t-s)}e^{-3s} ds
-        # = e^{-2t}, supremum on the grid at its smallest t
-        r1_only_table(monkeypatch)
-        problem = ProblemSpec(
-            Equation(2, (-1.0, 0.0)), r_sources=("0", "exp(-3*t)"),
-            t_max=64.0, grid_points=64,
-        )
-        grid = (1.0, 2.0, 4.0, 8.0, 16.0)
-        est = estimate_sigma(problem, 2.0, 1.0, grid)
-        assert est.status == "finite"
-        assert est.value == pytest.approx(np.exp(-2.0), rel=1e-6)
-        assert est.arg_t == pytest.approx(1.0)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_z_n_row_is_the_constant_one(self, n):
+        # the premise of the derivation: z^n enters F only through
+        # (z + mu)^n, so Omega_(n, 0, ..., 0) has the constant 1 as its
+        # only nonzero coefficient, and every sigma reads divergent
+        roots = tuple(float(k) for k in range(n, 0, -1))
+        equation = Equation(n, coeffs_from_roots(roots))
+        table = equation.table
+        row = list(table.table).index((n,) + (0,) * (n - 2))
+        expected = np.zeros((n, n + 1))
+        expected[0, 0] = 1.0
+        assert np.array_equal(table.coeffs[row], expected)
+        problem = ProblemSpec(equation, r_sources=("0",) * n, t_max=32.0,
+                              grid_points=32)
+        for shifted in equation.shifted:
+            for gam in shifted.gamma:
+                est = estimate_sigma(problem, gam, shifted.mu)
+                assert est.status == "divergent"
+                assert est.value == np.inf and np.isnan(est.arg_t)
 
     def test_constant_mass_diverges(self, n2_problem):
         # the z^2 coefficient contributes constant mass 1, so the
         # weighted integral cannot converge for gamma > 0 ...
-        grid = hypothesis_grid(n2_problem)
-        est = estimate_sigma(n2_problem, 2.0, 1.0, grid)
+        est = estimate_sigma(n2_problem, 2.0, 1.0)
         assert est.status == "divergent"
         assert est.value == np.inf
 
     def test_negative_gamma_supremum_diverges(self, n2_problem):
         # ... and for gamma < 0 the inner integral grows like e^{|gamma| t}
-        grid = hypothesis_grid(n2_problem)
-        est = estimate_sigma(n2_problem, -2.0, 1.0, grid)
+        est = estimate_sigma(n2_problem, -2.0, 1.0)
         assert est.status == "divergent"
 
-    def test_monotone_in_mass(self, monkeypatch):
+    def test_table_without_z_n_row_is_a_defect(self, monkeypatch):
+        # the negative control: a table whose only |alpha| >= 1 row
+        # carries r has no derived lower bound on M, and that must raise,
+        # not read as a verdict
         r1_only_table(monkeypatch)
-        small = ProblemSpec(
+        problem = ProblemSpec(
             Equation(2, (-1.0, 0.0)), r_sources=("0", "exp(-3*t)"),
             t_max=64.0, grid_points=64,
         )
-        big = replace(small, r_sources=("0", "3*exp(-3*t)"))
-        grid = (1.0, 2.0, 4.0)
-        assert (estimate_sigma(big, 2.0, 1.0, grid).value
-                >= estimate_sigma(small, 2.0, 1.0, grid).value)
+        with pytest.raises(ValueError, match=r"Omega\(2,\) = 1"):
+            estimate_sigma(problem, 2.0, 1.0)
+        with pytest.raises(ValueError, match="not derived"):
+            evaluate_hypotheses(problem, 1)
 
 
 class TestEvaluateHypotheses:
@@ -211,7 +219,7 @@ class TestEvaluateHypotheses:
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_one_kernel_pass_per_root(self, e1_problem, monkeypatch, i):
         # R and every L_k come from one panel rule over the kernel's
-        # exponentials; sigma's rules run over e^{-gamma (t - s)} instead
+        # exponentials; sigma is derived, not integrated
         gammas = e1_problem.equation.kernels[i - 1].gamma.gamma
         sample = kernelquad._sample
         passes = []
@@ -221,9 +229,9 @@ class TestEvaluateHypotheses:
             return sample(f, t, t0, terms, *args, **kwargs)
 
         monkeypatch.setattr(kernelquad, "_sample", spy)
-        report = evaluate_hypotheses(e1_problem, i)
+        evaluate_hypotheses(e1_problem, i)
         assert passes.count(tuple(gammas)) == 1
-        assert len(passes) == 1 + len(report.sigma)
+        assert len(passes) == 1
 
     def test_golden_problem_shape(self, e1_problem):
         report = evaluate_hypotheses(e1_problem, 1)

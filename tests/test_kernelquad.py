@@ -275,19 +275,16 @@ class TestAgainstQuadOracle:
         assert not bad
 
     def test_sigma(self, shipped):
-        # a finite sigma matches the oracle at its argmax; a divergent one
-        # has an oracle tail that does not decay or keeps growing
+        # every sigma is derived divergent; the oracle agrees: its tail
+        # does not decay or keeps growing
         problem = shipped
         grid = hypothesis_grid(problem)
         for i in range(1, problem.n + 1):
             model = ScalarModel(problem, i)
             shifted = problem.equation.kernels[i - 1].gamma
             for gam in shifted.gamma:
-                est = estimate_sigma(problem, gam, shifted.mu, grid)
-                if est.status == "finite":
-                    ref = quad_sigma(model, gam, est.arg_t)
-                    assert agree(est.value, ref)
-                    continue
+                est = estimate_sigma(problem, gam, shifted.mu)
+                assert est.status == "divergent"
                 try:
                     ref = [quad_sigma(model, gam, t) for t in grid[-2:]]
                 except QuadratureFailure:

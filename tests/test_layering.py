@@ -283,6 +283,58 @@ def test_detector_sees_restated_algebra(tmp_path):
     ]
 
 
+def unread_parameters(path: Path) -> list[str]:
+    """Every parameter of a function or method in the module that its
+    body, nested functions included, never reads; ``self`` and ``cls``
+    are excepted."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in args.posonlyargs + args.args
+                  + args.kwonlyargs + [args.vararg, args.kwarg] if arg]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)
+                and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}: {param} (line {node.lineno})"
+                  for param in params
+                  if param not in read and param not in ("self", "cls")]
+    return found
+
+
+def test_no_function_keeps_an_unread_parameter():
+    # a parameter nothing reads is API that callers must still fill in
+    offenders = {
+        path.name: params
+        for path in sorted(SRC.glob("*.py"))
+        if (params := unread_parameters(path))
+    }
+    assert not offenders
+
+
+def test_detector_sees_an_unread_parameter(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "def estimate(problem, gamma, t_grid):\n"
+        "    return problem.table, gamma\n"
+        "class Operator:\n"
+        "    def apply(self, values, *extra, scale=1.0, **options):\n"
+        "        return values * scale\n"
+        "    @classmethod\n"
+        "    def build(cls, spec):\n"
+        "        def inner(s):\n"
+        "            return spec(s)\n"
+        "        return cls(inner)\n",
+        encoding="utf-8",
+    )
+    assert unread_parameters(probe) == [
+        "estimate: t_grid (line 1)", "apply: extra (line 4)",
+        "apply: options (line 4)",
+    ]
+
+
 def modules_after(code: str) -> set[str]:
     """sys.modules of a fresh interpreter after it ran ``code``."""
     script = code + "\nimport sys\nprint('--', *sys.modules, sep='\\n')\n"

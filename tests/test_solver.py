@@ -15,6 +15,7 @@ from poincarefp.cli import load_config
 from poincarefp.errors import DivergenceDetected, InvarianceViolated
 from poincarefp.multipoly import Poly
 from poincarefp.problem import Equation, ProblemSpec
+from poincarefp.reduction import OmegaTable
 from poincarefp.solver import (
     FixedPointOperator,
     ode_residual,
@@ -268,10 +269,10 @@ class TestOmegaHoisted:
 
         monkeypatch.setattr(Poly, "evaluate", counted)
         operator.apply(values)
-        operator.forcing(values, at_nodes=True)
+        ode_residual(operator, operator.grid(values))
         assert calls == []
 
-    def test_forcing_equals_table_rhs(self, e1_problem):
+    def test_forcing_equals_table_rhs(self, e1_problem, monkeypatch):
         operator = FixedPointOperator(e1_problem, 2)
         values = operator.apply(operator.zero())
         n = e1_problem.n
@@ -282,13 +283,22 @@ class TestOmegaHoisted:
             operator.mu, [e1_problem.r_value(i, pts) for i in range(n)], zjet
         )
         assert np.array_equal(operator.forcing(values), expected)
-        at_nodes = table.evaluate_rhs(
-            operator.mu,
-            [e1_problem.r_value(i, operator.nodes) for i in range(n)],
-            list(values),
-        )
-        assert np.array_equal(operator.forcing(values, at_nodes=True),
-                              at_nodes)
+        # ode_residual's right side is the table's -F at the nodes
+        calls = []
+        evaluate_rhs = OmegaTable.evaluate_rhs
+
+        def spy(self, mu, rvals, zvals):
+            calls.append((self, mu, rvals, zvals))
+            return evaluate_rhs(self, mu, rvals, zvals)
+
+        monkeypatch.setattr(OmegaTable, "evaluate_rhs", spy)
+        ode_residual(operator, operator.grid(values))
+        [(used, mu, rvals, zvals)] = calls
+        assert used is table and mu == operator.mu
+        for i in range(n):
+            assert np.array_equal(rvals[i],
+                                  e1_problem.r_value(i, operator.nodes))
+        assert np.array_equal(zvals, values)
 
 
 class TestPanelRule:
