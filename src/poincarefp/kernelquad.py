@@ -15,8 +15,9 @@ most PANEL_WIDTH wide and spans at most PANEL_EXP_WIDTH e-foldings of the
 fastest exponential; beyond the last target, where only the tail is
 left, panels may grow with their distance from it.  A panel on which f
 has a kink of its own is halved until its rule agrees with the rule on
-its halves.  f is sampled, vectorised, on the panel points, and every
-target comes out of the exact panel recurrence
+its halves, adding at most MAX_ADDED_PANELS panels.  f is sampled,
+vectorised, on the panel points, and every target comes out of the exact
+panel recurrence
 
     I(b_{p+1}) = e^{gamma (b_{p+1} - b_p)} I(b_p)
                  + int_{b_p}^{b_{p+1}} e^{gamma (b_{p+1} - s)} f(s) ds
@@ -44,6 +45,7 @@ PANEL_WIDTH = 2.0
 PANEL_EXP_WIDTH = 8.0
 TAIL_GROWTH = 0.5  # panel width per unit distance beyond the last target
 MAX_SPLITS = 60  # halvings of one panel before f counts as unresolved
+MAX_ADDED_PANELS = 2 ** 16  # panels refinement may add to one rule
 SCAN_FLOOR = 1e-150  # least decay product inside one block of ``recurrence``
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
@@ -96,6 +98,12 @@ def exp_weights(edges, points, weights, gamma: float, causal: bool):
             np.exp(-gamma * width))
 
 
+def _log_span(decay) -> float:
+    """The largest |log d| over the decays, 0 for none."""
+    low, high = decay.min(initial=1.0), decay.max(initial=1.0)
+    return max(-math.log(low) if low > 0 else math.inf, math.log(high))
+
+
 def recurrence(panel_sums, decay, causal: bool,
                start: float = 0.0) -> np.ndarray:
     """Integral at every panel edge from the per-panel sums: forwards
@@ -109,22 +117,40 @@ def recurrence(panel_sums, decay, causal: bool,
         S_{k+1} = D_k (d_b S_b + sum_{j=b}^{k} p_j / D_j).
 
     The width keeps every D within [SCAN_FLOOR, 1 / SCAN_FLOOR] even if
-    every decay were the farthest from 1, so p_j / D_j cannot overflow;
-    a decay that underflowed to 0 makes the width 1, a plain step.  Only
-    the values carried from block to block are a loop.
+    every decay were the farthest from 1, so p_j / D_j cannot overflow.
+    A decay too far from 1 to share a block with any other (one that
+    underflowed to 0, say) starts a block of its own, where it only
+    carries S_b in, and the width comes from the other decays; the last
+    block before it is padded with decay 1 and sum 0.  Only the values
+    carried from block to block are a loop.
     """
     if not causal:
         panel_sums, decay = panel_sums[::-1], decay[::-1]
     count = len(decay)
-    low, high = decay.min(initial=1.0), decay.max(initial=1.0)
-    span = max(-math.log(low) if low > 0 else math.inf, math.log(high))
-    width = max(1, min(count, int(-math.log(SCAN_FLOOR) / span)
-                       if span else count))
-    rows = -(-count // width)
+    limit = -math.log(SCAN_FLOOR)
+    starts = [0]
+    span = _log_span(decay)
+    if span > limit / 2:
+        lone = (decay < SCAN_FLOOR ** 0.5) | (decay > SCAN_FLOOR ** -0.5)
+        lone[0] = True
+        starts = np.flatnonzero(lone)
+        span = _log_span(decay[~lone])
+    width = max(1, min(-(-count // len(starts)),
+                       int(limit / span) if span else count))
+    if len(starts) == 1:
+        rows, slot = -(-count // width), slice(count)
+    else:
+        # each segment from a lone decay on fills whole blocks, its last
+        # one padded
+        lengths = np.diff(starts, append=count)
+        blocks = -(-lengths // width)
+        rows = int(blocks.sum())
+        slot = np.arange(count) + np.repeat(
+            (np.cumsum(blocks) - blocks) * width - starts, lengths)
     prod = np.ones(rows * width)
-    prod[:count] = decay
+    prod[slot] = decay
     sums = np.zeros(rows * width)
-    sums[:count] = panel_sums
+    sums[slot] = panel_sums
     prod, sums = prod.reshape(rows, width), sums.reshape(rows, width)
     first = prod[:, 0].copy()
     prod[:, 0] = 1.0
@@ -138,7 +164,7 @@ def recurrence(panel_sums, decay, causal: bool,
         entry.append(g * entry[-1] + b)
     out = np.empty(count + 1)
     out[0] = start
-    out[1:] = (prod * ((first * entry[:-1])[:, None] + part)).ravel()[:count]
+    out[1:] = (prod * ((first * entry[:-1])[:, None] + part)).ravel()[slot]
     return out if causal else out[::-1]
 
 
@@ -238,7 +264,18 @@ def _resolve(f, edges, tol: float):
     whose Omega_alpha changes sign).  A row passes a panel when the rules
     on the panel and on its halves agree to tol, relative to the larger
     of the row's int |f| on the panel and the panel's width times the
-    row's mean |f|; a panel some row fails is halved and checked again.
+    row's mean |f|, or to within the panel's share of the absolute budget
+    TAIL_SAFETY * tol over the whole rule; a panel some row fails is
+    halved and checked again.
+
+    The absolute budget is what resolves a row that is zero in exact
+    arithmetic, such as Omega_0(lambda_i, r) when e^{lambda_i t} solves
+    the equation exactly: its values are round-off, the two rules never
+    agree relative to the row's own size, and "resolved" means that the
+    row's whole integral is below TAIL_SAFETY * tol, the error already
+    allowed for the tail cut off.  Refinement that would add more than
+    MAX_ADDED_PANELS panels raises QuadratureFailure, naming a row that is
+    not resolved and the t-range of the panels it fails on.
     Returns the edges, points, weights and f values of the passed panels.
     """
     def sample(lo, hi):
@@ -253,6 +290,8 @@ def _resolve(f, edges, tol: float):
     if not len(lo):
         return edges, pts, wts, vals
     mean = np.abs(wts * vals).sum(axis=(1, 2)) / (edges[-1] - edges[0])
+    budget = TAIL_SAFETY * tol / (edges[-1] - edges[0])
+    added = 0
     done = []
     for _ in range(MAX_SPLITS):
         mid = (lo + hi) / 2
@@ -260,12 +299,22 @@ def _resolve(f, edges, tol: float):
         whole = (wts * vals).sum(axis=2)
         halves = sum((w * v).sum(axis=2) for _, w, v in (left, right))
         size = sum(np.abs(w * v).sum(axis=2) for _, w, v in (left, right))
-        ok = (np.abs(whole - halves) <= tol * np.maximum(
-            size, (hi - lo) * mean[:, None])).all(axis=0)
+        passed = np.abs(whole - halves) <= np.maximum(
+            tol * np.maximum(size, (hi - lo) * mean[:, None]),
+            budget * (hi - lo))
+        ok = passed.all(axis=0)
         done.append((lo[ok], pts[ok], wts[ok], vals[:, ok]))
         if ok.all():
             break
         bad = ~ok
+        added += bad.sum()  # each failed panel becomes two
+        if added > MAX_ADDED_PANELS:
+            row = np.flatnonzero(~passed.all(axis=1))[0]
+            raise QuadratureFailure(
+                f"integrand row {row} not resolved on "
+                f"[{lo[bad].min()}, {hi[bad].max()}] within "
+                f"{MAX_ADDED_PANELS} added panels"
+            )
         lo = np.concatenate((lo[bad], mid[bad]))
         hi = np.concatenate((mid[bad], hi[bad]))
         # panels are the second-to-last axis of points, weights and values

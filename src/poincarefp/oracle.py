@@ -14,13 +14,15 @@ The integrator is SciPy's ``solve_ivp(method="DOP853")`` written out for
 this linear system: the same tableau (``dop853``), the same embedded
 5th/3rd-order error norm and step controller (safety 0.9, step factors
 clipped to [0.2, 10], exponent -1/8, Hairer's initial-step selection, a
-minimum step of ten ulps of t) and the same 7th-order dense output,
-formed only on the steps that contain a sample point.  It therefore takes
-the same steps and makes the same number of right-hand-side evaluations.
-One thing differs: the stage times t + c_i h are known before a step
-starts, so each r_i that depends on t is evaluated once per step attempt
-as an array over all stage times, and once over the three dense-output
-stages; an r_i without t is evaluated once per integration.
+minimum step of ten ulps of t).  It therefore takes the same steps and
+makes the same number of right-hand-side evaluations, and it returns the
+solution where ``solve_ivp`` does without ``t_eval``: at t0 and at every
+accepted step end.  The comparison reads the reconstruction at those
+points, so no continuous extension is formed and none adds its own
+interpolation error.  One thing differs: the stage times t + c_i h are
+known before a step starts, so each r_i that depends on t is evaluated
+once per step attempt as an array over all stage times; an r_i without t
+is evaluated once per integration.
 """
 
 from __future__ import annotations
@@ -44,13 +46,12 @@ MAX_FACTOR = 10.0  # largest factor by which a step may grow
 ERROR_EXPONENT = -1.0 / 8.0  # the error estimator has order 7
 
 STAGES = dop853.N_STAGES
-STEP_C = dop853.C[1:STAGES + 1]  # stages 1..11 and the end of the step
-DENSE_C = dop853.C[STAGES + 1:]  # the three extra dense-output stages
+STEP_C = dop853.C[1:]  # stages 1..11 and the end of the step
 
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    t: np.ndarray
+    t: np.ndarray  # t0 and every accepted step end
     states: np.ndarray  # shape (n, len(t)): y, y', ..., y^(n-1)
     nfev: int
 
@@ -100,12 +101,11 @@ def _error_norm(K, h: float, scale) -> float:
     return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
 
-def integrate_original(problem: ProblemSpec, y0, t_end: float, t_eval,
+def integrate_original(problem: ProblemSpec, y0, t_end: float,
                        rtol: float = DEFAULT_RTOL,
                        atol: float = DEFAULT_ATOL) -> TrajectorySample:
     """Integrate the original equation forward from the initial jet y0 at
-    t0 and sample it at the points t_eval (increasing, within
-    [t0, t_end]).
+    t0 to t_end and return the state at t0 and at every accepted step end.
 
     Raises IntegrationFailure when the step falls below the minimum step
     or the error estimate is not finite.  The estimate weighs every stage,
@@ -114,19 +114,13 @@ def integrate_original(problem: ProblemSpec, y0, t_end: float, t_eval,
     """
     t = float(problem.t0)
     t_end = float(t_end)
-    t_eval = np.asarray(t_eval, dtype=float)
     if not t_end > t:
         raise ValueError(f"t_end = {t_end} must exceed t0 = {t}")
-    if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0) or np.any(
-        (t_eval < t) | (t_eval > t_end)
-    ):
-        raise ValueError("t_eval must increase within [t0, t_end]")
     rows = _coefficient_rows(problem)
     y = np.array(y0, dtype=float)
     n = len(y)
-    K = np.empty((dop853.N_STAGES_EXTENDED, n))
-    states = np.empty((n, len(t_eval)))
-    filled = 0
+    K = np.empty((STAGES + 1, n))
+    times, states = [t], [y]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f = np.empty(n)
         _companion(f, rows(np.array([t]))[0], y)
@@ -153,7 +147,7 @@ def integrate_original(problem: ProblemSpec, y0, t_end: float, t_eval,
                 _companion(K[STAGES], stage_rows[-1], y_new)
                 nfev += STAGES
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error_norm = _error_norm(K[:STAGES + 1], h, scale)
+                error_norm = _error_norm(K, h, scale)
                 if not np.isfinite(error_norm):
                     raise IntegrationFailure(
                         f"reference integration failed: error estimate "
@@ -168,14 +162,11 @@ def integrate_original(problem: ProblemSpec, y0, t_end: float, t_eval,
                 h_abs *= max(MIN_FACTOR,
                              SAFETY * error_norm ** ERROR_EXPONENT)
                 rejected = True
-            last = np.searchsorted(t_eval, t_new, side="right")
-            if last > filled:
-                states[:, filled:last] = _dense_output(
-                    K, rows, t, t_new, y, y_new, t_eval[filled:last])
-                nfev += len(DENSE_C)
-                filled = last
             t, y, f = t_new, y_new, K[STAGES].copy()
-    return TrajectorySample(t=t_eval, states=states, nfev=nfev)
+            times.append(t)
+            states.append(y)
+    return TrajectorySample(t=np.array(times), states=np.array(states).T,
+                            nfev=nfev)
 
 
 def _initial_step(rows, t0, y0, f0, t_end, rtol, atol) -> float:
@@ -200,33 +191,6 @@ def _initial_step(rows, t0, y0, f0, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length)
 
 
-def _dense_output(K, rows, t_old, t, y_old, y, points):
-    """The 7th-order continuous extension of the step [t_old, t] at the
-    points, shape (n, len(points)); fills the extra stages of K."""
-    h = t - t_old
-    extra_rows = rows(t_old + DENSE_C * h)
-    for s in range(STAGES + 1, dop853.N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, dop853.A[s, :s]) * h
-        _companion(K[s], extra_rows[s - STAGES - 1], y_old + dy)
-    f_old = K[0]
-    delta_y = y - y_old
-    F = np.empty((dop853.INTERPOLATOR_POWER, len(y)))
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (K[STAGES] + f_old)
-    F[3:] = h * np.dot(dop853.D, K)
-    x = ((points - t_old) / h)[:, None]
-    out = np.zeros((len(points), len(y)))
-    for i, coeff in enumerate(reversed(F)):
-        out += coeff
-        if i % 2 == 0:
-            out *= x
-        else:
-            out *= 1 - x
-    out += y_old
-    return out.T
-
-
 def initial_jet(fs: FundamentalSystem, i: int) -> np.ndarray:
     """(y, y', ..., y^(n-1)) at t0 for y_i, normalised to y(t0) = 1."""
     return np.array(fs.ratios(i, fs.problem.t0))
@@ -243,9 +207,9 @@ class OracleComparison:
 
 
 def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
-                           points: int = 40,
                            mode: str | None = None) -> OracleComparison:
-    """Integrate y_i from its reconstructed initial jet and compare.
+    """Integrate y_i from its reconstructed initial jet to t_end and
+    compare at t0 and every step end of the integration.
 
     mode "value": relative error of y against exp(log y_i).
     mode "log-derivative": absolute error of y'/y against the
@@ -255,16 +219,15 @@ def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
     problem = fs.problem
     if mode is None:
         mode = "value" if i == 1 else "log-derivative"
-    t_eval = np.linspace(problem.t0, t_end, points)
-    sample = integrate_original(problem, initial_jet(fs, i), t_end,
-                                t_eval=t_eval)
+    sample = integrate_original(problem, initial_jet(fs, i), t_end)
+    t = sample.t
     if mode == "value":
-        ref = np.exp(fs.log_y(i, t_eval))
+        ref = np.exp(fs.log_y(i, t))
         got = sample.states[0]
         scale = np.maximum(np.abs(ref), 1e-300)
         error = np.abs(got - ref) / scale
     elif mode == "log-derivative":
-        ref = fs.derivative_ratio(i, 1, t_eval)
+        ref = fs.derivative_ratio(i, 1, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             got = sample.states[1] / sample.states[0]
         error = np.abs(got - ref)
@@ -273,7 +236,7 @@ def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
     return OracleComparison(
         i=i,
         mode=mode,
-        t=t_eval,
+        t=t,
         error=error,
         max_error=float(np.max(error)),
         nfev=sample.nfev,

@@ -4,6 +4,9 @@ adaptive-quadrature oracle on the shipped configs."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -31,7 +34,8 @@ from poincarefp.hypotheses import (
 )
 from poincarefp.problem import Equation, ProblemSpec
 
-CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.conf"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.conf"))
 TARGETS = np.array([0.0, 0.5, 1.0, 3.0, 7.5])
 
 
@@ -139,6 +143,32 @@ class TestRecurrence:
         assert got[0 if causal else -1] == start
         eps = np.finfo(float).eps
         assert np.all(np.abs(got - exact) <= 4 * eps * mag)
+
+    @pytest.mark.parametrize("lone", [0.0, np.exp(200.0)],
+                             ids=["underflowed", "huge"])
+    @pytest.mark.parametrize("causal", [True, False],
+                             ids=["causal", "anticausal"])
+    def test_lone_decays_start_blocks(self, lone, causal):
+        # every seventh decay is too far from 1 to share a block; the
+        # others still scan in blocks, and the result is the plain loop's
+        rng = np.random.default_rng(7)
+        length = 1599
+        sums = rng.standard_normal(length)
+        decay = np.where(np.arange(length) % 7 == 3, lone,
+                         np.exp(-rng.uniform(40.0, 60.0, length)))
+        got = kernelquad.recurrence(sums, decay, causal, 3.5)
+        seq = range(length) if causal else range(length - 1, -1, -1)
+        plain = np.empty(length + 1)
+        s = plain[0 if causal else -1] = 3.5
+        mag = np.empty(length + 1)
+        m = mag[0 if causal else -1] = 3.5
+        for k in seq:
+            s = decay[k] * s + sums[k]
+            m = decay[k] * m + abs(sums[k])
+            plain[k + 1 if causal else k] = s
+            mag[k + 1 if causal else k] = m
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - plain) <= 4 * eps * mag)
 
     def test_long_runs_cross_block_ends(self):
         # two of the cases above end a block with S still in play
@@ -251,6 +281,76 @@ class TestKinks:
         for t in (1.0, 2.0, 4.0):
             got = compute_L(problem, 1, t, 1)
             assert agree(got, quad_L(model, t, 1))
+
+
+def round_off(s):
+    """A row that is zero in exact arithmetic: its values are round-off."""
+    s = np.asarray(s, dtype=float)
+    return np.exp(s / 3) * np.exp(-s / 3) - 1.0
+
+
+class TestBoundedRefinement:
+    def test_round_off_row_resolved_by_the_absolute_budget(self):
+        got = kernelquad.integral(round_off, 0.0, 100.0, 1e-10)
+        assert abs(got) < kernelquad.TAIL_SAFETY * 1e-10
+
+    def test_round_off_row_without_budget_hits_the_panel_cap(
+            self, monkeypatch):
+        # without the absolute budget the row never agrees with itself;
+        # the panel cap turns that into a named failure, not MemoryError
+        monkeypatch.setattr(kernelquad, "TAIL_SAFETY", 0.0)
+        with pytest.raises(QuadratureFailure,
+                           match=r"row 0 not resolved on \[0\.0, 100\.0\]"):
+            kernelquad.integral(round_off, 0.0, 100.0, 1e-10)
+
+    def test_kink_of_the_coefficient_mass_still_splits(self, monkeypatch):
+        # M_1 = |0.5 - e^{-s}| has a kink at s = ln 2 that only the
+        # relative test can see
+        problem = ProblemSpec(Equation(2, (-1.0, 0.0)),
+                              r_sources=("0", "0.5 - exp(-t)"), t_max=64.0,
+                              grid_points=64)
+        resolve = kernelquad._resolve
+        added = []
+
+        def counted(f, edges, tol):
+            out = resolve(f, edges, tol)
+            added.append(len(out[0]) - len(edges))
+            return out
+
+        monkeypatch.setattr(kernelquad, "_resolve", counted)
+        compute_L(problem, 1, 2.0, 1)
+        assert max(added) > 0
+
+    def test_exact_solution_runs_through_every_stage(self, tmp_path):
+        # e^{3t}, (1+t) e^{2t} and e^t solve this equation exactly, so
+        # Omega_0 of lambda_1 and lambda_3 is a round-off row; the child's
+        # address space is capped so that a regression fails here instead
+        # of exhausting the machine
+        config = tmp_path / "exact.conf"
+        config.write_text(
+            "n = 3\n"
+            "a = [-6, 11, -6]\n"
+            'r = ["-3/(1+t)", "4/(1+t)", "-1/(1+t)"]\n'
+            "t_max = 220\n"
+            "grid_points = 200\n",
+            encoding="utf-8",
+        )
+        script = (
+            "import resource, sys\n"
+            "cap = 2 * 1024 ** 3\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from poincarefp.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "all", str(config),
+             "--output-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode in (0, 2), proc.stdout + proc.stderr
+        assert "error" not in proc.stdout
+        assert (tmp_path / "out" / "diagnostics.csv").exists()
 
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=lambda p: p.stem)

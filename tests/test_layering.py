@@ -335,6 +335,70 @@ def test_detector_sees_an_unread_parameter(tmp_path):
     ]
 
 
+def unread_module_names(paths) -> list[str]:
+    """Every name that a module among ``paths`` assigns at module level
+    (dunder names excepted) and that no module among them reads, as a
+    name or as an attribute.  Filling a name's items, ``D[0] = ...``, is
+    not a read of D."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    read = set()
+    for tree in trees.values():
+        filled = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if id(node) not in filled:
+                    read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                continue
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            found += [f"{name}: {node.id} (line {stmt.lineno})"
+                      for target in targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Store)
+                      and not node.id.startswith("__")
+                      and node.id not in read]
+    return found
+
+
+def test_no_module_level_name_is_unread():
+    # a constant or table nothing reads is a mechanism that outlived its
+    # use, such as the weights of a removed continuous extension
+    assert not unread_module_names(sorted(SRC.glob("*.py")))
+
+
+def test_detector_sees_an_unread_module_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "N = 3\n"
+        "D = np.zeros((N, N))\n"
+        "D[0, [1, 2]] = [1.0, 2.0]\n"
+        "DENSE_C, KEPT = 0.1, 0.2\n"
+        "LIMIT: float = 1.0\n"
+        "__version__ = '0'\n"
+        "def step():\n"
+        "    local = KEPT\n"
+        "    return local + LIMIT\n",
+        encoding="utf-8",
+    )
+    assert unread_module_names([probe]) == [
+        "probe.py: D (line 3)", "probe.py: DENSE_C (line 5)",
+    ]
+    reader = tmp_path / "reader.py"
+    reader.write_text("from . import probe\n"
+                      "print(probe.DENSE_C)\n", encoding="utf-8")
+    assert unread_module_names([probe, reader]) == ["probe.py: D (line 3)"]
+
+
 def modules_after(code: str) -> set[str]:
     """sys.modules of a fresh interpreter after it ran ``code``."""
     script = code + "\nimport sys\nprint('--', *sys.modules, sep='\\n')\n"
