@@ -98,12 +98,6 @@ def exp_weights(edges, points, weights, gamma: float, causal: bool):
             np.exp(-gamma * width))
 
 
-def _log_span(decay) -> float:
-    """The largest |log d| over the decays, 0 for none."""
-    low, high = decay.min(initial=1.0), decay.max(initial=1.0)
-    return max(-math.log(low) if low > 0 else math.inf, math.log(high))
-
-
 def recurrence(panel_sums, decay, causal: bool,
                start: float = 0.0) -> np.ndarray:
     """Integral at every panel edge from the per-panel sums: forwards
@@ -117,40 +111,22 @@ def recurrence(panel_sums, decay, causal: bool,
         S_{k+1} = D_k (d_b S_b + sum_{j=b}^{k} p_j / D_j).
 
     The width keeps every D within [SCAN_FLOOR, 1 / SCAN_FLOOR] even if
-    every decay were the farthest from 1, so p_j / D_j cannot overflow.
-    A decay too far from 1 to share a block with any other (one that
-    underflowed to 0, say) starts a block of its own, where it only
-    carries S_b in, and the width comes from the other decays; the last
-    block before it is padded with decay 1 and sum 0.  Only the values
-    carried from block to block are a loop.
+    every decay were the farthest from 1, so p_j / D_j cannot overflow;
+    a decay that underflowed to 0 makes the width 1, a plain step.  Only
+    the values carried from block to block are a loop.
     """
     if not causal:
         panel_sums, decay = panel_sums[::-1], decay[::-1]
     count = len(decay)
-    limit = -math.log(SCAN_FLOOR)
-    starts = [0]
-    span = _log_span(decay)
-    if span > limit / 2:
-        lone = (decay < SCAN_FLOOR ** 0.5) | (decay > SCAN_FLOOR ** -0.5)
-        lone[0] = True
-        starts = np.flatnonzero(lone)
-        span = _log_span(decay[~lone])
-    width = max(1, min(-(-count // len(starts)),
-                       int(limit / span) if span else count))
-    if len(starts) == 1:
-        rows, slot = -(-count // width), slice(count)
-    else:
-        # each segment from a lone decay on fills whole blocks, its last
-        # one padded
-        lengths = np.diff(starts, append=count)
-        blocks = -(-lengths // width)
-        rows = int(blocks.sum())
-        slot = np.arange(count) + np.repeat(
-            (np.cumsum(blocks) - blocks) * width - starts, lengths)
+    low, high = decay.min(initial=1.0), decay.max(initial=1.0)
+    span = max(-math.log(low) if low > 0 else math.inf, math.log(high))
+    width = max(1, min(count, int(-math.log(SCAN_FLOOR) / span)
+                       if span else count))
+    rows = -(-count // width)
     prod = np.ones(rows * width)
-    prod[slot] = decay
+    prod[:count] = decay
     sums = np.zeros(rows * width)
-    sums[slot] = panel_sums
+    sums[:count] = panel_sums
     prod, sums = prod.reshape(rows, width), sums.reshape(rows, width)
     first = prod[:, 0].copy()
     prod[:, 0] = 1.0
@@ -164,7 +140,7 @@ def recurrence(panel_sums, decay, causal: bool,
         entry.append(g * entry[-1] + b)
     out = np.empty(count + 1)
     out[0] = start
-    out[1:] = (prod * ((first * entry[:-1])[:, None] + part)).ravel()[slot]
+    out[1:] = (prod * ((first * entry[:-1])[:, None] + part)).ravel()[:count]
     return out if causal else out[::-1]
 
 
