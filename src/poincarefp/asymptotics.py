@@ -30,6 +30,8 @@ from .solver import IterateGrid
 from .spectral import Spectrum
 
 ENVELOPE_FLOOR = 1e-300
+ENVELOPE_POINTS = 25  # sample times per envelope window
+STABILITY_FACTOR = 3.0  # largest sup-ratio growth when the window doubles
 
 
 def admissible_beta_interval(spectrum: Spectrum, i: int) -> tuple[float, float]:
@@ -93,8 +95,7 @@ class EnvelopeCheck:
 
 
 def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
-                   beta: float, window: tuple[float, float],
-                   points: int = 25) -> EnvelopeCheck:
+                   beta: float, window: tuple[float, float]) -> EnvelopeCheck:
     """sup over the window of sum_j |z^(j)(t)| / envelope(t).
 
     Points where the envelope underflows are excluded; an entirely
@@ -102,7 +103,7 @@ def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
     """
     lo = max(window[0], problem.t0)
     hi = min(window[1], solution.t_max)
-    ts = np.linspace(lo, hi, points)
+    ts = np.linspace(lo, hi, ENVELOPE_POINTS)
     envs = envelope(problem, i, beta, ts)
     masses = np.abs(solution.jet(ts)).sum(axis=0)
     formed = ~(envs < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
@@ -130,8 +131,7 @@ def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
 
 def envelope_stability(problem: ProblemSpec, solution: IterateGrid, i: int,
                        beta: float, window: tuple[float, float],
-                       factor_bound: float = 3.0) -> tuple[EnvelopeCheck,
-                                                           EnvelopeCheck, str]:
+                       ) -> tuple[EnvelopeCheck, EnvelopeCheck, str]:
     """Compare the sup ratio over the window and the doubled window."""
     base = check_envelope(problem, solution, i, beta, window)
     lo, hi = window
@@ -141,7 +141,7 @@ def envelope_stability(problem: ProblemSpec, solution: IterateGrid, i: int,
     if base.sup_ratio == 0.0 and doubled.sup_ratio == 0.0:
         verdict = "pass (vacuous)"
     elif base.sup_ratio > 0 and (
-        doubled.sup_ratio / base.sup_ratio < factor_bound
+        doubled.sup_ratio / base.sup_ratio < STABILITY_FACTOR
     ):
         verdict = "pass"
     else:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, oracle
-from .errors import ConfigError, PoincarefpError
+from .errors import ConfigError, PoincarefpError, QuadratureFailure
 from .hypotheses import evaluate_hypotheses
 from .problem import Equation, ProblemSpec
 from .solver import ode_residual, solve_problem
@@ -341,7 +341,8 @@ def cmd_verify(config: Config) -> int:
     verdicts = []
 
     def record(quantity, i, j, t, value, reference, ok):
-        verdict = "pass" if ok else "fail"
+        """One row; ok None reads indeterminate."""
+        verdict = "indeterminate" if ok is None else "pass" if ok else "fail"
         verdicts.append(verdict)
         rows.append((quantity, i, j, t, value, reference, verdict))
 
@@ -363,11 +364,18 @@ def cmd_verify(config: Config) -> int:
                comp.max_error < bound)
         lo, hi = asymptotics.admissible_beta_interval(spectrum, i)
         beta = config.beta_overrides.get(i, (lo + hi) / 2)
-        base, doubled, verdict = asymptotics.envelope_stability(
-            problem, grid, i, beta, window
-        )
-        record("envelope_stability", i, "", window[1], doubled.sup_ratio,
-               base.sup_ratio, verdict.startswith("pass"))
+        try:
+            base, doubled, verdict = asymptotics.envelope_stability(
+                problem, grid, i, beta, window
+            )
+        except QuadratureFailure as exc:
+            # one root's envelope is no reason to drop every other row
+            print(f"INDETERMINATE envelope_stability i={i}: {exc}")
+            record("envelope_stability", i, "", window[1], "", "", None)
+        else:
+            record("envelope_stability", i, "", window[1],
+                   doubled.sup_ratio, base.sup_ratio,
+                   verdict.startswith("pass"))
 
     ratio, vandermonde = asymptotics.wronskian_diagnostic(fs, t_diag)
     record("wronskian_ratio", "", "", t_diag, ratio, vandermonde,
@@ -384,6 +392,8 @@ def cmd_verify(config: Config) -> int:
         print(f"FAIL {row[0]} i={row[1]} value={row[4]} ref={row[5]}")
     if failures:
         return EXIT_FAIL
+    if "indeterminate" in verdicts:
+        return EXIT_INDETERMINATE
     print("all diagnostics pass")
     return EXIT_OK
 

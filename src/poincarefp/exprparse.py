@@ -259,17 +259,3 @@ def depends_on_t(node: Expression) -> bool:
     if isinstance(node, BinOp):
         return depends_on_t(node.left) or depends_on_t(node.right)
     return any(depends_on_t(arg) for arg in node.args)
-
-
-def pretty_print(node: Expression) -> str:
-    """Fully parenthesized rendering; re-parsing yields an identical AST."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{pretty_print(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({pretty_print(node.left)}{node.op}{pretty_print(node.right)})"
-    args = ", ".join(pretty_print(a) for a in node.args)
-    return f"{node.func}({args})"

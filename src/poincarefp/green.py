@@ -58,7 +58,6 @@ def upsilon(values, ell: int) -> float:
 class GreenKernel:
     gamma: ShiftedSpectrum
     upsilon0: float
-    case_index: int
     coeffs: tuple[float, ...]  # c_l = 1 / prod_{j != l}(gamma_l - gamma_j)
     causal: tuple[bool, ...]  # True: term lives on t >= s
     jump_sign: float  # sign of the (n-2)-th derivative jump at t = s
@@ -205,7 +204,6 @@ def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:
     return GreenKernel(
         gamma=gamma,
         upsilon0=upsilon(gams, 0),
-        case_index=gamma.case_index,
         coeffs=tuple(coeffs),
         causal=causal,
         jump_sign=jump_sign,

@@ -1,10 +1,9 @@
 """Exact multivariate polynomials with rational coefficients.
 
-A tiny dedicated implementation: the symbolic order-reduction needs exact
-identity checks (zero tolerance), monomial-level diffs between two
-polynomials, and fast numeric evaluation, nothing more.  Terms are stored
-as a dict mapping exponent tuples to ``Fraction`` coefficients; zero
-coefficients are never stored.
+A tiny dedicated implementation for the symbolic order reduction: exact
+arithmetic (so identities hold with zero tolerance), numeric evaluation
+and rendering, nothing more.  Terms are stored as a dict mapping exponent
+tuples to ``Fraction`` coefficients; zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -108,12 +107,6 @@ class Poly:
 
     # -- queries ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
-
     def evaluate(self, values) -> float:
         """Numeric value at the given point (one value per variable).
 
@@ -127,17 +120,6 @@ class Poly:
                     term = term * values[idx] ** power
             total = total + term
         return total
-
-    def diff_terms(self, other: "Poly") -> dict[tuple[int, ...], Fraction]:
-        """Exponent -> (self coefficient minus other coefficient), for every
-        monomial where the two differ."""
-        other = self._coerce(other)
-        out = {}
-        for expo in set(self.terms) | set(other.terms):
-            delta = self.coefficient(expo) - other.coefficient(expo)
-            if delta:
-                out[expo] = delta
-        return out
 
     def format(self, names: list[str]) -> str:
         """Human-readable rendering using the given variable names."""

@@ -81,10 +81,6 @@ class IterateGrid:
         return np.where(np.asarray(t) > self.t_max, 0.0,
                         self._series(self.coeffs, t))
 
-    def evaluate(self, t, j: int = 0):
-        """z^(j) at scalar or array t inside [t0, inf)."""
-        return self.jet(t)[j]
-
     def integral(self, t):
         """int_{t0}^t z(s) ds at scalar or array t; constant beyond t_max."""
         return self._series(chebgrid.antiderivative(
@@ -97,7 +93,6 @@ class ContractionCertificate:
     eta_regime: str
     iterations: int
     diffs: tuple[float, ...]
-    ratios: tuple[float, ...]
     contraction_ratio: float
     final_residual: float
     discretisation_error: float
@@ -137,21 +132,21 @@ class FixedPointOperator:
         table = problem.equation.table
         self.omega_panels = table.omega_values(self.mu, rule.r_panels)
 
-        self.gammas = self.kernel.gamma.gamma
-        self.causal = self.kernel.causal
         # per-gamma panel weights and inter-node decay factors
         self.exp_weights = [
             kernelquad.exp_weights(self.nodes, self.panels.points,
                                    self.panels.weights, gam, causal)
-            for gam, causal in zip(self.gammas, self.causal)
+            for gam, causal in zip(self.kernel.gamma.gamma,
+                                   self.kernel.causal)
         ]
         self.tail_constants = self._tail_constants()
 
     def _tail_constants(self) -> dict:
         """A_gamma(t_max) under the zero tail model: the forcing beyond
         the window reduces to its independent term -Omega_0."""
-        anti = [ell for ell in range(len(self.gammas))
-                if not self.causal[ell]]
+        gammas = self.kernel.gamma.gamma
+        anti = [ell for ell, causal in enumerate(self.kernel.causal)
+                if not causal]
         if not anti:
             return {}
         problem = self.problem
@@ -161,8 +156,8 @@ class FixedPointOperator:
         def forcing0(s):
             return -table.omega_value(alpha0, self.mu, problem.r_list(s))
 
-        terms = [kernelquad.ExpTerm(self.gammas[ell], False) for ell in anti]
-        rate = min(self.gammas[ell] for ell in anti)
+        terms = [kernelquad.ExpTerm(gammas[ell], False) for ell in anti]
+        rate = min(gammas[ell] for ell in anti)
         values = kernelquad.exp_integrals(
             forcing0, [problem.t_max], problem.t_max, terms, rate, problem.tol
         )
@@ -183,7 +178,7 @@ class FixedPointOperator:
             kernelquad.recurrence(np.einsum("pg,pg->p", weights, fp), decay,
                                   causal, self.tail_constants.get(ell, 0.0))
             for ell, ((weights, decay), causal)
-            in enumerate(zip(self.exp_weights, self.causal))
+            in enumerate(zip(self.exp_weights, self.kernel.causal))
         ])
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -268,7 +263,6 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
         eta_regime=eta_regime,
         iterations=len(diffs),
         diffs=tuple(diffs),
-        ratios=ratios,
         contraction_ratio=contraction,
         final_residual=residual,
         discretisation_error=_discretisation_error(grid.coeffs),

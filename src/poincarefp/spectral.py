@@ -156,9 +156,3 @@ def reduced_linear_coefficients(a, mu: float) -> tuple[float, ...]:
             full[k] * comb(k, i) * mu ** (k - i) for k in range(i, n + 1)
         )
     return tuple(b)
-
-
-def reduced_char_coeffs(b) -> np.ndarray:
-    """Monic coefficients (highest first) of s^{n-1} + sum b_i s^i."""
-    b = np.asarray(b, dtype=float)
-    return np.concatenate(([1.0], b[::-1]))

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from poincarefp import Equation, ProblemSpec, solve_problem
 from poincarefp.asymptotics import build_fundamental_system
+from poincarefp.problem import Equation, ProblemSpec
+from poincarefp.solver import solve_problem
 
 
 @pytest.fixture(scope="session")

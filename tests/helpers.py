@@ -8,6 +8,8 @@ import numpy as np
 from scipy import integrate
 
 from poincarefp.errors import QuadratureFailure
+from poincarefp.exprparse import BinOp, Expression, Neg, Num, Var
+from poincarefp.multipoly import Poly
 from poincarefp.spectral import ShiftedSpectrum
 
 
@@ -38,6 +40,37 @@ def coeffs_from_roots(roots):
     """(a_0, ..., a_{n-1}) of the monic polynomial with the given roots."""
     poly = np.poly(np.asarray(roots))
     return tuple(poly[1:][::-1])
+
+
+def reduced_char_coeffs(b) -> np.ndarray:
+    """Monic coefficients (highest first) of s^{n-1} + sum b_i s^i."""
+    b = np.asarray(b, dtype=float)
+    return np.concatenate(([1.0], b[::-1]))
+
+
+def diff_terms(p: Poly, q: Poly) -> dict:
+    """Exponent -> (p coefficient minus q coefficient), for every
+    monomial where the two differ."""
+    out = {}
+    for expo in set(p.terms) | set(q.terms):
+        delta = p.terms.get(expo, 0) - q.terms.get(expo, 0)
+        if delta:
+            out[expo] = delta
+    return out
+
+
+def pretty_print(node: Expression) -> str:
+    """Fully parenthesized rendering; re-parsing yields an identical AST."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Neg):
+        return f"(-{pretty_print(node.operand)})"
+    if isinstance(node, BinOp):
+        return f"({pretty_print(node.left)}{node.op}{pretty_print(node.right)})"
+    args = ", ".join(pretty_print(a) for a in node.args)
+    return f"{node.func}({args})"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from helpers import coeffs_from_roots
 from poincarefp import chebgrid
 from poincarefp.asymptotics import (
     ENVELOPE_FLOOR,
+    ENVELOPE_POINTS,
     admissible_beta_interval,
     build_fundamental_system,
     check_envelope,
@@ -111,7 +112,7 @@ class TestEnvelope:
 
 class TestEnvelopeCheck:
     def test_trivial_vacuous_pass(self, trivial_problem):
-        from poincarefp import solve_problem
+        from poincarefp.solver import solve_problem
 
         _, grid, _ = solve_problem(trivial_problem, 3)
         check = check_envelope(trivial_problem, grid, 3, 0.5, (10.0, 20.0))
@@ -133,12 +134,11 @@ class TestEnvelopeCheck:
             nodes=nodes, values=values,
             coeffs=chebgrid.chebyshev_coefficients(values),
         )
-        ts = np.linspace(95.0, 104.0, 10)
+        ts = np.linspace(80.0, 104.0, ENVELOPE_POINTS)  # t = 80, 81, ..., 104
         envs = envelope(problem, 1, -1.0, ts)
         below = (envs > 0.0) & (envs < ENVELOPE_FLOOR)
         assert below.sum() == 6 and not np.any(envs == 0.0)
-        check = check_envelope(problem, solution, 1, -1.0, (95.0, 104.0),
-                               points=10)
+        check = check_envelope(problem, solution, 1, -1.0, (80.0, 104.0))
         sampled = [t for t, _ in check.samples]
         assert sampled == pytest.approx(list(ts[~below]), abs=1e-12)
         ratios = [ratio for _, ratio in check.samples]
@@ -163,7 +163,7 @@ class TestFundamentalSystem:
             assert e1_system.log_y(i, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_trivial_is_pure_exponential(self, trivial_problem):
-        from poincarefp import solve_problem
+        from poincarefp.solver import solve_problem
 
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
         fs = build_fundamental_system(trivial_problem, grids)
@@ -214,7 +214,7 @@ class TestLeibnizRatios:
 
 class TestWronskian:
     def test_trivial_equals_vandermonde(self, trivial_problem):
-        from poincarefp import solve_problem
+        from poincarefp.solver import solve_problem
 
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
         fs = build_fundamental_system(trivial_problem, grids)
@@ -243,7 +243,7 @@ class TestRefinedEstimate:
         assert pi_product(spectrum, 3) == pytest.approx(2.0)
 
     def test_trivial_reduces_to_exponential(self, trivial_problem):
-        from poincarefp import solve_problem
+        from poincarefp.solver import solve_problem
 
         _, grid, _ = solve_problem(trivial_problem, 2)
         got = log_refined_estimate(trivial_problem, 2, grid, 3.0)

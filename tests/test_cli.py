@@ -20,7 +20,7 @@ from poincarefp.cli import (
     main,
     run,
 )
-from poincarefp.errors import ConfigError
+from poincarefp.errors import ConfigError, QuadratureFailure
 from poincarefp.problem import Equation, ProblemSpec
 from poincarefp.solver import solve_problem
 
@@ -405,6 +405,41 @@ class TestEndToEnd:
         out = tmp_path / "out"
         config = load_config(write_config(tmp_path, E1.format(out=out)))
         assert run("verify", config) == EXIT_OK
+
+    def test_envelope_failure_leaves_the_other_rows(self, tmp_path, capsys):
+        # roots (30, 1, -1, -30): lambda_3's envelope overflows at
+        # t = 50.8; its row reads indeterminate and every other row of
+        # every root is still written, the failing ones included
+        text = ("n = 4\na = [900, 0, -901, 0]\n"
+                'r = ["1/(2*(1+t)^4)", "0", "0", "0"]\nt_max = 160\n')
+        path = write_config(tmp_path, text)
+        code = main(["all", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_FAIL
+        out = capsys.readouterr().out
+        assert ("INDETERMINATE envelope_stability i=3: integral at "
+                "t = 50.83333333333333 is not finite (overflow)") in out
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 25 and all(len(row) == 7 for row in rows)
+        assert sum(row[-1] == "fail" for row in rows) == 7
+        assert [row for row in rows if row[-1] == "indeterminate"] == [
+            ["envelope_stability", "3", "", "80.0", "", "", "indeterminate"]]
+
+    def test_indeterminate_envelope_alone_exits_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def overflow(problem, grid, i, beta, window):
+            raise QuadratureFailure("envelope overflow")
+
+        monkeypatch.setattr(cli.asymptotics, "envelope_stability", overflow)
+        out = tmp_path / "out"
+        config = load_config(write_config(tmp_path, E1.format(out=out)))
+        assert run("verify", config) == EXIT_INDETERMINATE
+        printed = capsys.readouterr().out
+        assert "all diagnostics pass" not in printed
+        verdicts = [line.rsplit(",", 1)[1] for line in
+                    (out / "diagnostics.csv").read_text().splitlines()[1:]]
+        assert verdicts.count("indeterminate") == 3
+        assert "fail" not in verdicts
 
     def test_oracle_horizon_stays_in_the_solved_window(self, tmp_path):
         # with t_max - t0 < 10 the dominant root is compared up to t_max

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pretty_print
 from poincarefp.errors import EvalDomainError, ExpressionError
 from poincarefp.exprparse import (
     BinOp,
@@ -20,7 +21,6 @@ from poincarefp.exprparse import (
     depends_on_t,
     evaluate_expression,
     parse_expression,
-    pretty_print,
 )
 
 

@@ -121,5 +121,5 @@ class TestFromSpectrum:
         s = find_roots((-6.0, 11.0, -6.0))
         for i in (1, 2, 3):
             k = build_kernel(shift_spectrum(s, i))
-            assert k.case_index == i
+            assert k.gamma.case_index == i
             assert k.decay_rate() == pytest.approx(1.0, rel=1e-9)

@@ -460,3 +460,101 @@ def test_benchmark_hooks_find_every_name(tmp_path):
     assert {"hypotheses.evaluate_hypotheses", "hypotheses.estimate_sigma",
             "green.derivative", "reduction.omega_eval",
             "solver.solve_problem"} <= set(timed)
+
+
+CENSUS = """
+import contextlib, importlib, inspect, io, sys
+from functools import cached_property
+from pathlib import Path
+
+src, stage, out, *configs = sys.argv[1:]
+modules = [importlib.import_module(f"poincarefp.{path.stem}")
+           for path in sorted(Path(src).glob("*.py"))
+           if path.stem != "__init__"]
+from poincarefp.cli import main
+
+
+def functions(module):
+    # module-level functions and class methods, properties included
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if attr.startswith("__") and attr.endswith("__"):
+                    continue
+                if isinstance(member, property):
+                    funcs = [member.fget, member.fset, member.fdel]
+                elif isinstance(member, cached_property):
+                    funcs = [member.func]
+                else:
+                    funcs = [getattr(member, "__func__", member)]
+                yield from ((f"{name}.{attr}", f) for f in funcs
+                            if inspect.isfunction(f))
+
+
+ran = set()
+
+
+def hook(frame, event, arg):
+    if event == "call":
+        ran.add(frame.f_code)
+
+
+sys.setprofile(hook)
+with contextlib.redirect_stdout(io.StringIO()):
+    for k, config in enumerate(configs):
+        main([stage, config, "--output-dir", f"{out}/{k}"])
+sys.setprofile(None)
+for module in modules:
+    short = module.__name__.split(".", 1)[1]
+    print(*sorted({f"{short}.{name}" for name, func in functions(module)
+                   if func.__code__ not in ran}), sep="\\n")
+"""
+
+
+def never_called(stage: str, configs, out: Path) -> set[str]:
+    """Every module-level function and class method of the package (no
+    nested function, no dunder) that a run of ``stage`` on ``configs``,
+    one after another in one interpreter, never calls."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", CENSUS, str(SRC), stage, str(out),
+         *map(str, configs)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+# what `all` on the shipped configs never calls, and why it stays
+NOT_ON_THE_RUN_PATH = {
+    "chebgrid.barycentric_matrix": "benchmark: perfbench wraps it",
+    "chebgrid.differentiation_matrix": "benchmark: perfbench's checks call it",
+    "chebgrid.lobatto_weights": "benchmark: perfbench's checks call it",
+    "hypotheses.compute_L": "benchmark: perfbench wraps it",
+    "hypotheses.compute_R": "benchmark: perfbench wraps it",
+    "multipoly.Poly.evaluate": "benchmark: perfbench counts its calls",
+    "exprparse._Parser.error": "error path: a malformed expression",
+    "asymptotics.log_refined_estimate":
+        "ROADMAP item 6: a refined-formula row runs it, or it goes",
+    "asymptotics.pi_product": "ROADMAP item 6: log_refined_estimate's factor",
+    "kernelquad.integral": "ROADMAP item 6: log_refined_estimate's quadrature",
+    "oracle.abel_check": "ROADMAP item 7: the k = n plane replaces it",
+}
+
+
+def test_every_function_runs_or_is_listed(tmp_path):
+    # a function no stage calls is API nobody runs: it is deleted, moved
+    # to the tests, or listed with its reason; a listed name that starts
+    # to run must leave the list
+    configs = sorted(CONFIGS.glob("*.conf"))
+    assert len(configs) == 3
+    assert never_called("all", configs, tmp_path) == set(NOT_ON_THE_RUN_PATH)
+
+
+def test_census_sees_what_a_stage_does_not_run(tmp_path):
+    unused = never_called("check", [CONFIGS / "decaying_n2.conf"], tmp_path)
+    assert "solver.picard_solve" in unused
+    assert "hypotheses.evaluate_hypotheses" not in unused

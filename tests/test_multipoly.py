@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import diff_terms
 from poincarefp.multipoly import Poly
 
 
@@ -29,7 +30,7 @@ class TestArithmetic:
     def test_subtraction_cancels_exactly(self):
         x, y, _ = xyz()
         p = (x + y) ** 3
-        assert (p - p).is_zero()
+        assert not (p - p).terms
 
     def test_rational_coefficients_stay_exact(self):
         x, _, _ = xyz()
@@ -43,8 +44,8 @@ class TestArithmetic:
     def test_coefficient_lookup(self):
         x, y, _ = xyz()
         p = Fraction(5) * x ** 2 * y
-        assert p.coefficient((2, 1, 0)) == Fraction(5)
-        assert p.coefficient((0, 0, 0)) == Fraction(0)
+        assert p.terms[(2, 1, 0)] == Fraction(5)
+        assert (0, 0, 0) not in p.terms
 
 
 class TestEvaluate:
@@ -76,13 +77,13 @@ class TestDiffTerms:
         x, y, _ = xyz()
         p = x + Fraction(2) * y
         q = x + Fraction(5) * y
-        deltas = p.diff_terms(q)
+        deltas = diff_terms(p, q)
         assert deltas == {(0, 1, 0): Fraction(-3)}
 
     def test_identical_polys_no_deltas(self):
         x, y, _ = xyz()
         p = (x - y) ** 2
-        assert p.diff_terms((x - y) ** 2) == {}
+        assert diff_terms(p, (x - y) ** 2) == {}
 
 
 class TestFormat:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import diff_terms
 from poincarefp.cli import COMMANDS, main
 from poincarefp.multipoly import Poly
 from poincarefp.spectral import find_roots
@@ -21,9 +22,13 @@ from poincarefp.reduction import (
     build_derivative_polynomials,
     build_reduced_rhs,
     char_constant_poly,
-    discrepancy_report,
     full_substitution_poly,
     linear_part_poly,
+)
+from printed_formulas import (
+    discrepancy_report,
+    hhat,
+    omega0,
     printed_F_poly,
     printed_F_reference,
     printed_H_poly,
@@ -91,7 +96,7 @@ class TestOmegaTable:
         expected = Poly(_nvars(n))
         for ell in range(n):
             expected = expected + _mu(n) ** ell * _r(n, ell)
-        assert table.omega0() == expected
+        assert omega0(table) == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sum_rule_exact(self, n):
@@ -130,7 +135,7 @@ class TestOmegaTable:
         expected = table.evaluate_F(mu, rv, [1.0, 1.0]) - table.omega_value(
             (0, 0), mu, rv
         )
-        assert table.hhat(mu, rv) == pytest.approx(expected)
+        assert hhat(table, mu, rv) == pytest.approx(expected)
 
     def test_mass_by_order_vectorizes(self):
         table = build_reduced_rhs((-6.0, 11.0, -6.0), 3)
@@ -198,7 +203,7 @@ class TestCompiledTable:
         assert table.omega_value((0, 1), mu, rv) == 0.0
         assert table.omega_value((1, 0), mu, rv) == -0.4
         assert table.evaluate_F(mu, rv, zv) == pytest.approx(-0.2)
-        assert table.hhat(mu, rv) == pytest.approx(-0.4)
+        assert hhat(table, mu, rv) == pytest.approx(-0.4)
         masses = table.mass_by_order(mu, rv)
         assert masses.shape == (n + 1,)
         assert list(masses) == [0.0, 0.4, 0.0, 0.0]
@@ -308,7 +313,7 @@ class TestPrintedCrossChecks:
         # report is the contract; agreement would leave it empty)
         assert isinstance(report, list)
         assert all(isinstance(line, str) for line in report)
-        deltas = printed.diff_terms(table.f_poly)
+        deltas = diff_terms(printed, table.f_poly)
         assert len(report) == len(deltas)
 
     def test_printed_reference_matches_polynomial(self):
@@ -328,7 +333,7 @@ class TestPrintedCrossChecks:
     def test_printed_H_builds_for_n3_and_n4(self):
         for n, a in ((3, (-6.0, 11.0, -6.0)), (4, (4.0, 0.0, -5.0, 0.0))):
             h = printed_H_poly(n, a)
-            assert not h.is_zero()
+            assert h.terms
 
     def test_agreement_on_low_order_terms(self):
         # independent term and linear-in-z, r-weighted terms agree between
@@ -337,7 +342,7 @@ class TestPrintedCrossChecks:
         a = (-6.0, 11.0, -6.0)
         table = build_reduced_rhs(a, n)
         printed = printed_F_poly(n, a)
-        deltas = printed.diff_terms(table.f_poly)
+        deltas = diff_terms(printed, table.f_poly)
         for expo in deltas:
             alpha = expo[n + 1 : 2 * n]
             assert sum(alpha) >= 2, (

@@ -42,10 +42,10 @@ class TestKernelIntegrals:
                 alpha0, mu, e1_problem.r_list(s)
             )
 
-        for ell, gam in enumerate(operator.gammas):
+        for ell, gam in enumerate(operator.kernel.gamma.gamma):
             for k in (1, 7, 40):
                 t = operator.nodes[k]
-                if operator.causal[ell]:
+                if operator.kernel.causal[ell]:
                     ref, _ = integrate.quad(
                         lambda s: np.exp(gam * (t - s)) * p_of(s),
                         e1_problem.t0, t, epsabs=1e-12, epsrel=1e-12,
@@ -132,11 +132,11 @@ class TestPicardOnGolden:
         _, grid, _ = results[2]
         # the cosine series reproduces the node values
         k = 17
-        assert grid.evaluate(grid.nodes[k], 0) == pytest.approx(
+        assert grid.jet(grid.nodes[k])[0] == pytest.approx(
             grid.values[0][k], rel=1e-12
         )
         # beyond the window the tail model is zero
-        assert grid.evaluate(grid.t_max + 5.0, 0) == 0.0
+        assert grid.jet(grid.t_max + 5.0)[0] == 0.0
 
     def test_jet_matches_barycentric_reference(self, e1_solves):
         results, _ = e1_solves
@@ -159,7 +159,7 @@ class TestPicardOnGolden:
         x, w = np.polynomial.legendre.leggauss(20)
         lo, hi = grid.nodes[:-1, None], grid.nodes[1:, None]
         pts = (lo + hi) / 2 + (hi - lo) / 2 * x
-        sums = (grid.evaluate(pts.ravel()).reshape(pts.shape)
+        sums = (grid.jet(pts.ravel())[0].reshape(pts.shape)
                 * (hi - lo) / 2 * w).sum(axis=1)
         expected = np.concatenate(([0.0], np.cumsum(sums)))
         got = grid.integral(grid.nodes)
@@ -171,7 +171,7 @@ class TestPicardOnGolden:
         results, _ = e1_solves
         _, grid, _ = results[1]
         with pytest.raises(ValueError):
-            grid.evaluate(grid.t0 - 1.0, 0)
+            grid.jet(grid.t0 - 1.0)[0]
 
 
 class TestFailureModes:

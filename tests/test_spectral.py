@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import reduced_char_coeffs
 from poincarefp.errors import ComplexRoots, RepeatedRoots
 from poincarefp.spectral import (
     char_poly_coeffs,
     find_roots,
-    reduced_char_coeffs,
     reduced_linear_coefficients,
     shift_spectrum,
 )
