@@ -81,7 +81,7 @@ def envelope(problem: ProblemSpec, i: int, beta: float, t):
     return kernelquad.exp_integrals(
         lambda s: np.abs(table.omega_value(alpha0, lam, problem.r_list(s))),
         t, problem.t0, terms, rate, problem.tol,
-    ).sum(axis=0)
+    )[0].sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,34 @@ class GreenKernel:
                             _sign_changes(amps[idx], orient * gams[idx])]
         return tuple(sorted(changes))
 
+    @cached_property
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cuts c (0 and every sign change) and weights W with
+
+            int sum_j |g^(j)(t, s)| f(s) ds = sum_{k,l} W[k, l] I_l(t - c_k),
+
+        I_l(x) the integral of f against term l's e^{gamma_l (x - s)}
+        over its side of x.  Between two cuts every g^(j) keeps the sign
+        it has at one point inside, so sum_j |g^(j)(u)| is the exponential
+        sum P[gap] e^{gamma u} there; W carries the jump of P across each
+        cut, with each term's P zero off its own side."""
+        cuts = np.array(sorted({0.0, *self.sign_changes}))
+        # an outer gap is read one e-folding of the fastest term past its
+        # cut, not so far out that every term may have underflowed to 0
+        step = 1.0 / max(abs(g) for g in self.gamma.gamma)
+        inside = np.concatenate(([cuts[0] - step], (cuts[1:] + cuts[:-1]) / 2,
+                                 [cuts[-1] + step]))
+        signs = np.sign([self.derivative(inside, 0.0, j)
+                         for j in range(self.n - 1)])
+        side = np.where(self.causal, inside[:, None] > 0, inside[:, None] < 0)
+        piece = side * (signs.T @ self.amplitudes)  # (gaps, terms)
+        orient = np.where(self.causal, 1.0, -1.0)
+        # gamma c <= 0 on each term's own side; off it W is 0 and the clip
+        # keeps e^{gamma c} from overflowing into 0 * inf
+        decay = np.exp(np.minimum(np.multiply.outer(cuts, self.gamma.gamma),
+                                  0.0))
+        return cuts, orient * decay * np.diff(piece, axis=0)
+
     def decay_rate(self) -> float:
         """Slowest decay rate away from the diagonal."""
         return min(abs(g) for g in self.gamma.gamma)

@@ -8,12 +8,11 @@ zero tail model, the hypothesis quantities R(t) and L_k(t), and the
 envelope of the asymptotic diagnostics.
 
 All of them use one composite Gauss-Legendre rule.  Its breakpoints are
-t0, every target t, every point t - u where a kernel derivative g^(j)(u)
-changes sign (so |g^(j)| is smooth on each panel), and a tail cutoff
-beyond which the integrand is below TAIL_SAFETY * tol.  A panel is at
-most PANEL_WIDTH wide and spans at most PANEL_EXP_WIDTH e-foldings of the
-fastest exponential; beyond the last target, where only the tail is
-left, panels may grow with their distance from it.  A panel on which f
+t0, every target t and a tail cutoff beyond which the integrand is below
+TAIL_SAFETY * tol.  A panel is at most PANEL_WIDTH wide and spans at most
+PANEL_EXP_WIDTH e-foldings of the fastest exponential; beyond the last
+target, where only the tail is left, panels may grow with their distance
+from it.  A panel on which f
 has a kink of its own is halved until its rule agrees with the rule on
 its halves, adding at most MAX_ADDED_PANELS panels.  f is sampled,
 vectorised, on the panel points, and every target comes out of the exact
@@ -25,8 +24,10 @@ panel recurrence
 (run from the cutoff backwards for the anticausal side).  A first-order
 linear recurrence is a scan (Blelloch, Prefix Sums and Their Applications,
 1990), so ``recurrence`` evaluates it by cumulative products and sums over
-blocks of panels rather than panel by panel.  |g^(j)| does not split into
-exponential terms, so ``green_integrals`` uses a dense product.
+blocks of panels; ``scan`` runs it for one term and every row of f, for
+``exp_integrals`` and the solver alike.  Between two sign changes of the
+g^(j), sum_j |g^(j)| is an exponential sum, so ``green_integrals`` takes
+the same scans at t shifted by them (``GreenKernel.pieces``).
 """
 
 from __future__ import annotations
@@ -172,8 +173,7 @@ def _subdivide(lo: float, hi: float, width: float, last: float,
         out.append(x)
 
 
-def _sample(f, t, t0: float, terms, rate: float, tol: float,
-            breaks=()) -> _Sampled:
+def _sample(f, t, t0: float, terms, rate: float, tol: float) -> _Sampled:
     """Build the panel rule for targets t and evaluate f on it once.
 
     The rule covers [t0, cut]: cut is the largest target when every term
@@ -205,11 +205,8 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float,
     exp_cap = PANEL_EXP_WIDTH / fastest if fastest > 0 else np.inf
     width = min(PANEL_WIDTH, exp_cap)
 
-    breaks = np.asarray(breaks, dtype=float).ravel()
     # sorted and deduplicated (np.unique would import numpy.ma)
-    marks = np.sort(np.concatenate((
-        [t0, cut], t, breaks[(breaks > t0) & (breaks < cut)]
-    )))
+    marks = np.sort(np.concatenate(([t0, cut], t)))
     marks = marks[np.concatenate(([True], np.diff(marks) > 0))]
     edges = [marks[0]]
     for lo, hi in zip(marks[:-1], marks[1:]):
@@ -310,9 +307,9 @@ def _resolve(f, edges, tol: float):
 
 def exp_integrals(f, t, t0: float, terms, rate: float,
                   tol: float) -> np.ndarray:
-    """int e^{gamma (t - s)} f(s) ds for every term (first axis) and every
-    target in the scalar or array t, from one scan of the panel
-    recurrence per term.
+    """int e^{gamma (t - s)} f_row(s) ds for every row of f (first axis;
+    one for an f of one value per s), every term (second axis) and every
+    target in the scalar or array t, from one scan per term.
 
     ``rate`` is the decay rate that turns the probed integrand into a
     tail bound; a tail that never gets below TAIL_SAFETY * tol raises
@@ -322,24 +319,32 @@ def exp_integrals(f, t, t0: float, terms, rate: float,
     """
     flat = np.ravel(t)
     smp = _sample(f, flat, t0, terms, rate, tol)
-    out = np.empty((len(terms), len(smp.targets)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, term in enumerate(terms):
-            wts, decay = exp_weights(smp.edges, smp.points, smp.weights,
-                                     term.gamma, term.causal)
-            sums = (wts * smp.values[0]).sum(axis=1)
-            out[row] = recurrence(sums, decay, term.causal)[smp.targets]
-    bad = ~np.isfinite(out).all(axis=0)
+        out = np.stack([
+            scan(*exp_weights(smp.edges, smp.points, smp.weights,
+                              term.gamma, term.causal),
+                 term.causal, smp.values)[:, smp.targets]
+            for term in terms
+        ], axis=1)  # (rows, terms, targets)
+    bad = ~np.isfinite(out).all(axis=(0, 1))
     if bad.any():
         raise QuadratureFailure(
             f"integral at t = {flat[bad][0]} is not finite (overflow)"
         )
-    return out.reshape((len(terms),) + np.shape(t))
+    return out.reshape(out.shape[:2] + np.shape(t))
+
+
+def scan(weights, decay, causal: bool, values,
+         start: float = 0.0) -> np.ndarray:
+    """One term's integral at every panel edge for every row of values,
+    shape (rows, panels, order), from the term's ``exp_weights``."""
+    sums = np.einsum("pg,rpg->rp", weights, values)
+    return np.array([recurrence(row, decay, causal, start) for row in sums])
 
 
 def integral(f, lo: float, hi, tol: float):
     """int_lo^hi f(s) ds for scalar or array hi >= lo."""
-    return exp_integrals(f, hi, lo, [ExpTerm(0.0, True)], 1.0, tol)[0]
+    return exp_integrals(f, hi, lo, [ExpTerm(0.0, True)], 1.0, tol)[0, 0]
 
 
 def green_integrals(kernel: GreenKernel, f, t, t0: float, rate: float,
@@ -350,20 +355,23 @@ def green_integrals(kernel: GreenKernel, f, t, t0: float, rate: float,
         signed[row, j] = int g^(j)(t, s) f_row(s) ds,  j = 0..n-2,
         absolute[row]  = int sum_j |g^(j)(t, s)| f_row(s) ds.
 
-    f is sampled once; the rule breaks wherever some g^(j) changes sign.
+    Both come from one ``exp_integrals`` call at every t - c_k of the
+    kernel's ``pieces``: the amplitudes weight the terms at t, W all.
     """
-    flat = np.ravel(np.asarray(t, dtype=float))
+    flat = np.ravel(t)
     amps = np.abs(kernel.amplitudes).sum(axis=0)
     terms = [ExpTerm(gam, causal, float(scale)) for gam, causal, scale
              in zip(kernel.gamma.gamma, kernel.causal, amps)]
-    kinks = flat[:, None] - np.asarray(kernel.sign_changes)[None, :]
-    smp = _sample(f, flat, t0, terms, rate, tol, kinks)
-    points = smp.points.ravel()[None, :]
-    dense = np.array([kernel.derivative(flat[:, None], points, j)
-                      for j in range(kernel.n - 1)])
-    rows = len(smp.values)
-    weighted = (smp.weights * smp.values).reshape(rows, -1).T
-    signed = np.moveaxis(dense @ weighted, -1, 0)  # (rows, n-1, targets)
-    absolute = (np.abs(dense).sum(axis=0) @ weighted).T  # (rows, targets)
-    return (signed.reshape((rows, kernel.n - 1) + np.shape(t)),
-            absolute.reshape((rows,) + np.shape(t)))
+    cuts, weights = kernel.pieces
+    shifted = flat - cuts[:, None]
+    # below t0 a causal integral is empty and W weights no anticausal
+    # term, so t0 stands in; t itself stays, so that a target below t0
+    # is still rejected
+    at = exp_integrals(f, np.where(cuts[:, None] > 0,
+                                   np.maximum(shifted, t0), shifted),
+                       t0, terms, rate, tol)  # (rows, terms, cuts, targets)
+    signed = np.einsum("jl,rlt->rjt", kernel.amplitudes,
+                       at[:, :, np.searchsorted(cuts, 0.0)])
+    absolute = np.einsum("kl,rlkt->rt", weights, at)
+    return (signed.reshape(signed.shape[:2] + np.shape(t)),
+            absolute.reshape(absolute.shape[:1] + np.shape(t)))

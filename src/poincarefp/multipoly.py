@@ -66,9 +66,6 @@ class Poly:
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "Poly":
         other = self._coerce(other)
         out: dict[tuple[int, ...], Fraction] = {}
@@ -101,9 +98,6 @@ class Poly:
         if not isinstance(other, Poly):
             other = self._coerce(other)
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     # -- queries ------------------------------------------------------
 

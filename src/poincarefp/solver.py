@@ -10,8 +10,8 @@ exponentials, every kernel integral obeys a one-panel recurrence
 
 (and its mirror for the anticausal terms), so one scan over the grid
 yields every iterate derivative z^(j) = sum_l sign_l c_l gamma_l^j I_l
-simultaneously; the scan and its weights come from ``kernelquad``, which
-runs it by cumulative products and sums over blocks of panels.  The
+simultaneously; the weights and the per-term ``scan`` come from
+``kernelquad``, whose other kernel integrals run the same scan.  The
 grid, its panels and r on the panels are the problem's ``panel_rule``,
 shared by every root's operator; the z-independent Omega_alpha(mu, r(s))
 in P are evaluated once per operator.  The panel integrals need the z-jet
@@ -161,7 +161,7 @@ class FixedPointOperator:
         values = kernelquad.exp_integrals(
             forcing0, [problem.t_max], problem.t_max, terms, rate, problem.tol
         )
-        return {ell: float(v) for ell, v in zip(anti, values[:, 0])}
+        return {ell: float(v) for ell, v in zip(anti, values[0, :, 0])}
 
     def forcing(self, values: np.ndarray) -> np.ndarray:
         """P = -F along the panel points for the iterate sampled in
@@ -173,10 +173,10 @@ class FixedPointOperator:
     def kernel_integrals(self, forcing_panels: np.ndarray) -> np.ndarray:
         """I_gamma and A_gamma at every node via the panel recurrence, one
         row per kernel term."""
-        fp = forcing_panels.reshape(self.panels.points.shape)
+        fp = forcing_panels.reshape((1,) + self.panels.points.shape)
         return np.array([
-            kernelquad.recurrence(np.einsum("pg,pg->p", weights, fp), decay,
-                                  causal, self.tail_constants.get(ell, 0.0))
+            kernelquad.scan(weights, decay, causal, fp,
+                            self.tail_constants.get(ell, 0.0))[0]
             for ell, ((weights, decay), causal)
             in enumerate(zip(self.exp_weights, self.kernel.causal))
         ])

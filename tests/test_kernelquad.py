@@ -7,11 +7,13 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 
 from helpers import (
     ScalarModel,
@@ -31,6 +33,7 @@ from poincarefp.hypotheses import (
     compute_R,
     estimate_sigma,
     hypothesis_grid,
+    kernel_masses,
 )
 from poincarefp.problem import Equation, ProblemSpec
 
@@ -55,7 +58,7 @@ class TestClosedForms:
         got = kernelquad.exp_integrals(
             decaying(3.0), TARGETS, 0.0,
             [kernelquad.ExpTerm(gamma, True)], 1.0, 1e-10,
-        )[0]
+        )[0, 0]
         expected = (np.exp(gamma * TARGETS) - np.exp(-3 * TARGETS)) / (
             gamma + 3
         )
@@ -67,9 +70,24 @@ class TestClosedForms:
         got = kernelquad.exp_integrals(
             decaying(3.0), TARGETS, 0.0,
             [kernelquad.ExpTerm(gamma, False)], gamma + 3.0, 1e-12,
-        )[0]
+        )[0, 0]
         expected = np.exp(-3 * TARGETS) / (gamma + 3)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_stacked_rows(self):
+        # every row of a stacked f gets its own closed form
+        rates = np.array([3.0, 1.0])
+        got = kernelquad.exp_integrals(
+            lambda s: np.outer([1.0, 2.0], np.ones_like(s))
+            * np.exp(-np.outer(rates, s)),
+            TARGETS, 0.0, [kernelquad.ExpTerm(-0.5, True)], 1.0, 1e-10,
+        )
+        assert got.shape == (2, 1, len(TARGETS))
+        for row, (scale, a) in enumerate(zip([1.0, 2.0], rates)):
+            expected = scale * (np.exp(-0.5 * TARGETS)
+                                - np.exp(-a * TARGETS)) / (a - 0.5)
+            assert got[row, 0] == pytest.approx(expected, rel=1e-13,
+                                                abs=1e-15)
 
     def test_targets_in_any_order(self):
         terms = [kernelquad.ExpTerm(-1.0, True),
@@ -78,7 +96,7 @@ class TestClosedForms:
                                            terms, 1.0, 1e-10)
         shuffled = kernelquad.exp_integrals(decaying(1.0), TARGETS[::-1],
                                             0.0, terms, 1.0, 1e-10)
-        assert np.array_equal(ordered, shuffled[:, ::-1])
+        assert np.array_equal(ordered, shuffled[..., ::-1])
 
     def test_plain_integral(self):
         # int_0^10 (1 + s)^-2 ds = 1 - 1/11
@@ -240,6 +258,29 @@ class TestKinks:
                                              rel=1e-13)
         assert signed[1] == pytest.approx(-3 * signed[0], rel=1e-13)
 
+    def test_wide_spectrum(self):
+        # e^{800 c} at the causal cuts c near 0.55 and 1.1 overflows: the
+        # anticausal term's weight there is 0 and must stay 0, not NaN.
+        # g^(j)(-1) underflows to 0, so the anticausal side's signs must be
+        # read nearer the diagonal, or that side drops out.
+        kernel = build_kernel(make_shifted((800.0, -1.0, -3.0)))
+        cuts, weights = kernel.pieces
+        assert np.isfinite(weights).all()
+        assert not weights[cuts > 0, 0].any()
+        t = 3.0
+        _, absolute = kernelquad.green_integrals(
+            kernel, lambda s: np.exp(-s)[None], [t], 0.0, 1.0, 1e-10)
+
+        def total(s):
+            return np.exp(-s) * sum(abs(kernel.derivative(t, s, j))
+                                    for j in range(kernel.n - 1))
+
+        breaks = sorted(t - c for c in cuts)
+        ref = sum(scipy.integrate.quad(total, lo, hi, epsabs=0,
+                                       epsrel=1e-12, limit=200)[0]
+                  for lo, hi in zip([0.0] + breaks, breaks + [t + 1.0]))
+        assert absolute[0, 0] == pytest.approx(ref, rel=1e-9)
+
     def test_kink_of_the_integrand_is_split_out(self):
         # |s - 1.3| has a kink no breakpoint knows of
         got = kernelquad.integral(lambda s: np.abs(s - 1.3), 0.0, 3.0,
@@ -255,6 +296,25 @@ class TestKinks:
         for t in (1.0, 2.0, 4.0):
             got = compute_L(problem, 1, t, 1)
             assert agree(got, quad_L(model, t, 1))
+
+
+class TestMemory:
+    def test_kernel_masses_peak_grows_slower_than_targets(self):
+        # the kernel integrals come out of one scan per term at every
+        # t - c_k; no array of kernel values at targets x points is formed
+        problem = load_config(ROOT / "configs" / "spread_n4.conf").problem
+
+        def peak(count):
+            t = np.linspace(problem.t0, problem.t_max, count)
+            tracemalloc.start()
+            try:
+                kernel_masses(problem, 1, t)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # the kernel's cached sign changes and pieces
+        assert peak(64) < 4 * peak(8)
 
 
 def round_off(s):

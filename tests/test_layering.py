@@ -72,8 +72,8 @@ def test_detector_sees_a_private_import(tmp_path):
 DENSE = ("barycentric_matrix", "differentiation_matrix")
 
 
-def dense_calls(path: Path) -> list[str]:
-    """Every call of a dense chebgrid reference matrix in the module."""
+def named_calls(path: Path, names) -> list[str]:
+    """Every call in the module of a function or method named in names."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = []
     for node in ast.walk(tree):
@@ -82,7 +82,7 @@ def dense_calls(path: Path) -> list[str]:
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(
             func, "id", None)
-        if name in DENSE:
+        if name in names:
             found.append(f"{name} (line {node.lineno})")
     return found
 
@@ -93,7 +93,7 @@ def test_no_module_builds_a_dense_matrix():
     offenders = {
         path.name: calls
         for path in sorted(SRC.glob("*.py"))
-        if (calls := dense_calls(path))
+        if (calls := named_calls(path, DENSE))
     }
     assert not offenders
 
@@ -107,8 +107,36 @@ def test_detector_sees_a_dense_call(tmp_path):
         "d = differentiation_matrix(nodes, weights)\n",
         encoding="utf-8",
     )
-    assert dense_calls(probe) == [
+    assert named_calls(probe, DENSE) == [
         "barycentric_matrix (line 3)", "differentiation_matrix (line 4)",
+    ]
+
+
+def test_only_kernelquad_runs_the_recurrence():
+    # every integral against the kernel's exponentials goes through
+    # kernelquad's per-term scan, so a second way of weighting and
+    # scanning the panels cannot appear beside it
+    offenders = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "kernelquad.py"
+        and (calls := named_calls(path, ("recurrence",)))
+    }
+    assert not offenders
+
+
+def test_detector_sees_a_recurrence_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import kernelquad\n"
+        "from .kernelquad import recurrence\n"
+        "a = kernelquad.recurrence(sums, decay, True)\n"
+        "b = recurrence(sums, decay, False, 1.0)\n"
+        "c = kernelquad.scan(weights, decay, True, values)\n",
+        encoding="utf-8",
+    )
+    assert named_calls(probe, ("recurrence",)) == [
+        "recurrence (line 3)", "recurrence (line 4)",
     ]
 
 
