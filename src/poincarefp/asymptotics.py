@@ -86,20 +86,17 @@ def envelope(problem: ProblemSpec, i: int, beta: float, t):
 
 @dataclass(frozen=True)
 class EnvelopeCheck:
-    i: int
-    beta: float
-    window: tuple[float, float]
-    sup_ratio: float
+    sup_ratio: float  # 0.0 for an iterate that vanishes on the window
     samples: tuple[tuple[float, float], ...]  # (t, ratio) where formed
-    verdict: str
 
 
 def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
                    beta: float, window: tuple[float, float]) -> EnvelopeCheck:
     """sup over the window of sum_j |z^(j)(t)| / envelope(t).
 
-    Points where the envelope underflows are excluded; an entirely
-    excluded window with a vanishing iterate is a vacuous pass.
+    Points where the envelope underflows are excluded; if every point is,
+    the sup is 0 for a vanishing iterate, and otherwise there is none:
+    QuadratureFailure.
     """
     lo = max(window[0], problem.t0)
     hi = min(window[1], solution.t_max)
@@ -107,46 +104,30 @@ def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
     envs = envelope(problem, i, beta, ts)
     masses = np.abs(solution.jet(ts)).sum(axis=0)
     formed = ~(envs < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
+    if not formed.any() and masses.max() != 0.0:
+        raise QuadratureFailure("envelope underflowed across the whole window")
     ratios = masses[formed] / envs[formed]
-    samples = tuple(zip(ts[formed].tolist(), ratios.tolist()))
-    sup = float(ratios.max(initial=0.0))
-    if not samples:
-        if masses.max() == 0.0:
-            verdict = "pass (vacuous)"
-        else:
-            raise QuadratureFailure(
-                "envelope underflowed across the whole window"
-            )
-    else:
-        verdict = "computed"  # stability judged by the caller across windows
     return EnvelopeCheck(
-        i=i,
-        beta=beta,
-        window=(lo, hi),
-        sup_ratio=sup,
-        samples=samples,
-        verdict=verdict,
+        sup_ratio=float(ratios.max(initial=0.0)),
+        samples=tuple(zip(ts[formed].tolist(), ratios.tolist())),
     )
 
 
 def envelope_stability(problem: ProblemSpec, solution: IterateGrid, i: int,
                        beta: float, window: tuple[float, float],
                        ) -> tuple[EnvelopeCheck, EnvelopeCheck, str]:
-    """Compare the sup ratio over the window and the doubled window."""
+    """Compare the sup ratio over the window and the doubled window: pass
+    when both vanish or the sup grows by less than STABILITY_FACTOR,
+    fail otherwise."""
     base = check_envelope(problem, solution, i, beta, window)
     lo, hi = window
     doubled = check_envelope(
         problem, solution, i, beta, (lo, lo + 2 * (hi - lo))
     )
-    if base.sup_ratio == 0.0 and doubled.sup_ratio == 0.0:
-        verdict = "pass (vacuous)"
-    elif base.sup_ratio > 0 and (
-        doubled.sup_ratio / base.sup_ratio < STABILITY_FACTOR
-    ):
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return base, doubled, verdict
+    stable = (base.sup_ratio == doubled.sup_ratio == 0.0) or (
+        base.sup_ratio > 0
+        and doubled.sup_ratio / base.sup_ratio < STABILITY_FACTOR)
+    return base, doubled, "pass" if stable else "fail"
 
 
 def jet_ratios(lam: float, zjet) -> list:

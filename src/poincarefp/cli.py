@@ -1,8 +1,9 @@
 """Command-line pipeline: configuration, orchestration, report files.
 
-Subcommands: roots | reduce | check | solve | verify | all.
-Exit codes: 0 success, 1 usage or configuration error, 2 verification
-failure, 3 indeterminate verdicts only.
+Subcommands: roots | reduce | check | solve | verify | all.  A stage
+returns the statuses of its verdicts (a failed stage: "fail"), which
+``exit_code`` folds into 0 (all pass), 2 (one fails) or 3 (none fails,
+one is indeterminate); 1 is a usage or configuration error.
 
 The config format is flat ``key = value`` text; sequences use bracket
 notation, expression strings may be quoted.  All numeric CSV output uses
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import asymptotics, oracle
 from .errors import ConfigError, PoincarefpError, QuadratureFailure
-from .hypotheses import evaluate_hypotheses
+from .hypotheses import Verdict, evaluate_hypotheses, worst
 from .problem import Equation, ProblemSpec
 from .solver import ode_residual, solve_problem
 
@@ -204,12 +205,18 @@ def _write_csv(path: Path, header, columns):
     path.write_text(text, encoding="utf-8", newline="")
 
 
-def cmd_roots(config: Config) -> int:
+def exit_code(statuses) -> int:
+    """The exit code of the worst of the statuses, EXIT_OK for none."""
+    return {"pass": EXIT_OK, "indeterminate": EXIT_INDETERMINATE,
+            "fail": EXIT_FAIL}[worst(statuses)]
+
+
+def cmd_roots(config: Config) -> list[str]:
     try:
         spectrum = config.problem.equation.spectrum
     except PoincarefpError as exc:
         print(f"(H1) fail: {exc}")
-        return EXIT_FAIL
+        return ["fail"]
     roots_text = ", ".join(_fmt(lam) for lam in spectrum.lam)
     print(f"characteristic roots: {roots_text}")
     print(f"separation: {_fmt(spectrum.separation)}")
@@ -217,10 +224,10 @@ def cmd_roots(config: Config) -> int:
         gams = ", ".join(_fmt(g) for g in shifted.gamma)
         print(f"gamma(lambda_{i}): {gams}  [case {shifted.case_index}]")
     print("(H1) pass: roots real and simple")
-    return EXIT_OK
+    return []
 
 
-def cmd_reduce(config: Config) -> int:
+def cmd_reduce(config: Config) -> list[str]:
     table = config.problem.equation.table
     out = config.output_dir / "omega_table.txt"
     lines = [
@@ -232,34 +239,28 @@ def cmd_reduce(config: Config) -> int:
         lines.append(f"{alpha} | {rendered}")
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {out} ({len(table.table)} coefficients)")
-    return EXIT_OK
+    return []
 
 
-def cmd_check(config: Config) -> int:
+def cmd_check(config: Config) -> list[str]:
     problem = config.problem
     rows = []
-    any_fail = False
-    any_indeterminate = False
+    statuses = []
     for i in range(1, problem.n + 1):
         report = evaluate_hypotheses(problem, i)
-        for line in report.lines():
-            print(f"lambda_{i}: {line}")
-        verdicts = [report.h1_verdict, report.r2_verdict, report.r3_verdict]
-        any_fail = any_fail or any(v == "fail" for v in verdicts)
-        any_indeterminate = any_indeterminate or any(
-            v == "indeterminate" for v in verdicts
-        )
-        if report.spectrum is None:
-            rows.append((i, "H1", "", "", report.h1_verdict))
+        for verdict in report.verdicts:
+            print(f"lambda_{i}: ({verdict.quantity}) {verdict}: "
+                  f"{verdict.reason}")
+            statuses.append(verdict.status)
+        r1 = report.verdicts[0]
+        rows.append((i, "H1", "", r1.value, r1))
+        if r1.status == "fail":
             continue
-        rows.append((i, "H1", "", report.spectrum.separation,
-                     report.h1_verdict))
-        for t, value in zip(report.t_grid, report.r_samples):
-            rows.append((i, "R", t, value, report.r_verdict))
-        for k, samples in sorted(report.l_samples.items()):
-            verdict = report.l1_verdict if k == 1 else report.higher_verdict
-            for t, value in zip(report.t_grid, samples):
-                rows.append((i, f"L_{k}", t, value, verdict))
+        for k, samples in enumerate(report.samples):
+            verdict = report.parts[min(k, 2)]  # R, L_1, then sum_{k>=2}
+            name = f"L_{k}" if k else "R"
+            rows += [(i, name, t, value, verdict)
+                     for t, value in zip(report.t_grid, samples)]
         rows.append((i, "phi1", "", report.phi1, ""))
         for est in report.sigma:
             rows.append((i, f"sigma({_fmt(est.gamma)})", "", est.value,
@@ -270,11 +271,7 @@ def cmd_check(config: Config) -> int:
         map(_render, zip(*rows)),
     )
     print(f"wrote {config.output_dir / 'hypotheses.csv'}")
-    if any_fail:
-        return EXIT_FAIL
-    if any_indeterminate:
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+    return statuses
 
 
 def _solve_all(config: Config) -> dict:
@@ -290,14 +287,14 @@ def _solve_all(config: Config) -> dict:
     return config._solved[1]
 
 
-def cmd_solve(config: Config) -> int:
+def cmd_solve(config: Config) -> list[str]:
     """Solve every root and write its z CSV and certificate."""
     problem = config.problem
     try:
         results = _solve_all(config)
     except PoincarefpError as exc:
         print(f"solve failed: {exc}")
-        return EXIT_FAIL
+        return ["fail"]
     header = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
     # every root is solved on the problem's nodes: one t column for all
     t_cells = _render(problem.panel_rule.nodes)
@@ -311,10 +308,10 @@ def cmd_solve(config: Config) -> int:
             f"residual {_fmt(cert.final_residual)}; wrote {csv_path} and "
             f"{cert_path}"
         )
-    return EXIT_OK
+    return []
 
 
-def cmd_verify(config: Config) -> int:
+def cmd_verify(config: Config) -> list[str]:
     """Diagnostics on the solves of every root; reuses those of an
     earlier stage on the same problem."""
     problem = config.problem
@@ -328,7 +325,7 @@ def cmd_verify(config: Config) -> int:
         results = _solve_all(config)
     except PoincarefpError as exc:
         print(f"verify: solve stage failed: {exc}")
-        return EXIT_FAIL
+        return ["fail"]
     fs = asymptotics.build_fundamental_system(
         problem, [results[i][1] for i in range(1, problem.n + 1)]
     )
@@ -338,13 +335,12 @@ def cmd_verify(config: Config) -> int:
     t_end = t0 + min(10.0, length)
     window = (t0 + min(10.0, length / 4), t0 + min(100.0, length / 2))
     rows = []
-    verdicts = []
 
     def record(quantity, i, j, t, value, reference, ok):
         """One row; ok None reads indeterminate."""
-        verdict = "indeterminate" if ok is None else "pass" if ok else "fail"
-        verdicts.append(verdict)
-        rows.append((quantity, i, j, t, value, reference, verdict))
+        status = "indeterminate" if ok is None else "pass" if ok else "fail"
+        rows.append(Verdict(quantity, i, status, j=j, t=t, value=value,
+                            reference=reference))
 
     for i in range(1, problem.n + 1):
         operator, grid, cert = results[i]
@@ -365,7 +361,7 @@ def cmd_verify(config: Config) -> int:
         lo, hi = asymptotics.admissible_beta_interval(spectrum, i)
         beta = config.beta_overrides.get(i, (lo + hi) / 2)
         try:
-            base, doubled, verdict = asymptotics.envelope_stability(
+            base, doubled, status = asymptotics.envelope_stability(
                 problem, grid, i, beta, window
             )
         except QuadratureFailure as exc:
@@ -375,7 +371,7 @@ def cmd_verify(config: Config) -> int:
         else:
             record("envelope_stability", i, "", window[1],
                    doubled.sup_ratio, base.sup_ratio,
-                   verdict.startswith("pass"))
+                   status == "pass")
 
     ratio, vandermonde = asymptotics.wronskian_diagnostic(fs, t_diag)
     record("wronskian_ratio", "", "", t_diag, ratio, vandermonde,
@@ -384,26 +380,26 @@ def cmd_verify(config: Config) -> int:
     _write_csv(
         config.output_dir / "diagnostics.csv",
         ("quantity", "i", "j", "t", "value", "reference", "verdict"),
-        map(_render, zip(*rows)),
+        map(_render, zip(*[(v.quantity, v.i, v.j, v.t, v.value, v.reference,
+                            v) for v in rows])),
     )
     print(f"wrote {config.output_dir / 'diagnostics.csv'}")
-    failures = [r for r, v in zip(rows, verdicts) if v == "fail"]
-    for row in failures:
-        print(f"FAIL {row[0]} i={row[1]} value={row[4]} ref={row[5]}")
-    if failures:
-        return EXIT_FAIL
-    if "indeterminate" in verdicts:
-        return EXIT_INDETERMINATE
-    print("all diagnostics pass")
-    return EXIT_OK
+    for v in rows:
+        if v.status == "fail":
+            print(f"FAIL {v.quantity} i={v.i} value={v.value} "
+                  f"ref={v.reference}")
+    statuses = [v.status for v in rows]
+    if worst(statuses) == "pass":
+        print("all diagnostics pass")
+    return statuses
 
 
-def cmd_all(config: Config) -> int:
+def cmd_all(config: Config) -> list[str]:
     """Chain every stage.  Hard failures (bad roots, a solve that does
     not converge) stop the pipeline; adverse hypothesis or diagnostic
-    verdicts are results, so they are recorded and the chain continues,
-    with the worst code returned at the end."""
-    worst = EXIT_OK
+    verdicts are results, so they are recorded and the chain continues.
+    Returns the statuses of every stage that ran."""
+    statuses = []
     for name, command, gating in (
         ("roots", cmd_roots, True),
         ("reduce", cmd_reduce, True),
@@ -412,15 +408,12 @@ def cmd_all(config: Config) -> int:
         ("verify", cmd_verify, False),
     ):
         print(f"== {name} ==")
-        code = command(config)
-        if code == EXIT_FAIL and gating:
+        stage = command(config)
+        statuses += stage
+        if gating and "fail" in stage:
             print(f"stage {name} failed; stopping")
-            return EXIT_FAIL
-        if code == EXIT_FAIL:
-            worst = EXIT_FAIL
-        elif code == EXIT_INDETERMINATE and worst == EXIT_OK:
-            worst = EXIT_INDETERMINATE
-    return worst
+            break
+    return statuses
 
 
 COMMANDS = {
@@ -438,7 +431,7 @@ def run(subcommand: str, config: Config) -> int:
     if subcommand not in COMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    return COMMANDS[subcommand](config)
+    return exit_code(COMMANDS[subcommand](config))
 
 
 def main(argv=None) -> int:

@@ -15,12 +15,16 @@ Three groups of conditions are checked for a chosen root index i:
 R and every L_k are integrals of a fixed function of s against the
 kernel, evaluated by ``kernelquad`` for the whole t-grid at once; they
 share one pass per root, which samples [Omega_0, M_1, ..., M_n] once on a
-panel rule cut off where the tail drops below the tolerance.  An
-integrand that refuses to decay marks the quantity divergent and the
-verdict indeterminate.  sigma_gamma needs no quadrature: z^n enters F
-only through (z + mu)^n, so its coefficient is the constant 1, M >= 1,
-and sigma_gamma is infinite for every gamma by the derivation in
-``estimate_sigma``.  (R3) therefore reads indeterminate on every problem.
+panel rule cut off where the tail drops below the tolerance.
+sigma_gamma needs no quadrature: z^n enters F only through (z + mu)^n,
+so its coefficient is the constant 1, M >= 1, and sigma_gamma is infinite
+for every gamma by the derivation in ``estimate_sigma``.  (R3) therefore
+reads indeterminate on every problem.
+
+Each condition's verdict is a ``Verdict``: pass, indeterminate or fail.
+(R2)'s status is the worst of its three parts.  R -> 0 and L_1 -> 0 are
+read off samples on a finite grid, so their passes, and (R2)'s, carry the
+note "numerical".
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from . import kernelquad
 from .errors import ComplexRoots, RepeatedRoots
 from .green import GreenKernel, upsilon
 from .problem import ProblemSpec
-from .spectral import Spectrum
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
 FAIL_FLOOR = 1e-3  # a non-decreasing tail above this counts as nonzero
@@ -124,47 +127,66 @@ def estimate_sigma(problem: ProblemSpec, gamma: float,
     )
 
 
+STATUSES = ("pass", "indeterminate", "fail")  # the mildest first
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One judged quantity of ``check`` or ``verify``: the status is pass,
+    indeterminate or fail, and a pass that rests on sampled data notes
+    "numerical", which str() renders.  ``reason`` words the figures behind
+    the status; a verdict on one value holds it, where it was taken
+    (derivative order j, time t) and the reference it was judged against.
+    """
+
+    quantity: str
+    i: int | str  # root index; "" for a verdict on the whole system
+    status: str
+    note: str = ""
+    reason: str = ""
+    j: int | str = ""
+    t: float | str = ""
+    value: float | str = ""
+    reference: float | str = ""
+
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"verdict status {self.status!r} is not one "
+                             f"of {STATUSES}")
+
+    def __str__(self) -> str:
+        return f"{self.status} ({self.note})" if self.note else self.status
+
+
+def worst(statuses) -> str:
+    """The most severe of the statuses (fail, then indeterminate); pass
+    when there is none."""
+    return max(statuses, key=STATUSES.index, default="pass")
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
-    base_index: int
-    spectrum: Spectrum | None
-    h1_verdict: str
-    h1_detail: str
+    """Root i's (R1), (R2) and (R3), or (R1) alone when it fails; the
+    parts of (R2): R -> 0, L_1 -> 0 and limsup sum_{k>=2} L_k < 1; and
+    the samples, row 0 of R and row k of L_k, on ``t_grid``."""
+
+    verdicts: tuple[Verdict, ...]
+    parts: tuple[Verdict, ...] = ()
     t_grid: tuple[float, ...] = ()
-    r_samples: tuple[float, ...] = ()
-    l_samples: dict | None = None  # k -> tuple of samples on t_grid
+    samples: tuple[tuple[float, ...], ...] = ()
     phi1: float = np.nan
     sigma: tuple[SigmaEstimate, ...] = ()
-    r_verdict: str = "indeterminate"  # R(t) -> 0
-    l1_verdict: str = "indeterminate"  # L_1(t) -> 0
-    higher_verdict: str = "indeterminate"  # limsup sum_{k>=2} L_k < 1
-    r2_verdict: str = "indeterminate"  # all three of the above
-    r2_detail: str = ""
-    r3_verdict: str = "indeterminate"  # every sigma_gamma is inf
-    r3_detail: str = ""
-
-    def lines(self) -> list[str]:
-        out = [f"(R1) {self.h1_verdict}: {self.h1_detail}"]
-        if self.spectrum is not None:
-            out.append(f"(R2) {self.r2_verdict}: {self.r2_detail}")
-            out.append(f"(R3) {self.r3_verdict}: {self.r3_detail}")
-        return out
 
 
-def _limit_verdict(samples: np.ndarray) -> str:
+def _limit_verdict(quantity: str, i: int, samples: np.ndarray) -> Verdict:
     """Classify a sampled t -> value curve as vanishing at infinity."""
     tail = samples[-3:]
+    reason = f"{quantity}(t) tail {tail[-1]:.3e}"
     if tail[-1] < LIMIT_TOL:
-        return "pass (numerical)"
-    if tail[-1] > FAIL_FLOOR and not np.all(np.diff(tail) < 0):
-        return "fail"
-    return "indeterminate"
-
-
-def _combined_verdict(verdicts) -> str:
-    if all(v.startswith("pass") for v in verdicts):
-        return "pass (numerical)"
-    return "fail" if "fail" in verdicts else "indeterminate"
+        return Verdict(quantity, i, "pass", "numerical", reason)
+    nonzero = tail[-1] > FAIL_FLOOR and not np.all(np.diff(tail) < 0)
+    return Verdict(quantity, i, "fail" if nonzero else "indeterminate",
+                   reason=reason)
 
 
 def hypothesis_grid(problem: ProblemSpec) -> tuple[float, ...]:
@@ -183,16 +205,10 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     try:
         spectrum = problem.equation.spectrum
     except (ComplexRoots, RepeatedRoots) as exc:
-        return HypothesisReport(
-            base_index=i,
-            spectrum=None,
-            h1_verdict="fail",
-            h1_detail=str(exc),
-        )
+        return HypothesisReport((Verdict("R1", i, "fail", reason=str(exc)),))
     roots_text = ", ".join(f"{lam:.12g}" for lam in spectrum.lam)
-    h1_detail = (
-        f"roots ({roots_text}), separation {spectrum.separation:.6g}"
-    )
+    r1 = Verdict("R1", i, "pass", value=spectrum.separation, reason=(
+        f"roots ({roots_text}), separation {spectrum.separation:.6g}"))
 
     kernel = problem.equation.kernels[i - 1]
     shifted = kernel.gamma
@@ -200,43 +216,33 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
     grid = hypothesis_grid(problem)
     if not grid:
         reason = "no sample point: the grid starts at t0 + 1 > t_max"
-        return HypothesisReport(i, spectrum, "pass", h1_detail, l_samples={},
-                                phi1=phi1, r2_detail=reason, r3_detail=reason)
+        return HypothesisReport(
+            (r1, Verdict("R2", i, "indeterminate", reason=reason),
+             Verdict("R3", i, "indeterminate", reason=reason)), phi1=phi1)
 
     masses = kernel_masses(problem, i, np.array(grid))
-    r_verdict = _limit_verdict(masses[0])
-    l1_verdict = _limit_verdict(masses[1])
     higher_limsup = float(np.max(masses[2:].sum(axis=0)[-3:]))
-    higher_verdict = "pass" if higher_limsup < 1.0 else "fail"
-    parts = [
-        f"R(t) tail {masses[0, -1]:.3e} [{r_verdict}]",
-        f"L_1(t) tail {masses[1, -1]:.3e} [{l1_verdict}]",
-        f"limsup sum_(k>=2) L_k ~ {higher_limsup:.3e} [{higher_verdict}]",
-    ]
-    r2_verdict = _combined_verdict([r_verdict, l1_verdict, higher_verdict])
+    parts = (
+        _limit_verdict("R", i, masses[0]),
+        _limit_verdict("L_1", i, masses[1]),
+        Verdict("L_k", i, "pass" if higher_limsup < 1.0 else "fail",
+                reason=f"limsup sum_(k>=2) L_k ~ {higher_limsup:.3e}"),
+    )
+    status = worst(part.status for part in parts)
+    r2 = Verdict("R2", i, status, "numerical" if status == "pass" else "",
+                 "; ".join(f"{part.reason} [{part}]" for part in parts))
 
     sigma = tuple(
         estimate_sigma(problem, gam, shifted.mu) for gam in shifted.gamma
     )
-    r3_detail = f"phi1 = {phi1:.6g}; " + "; ".join(
-        f"sigma({est.gamma:g}) {est.status}" for est in sigma
-    )
-
+    r3 = Verdict("R3", i, "indeterminate", reason=(
+        f"phi1 = {phi1:.6g}; " + "; ".join(
+            f"sigma({est.gamma:g}) {est.status}" for est in sigma)))
     return HypothesisReport(
-        base_index=i,
-        spectrum=spectrum,
-        h1_verdict="pass",
-        h1_detail=h1_detail,
+        verdicts=(r1, r2, r3),
+        parts=parts,
         t_grid=grid,
-        r_samples=tuple(masses[0].tolist()),
-        l_samples={k: tuple(masses[k].tolist())
-                   for k in range(1, problem.n + 1)},
+        samples=tuple(map(tuple, masses.tolist())),
         phi1=phi1,
         sigma=sigma,
-        r_verdict=r_verdict,
-        l1_verdict=l1_verdict,
-        higher_verdict=higher_verdict,
-        r2_verdict=r2_verdict,
-        r2_detail="; ".join(parts),
-        r3_detail=r3_detail,
     )

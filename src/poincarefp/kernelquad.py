@@ -11,8 +11,10 @@ All of them use one composite Gauss-Legendre rule.  Its breakpoints are
 t0, every target t and a tail cutoff beyond which the integrand is below
 TAIL_SAFETY * tol.  A panel is at most PANEL_WIDTH wide and spans at most
 PANEL_EXP_WIDTH e-foldings of the fastest exponential; beyond the last
-target, where only the tail is left, panels may grow with their distance
-from it.  A panel on which f
+target, where only the tail of the anticausal terms is left, panels may
+grow with their distance from it and span that many e-foldings of the
+fastest anticausal exponential.  The rule starts with at most MAX_PANELS
+panels.  A panel on which f
 has a kink of its own is halved until its rule agrees with the rule on
 its halves, adding at most MAX_ADDED_PANELS panels.  f is sampled,
 vectorised, on the panel points, and every target comes out of the exact
@@ -46,6 +48,7 @@ PANEL_WIDTH = 2.0
 PANEL_EXP_WIDTH = 8.0
 TAIL_GROWTH = 0.5  # panel width per unit distance beyond the last target
 MAX_SPLITS = 60  # halvings of one panel before f counts as unresolved
+MAX_PANELS = 2 ** 16  # panels of the rule before refinement
 MAX_ADDED_PANELS = 2 ** 16  # panels refinement may add to one rule
 SCAN_FLOOR = 1e-150  # least decay product inside one block of ``recurrence``
 
@@ -157,20 +160,24 @@ class _Sampled:
 
 
 def _subdivide(lo: float, hi: float, width: float, last: float,
-               exp_cap: float) -> list[float]:
+               tail_cap: float, room: int) -> list[float]:
     """Interior edges splitting [lo, hi]; beyond ``last`` the width may
-    grow with the distance from it, up to ``exp_cap``."""
+    grow with the distance from it, up to ``tail_cap``.  A split that
+    needs more than ``room`` of them raises QuadratureFailure instead."""
     if hi <= last:
         count = int(np.ceil((hi - lo) / width))
-        return list(np.linspace(lo, hi, count + 1)[1:-1])
-    out = []
-    x = lo
-    while True:
-        step = min(exp_cap, max(width, TAIL_GROWTH * (x - last)))
-        x += step
-        if x >= hi - 0.5 * width:
-            return out
-        out.append(x)
+        if count - 1 <= room:
+            return list(np.linspace(lo, hi, count + 1)[1:-1])
+    else:
+        out = []
+        x = lo
+        while len(out) <= room:
+            x += min(tail_cap, max(width, TAIL_GROWTH * (x - last)))
+            if x >= hi - 0.5 * width:
+                return out
+            out.append(x)
+    raise QuadratureFailure(f"panel rule needs more than {MAX_PANELS} "
+                            f"panels by the end of [{lo}, {hi}]")
 
 
 def _sample(f, t, t0: float, terms, rate: float, tol: float) -> _Sampled:
@@ -179,6 +186,9 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float) -> _Sampled:
     The rule covers [t0, cut]: cut is the largest target when every term
     is causal, otherwise the tail cutoff of the anticausal terms, probed
     on f's largest row past the last target, where each term is largest.
+    No causal value is read past the last target, so the anticausal terms
+    alone size the panels there.  More than MAX_PANELS panels raise
+    QuadratureFailure.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or not len(t):
@@ -201,16 +211,21 @@ def _sample(f, t, t0: float, terms, rate: float, tol: float) -> _Sampled:
             return kernel * float(np.max(np.abs(f(s))))
 
         cut = tail_cutoff(probe, last, rate, tol)
-    fastest = max((abs(term.gamma) for term in terms), default=0.0)
-    exp_cap = PANEL_EXP_WIDTH / fastest if fastest > 0 else np.inf
-    width = min(PANEL_WIDTH, exp_cap)
+
+    def exp_cap(group):  # PANEL_EXP_WIDTH e-foldings of the fastest term
+        fastest = max((abs(term.gamma) for term in group), default=0.0)
+        return PANEL_EXP_WIDTH / fastest if fastest > 0 else np.inf
+
+    width = min(PANEL_WIDTH, exp_cap(terms))
+    tail_cap = exp_cap(anti)
 
     # sorted and deduplicated (np.unique would import numpy.ma)
     marks = np.sort(np.concatenate(([t0, cut], t)))
     marks = marks[np.concatenate(([True], np.diff(marks) > 0))]
     edges = [marks[0]]
     for lo, hi in zip(marks[:-1], marks[1:]):
-        edges.extend(_subdivide(lo, hi, width, last, exp_cap))
+        room = MAX_PANELS - len(edges)  # interior edges still allowed
+        edges.extend(_subdivide(lo, hi, width, last, tail_cap, room))
         edges.append(hi)
     edges, pts, wts, values = _resolve(f, np.array(edges), tol)
     return _Sampled(

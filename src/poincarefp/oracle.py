@@ -198,7 +198,6 @@ def initial_jet(fs: FundamentalSystem, i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleComparison:
-    i: int
     mode: str  # "value" or "log-derivative"
     t: np.ndarray
     error: np.ndarray
@@ -234,7 +233,6 @@ def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
     else:
         raise ValueError(f"unknown comparison mode {mode!r}")
     return OracleComparison(
-        i=i,
         mode=mode,
         t=t,
         error=error,

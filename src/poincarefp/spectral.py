@@ -52,7 +52,6 @@ class ShiftedSpectrum:
     """
 
     gamma: tuple[float, ...]
-    base_index: int  # 1-based index of the root that was subtracted
     case_index: int
     mu: float
 
@@ -99,8 +98,10 @@ def find_roots(a) -> Spectrum:
     real = np.sort(real)[::-1]
     gaps = real[:-1] - real[1:]
     if n > 1 and np.min(gaps) < SIMPLICITY_RTOL * (1.0 + scale):
+        # near a double root the polish moves both roots off it, so the
+        # eigenvalues are the ones to report
         raise RepeatedRoots(
-            f"characteristic roots too close: {real}"
+            f"characteristic roots too close: {np.sort(roots.real)[::-1]}"
         )
 
     residuals = np.abs(np.polyval(coeffs, real))
@@ -134,7 +135,7 @@ def shift_spectrum(s: Spectrum, i: int) -> ShiftedSpectrum:
         case = next(
             k + 1 for k in range(1, n - 1) if gamma[k] < 0 < gamma[k - 1]
         )
-    return ShiftedSpectrum(gamma=gamma, base_index=i, case_index=case, mu=mu)
+    return ShiftedSpectrum(gamma=gamma, case_index=case, mu=mu)
 
 
 def reduced_linear_coefficients(a, mu: float) -> tuple[float, ...]:

@@ -26,9 +26,7 @@ def make_shifted(gammas, mu=0.0) -> ShiftedSpectrum:
             for k in range(1, len(gammas))
             if gammas[k] < 0 < gammas[k - 1]
         )
-    return ShiftedSpectrum(
-        gamma=gammas, base_index=1, case_index=case, mu=mu
-    )
+    return ShiftedSpectrum(gamma=gammas, case_index=case, mu=mu)
 
 
 def char_coeffs(gammas) -> np.ndarray:

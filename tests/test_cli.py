@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -277,6 +278,51 @@ class TestSubcommands:
         config = load_config(write_config(tmp_path, MINIMAL))
         with pytest.raises(ConfigError):
             run("bogus", config)
+
+
+WORST = [
+    ((), EXIT_OK),
+    (("pass",), EXIT_OK),
+    (("indeterminate",), EXIT_INDETERMINATE),
+    (("fail",), EXIT_FAIL),
+    (("pass", "indeterminate"), EXIT_INDETERMINATE),
+    (("pass", "fail"), EXIT_FAIL),
+    (("indeterminate", "fail"), EXIT_FAIL),
+    (("pass", "indeterminate", "fail"), EXIT_FAIL),
+]
+
+
+class TestExitCode:
+    @pytest.mark.parametrize("statuses, code", WORST, ids=[
+        "-".join(statuses) or "none" for statuses, _ in WORST])
+    def test_worst_status_decides(self, statuses, code):
+        assert cli.exit_code(statuses) == code
+        assert cli.exit_code(statuses[::-1]) == code
+        assert cli.exit_code(statuses * 2) == code
+
+    def test_a_qualified_status_is_not_a_status(self):
+        with pytest.raises(ValueError):
+            cli.exit_code(["pass", "pass (numerical)"])
+
+    @pytest.mark.parametrize("text, code", [
+        ((CONFIGS / "e1_n3.conf").read_text(), EXIT_FAIL),
+        # R3 is indeterminate on every problem; every diagnostic passes
+        (MINIMAL, EXIT_INDETERMINATE),
+        # check alone exits 3 here, but verify fails derivative_ratio
+        (MINIMAL.replace('"0", "0"', '"exp(-t)", "0"') + "t_max = 0.5\n",
+         EXIT_FAIL),
+    ], ids=["e1_n3", "unperturbed", "short-window"])
+    def test_all_folds_the_statuses_of_check_and_verify(
+            self, tmp_path, capsys, text, code):
+        path = write_config(tmp_path, text)
+        got = main(["all", str(path), "--output-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        n = load_config(path).problem.n
+        check = re.findall(r"^lambda_\d+: \(R[123]\) (\w+)", out, re.M)
+        assert len(check) == 3 * n
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        verify = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert got == cli.exit_code(check + verify) == code
 
 
 class TestEndToEnd:

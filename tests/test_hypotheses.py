@@ -19,6 +19,7 @@ from poincarefp import kernelquad
 from poincarefp.green import build_kernel
 from poincarefp.hypotheses import (
     SigmaEstimate,
+    Verdict,
     compute_L,
     compute_R,
     compute_phi1,
@@ -186,12 +187,34 @@ class TestSigma:
             evaluate_hypotheses(problem, 1)
 
 
+class TestVerdict:
+    @pytest.mark.parametrize("status", [
+        "pass (numerical)", "pass (vacuous)", "computed", "divergent",
+        "PASS", ""])
+    def test_only_three_statuses(self, status):
+        with pytest.raises(ValueError, match="is not one of"):
+            Verdict("R", 1, status)
+
+    def test_str_renders_the_note(self):
+        assert str(Verdict("R", 1, "pass", "numerical")) == "pass (numerical)"
+        assert str(Verdict("L_k", 1, "pass")) == "pass"
+
+    def test_r2_reads_the_worst_part(self, e1_problem):
+        # e1_n3: R and L_1 vanish, sum_{k>=2} L_k stays near 7
+        report = evaluate_hypotheses(e1_problem, 1)
+        assert [str(part) for part in report.parts] == [
+            "pass (numerical)", "pass (numerical)", "fail"]
+        assert [v.quantity for v in report.verdicts] == ["R1", "R2", "R3"]
+        assert [str(v) for v in report.verdicts] == [
+            "pass", "fail", "indeterminate"]
+
+
 class TestEvaluateHypotheses:
     def test_trivial_problem(self, trivial_problem):
         report = evaluate_hypotheses(trivial_problem, 1)
-        assert report.h1_verdict == "pass"
-        assert all(v == 0.0 for v in report.r_samples)
-        assert all(v == 0.0 for v in report.l_samples[1])
+        assert report.verdicts[0].status == "pass"
+        assert all(v == 0.0 for v in report.samples[0])
+        assert all(v == 0.0 for v in report.samples[1])
 
     def test_repeated_roots_suppress_downstream(self):
         problem = ProblemSpec(
@@ -199,9 +222,8 @@ class TestEvaluateHypotheses:
             grid_points=32,
         )
         report = evaluate_hypotheses(problem, 1)
-        assert report.h1_verdict == "fail"
-        assert report.spectrum is None
-        assert report.r_samples == ()
+        assert [str(v) for v in report.verdicts] == ["fail"]
+        assert report.samples == ()
 
     def test_complex_roots_fail_h1(self):
         problem = ProblemSpec(
@@ -211,8 +233,7 @@ class TestEvaluateHypotheses:
         # a failed spectrum is not cached: every root meets the error again
         for i in (1, 2):
             report = evaluate_hypotheses(problem, i)
-            assert report.h1_verdict == "fail"
-            assert report.spectrum is None
+            assert [str(v) for v in report.verdicts] == ["fail"]
 
     def test_root_finder_bug_propagates(self, n2_problem, monkeypatch):
         # only the two spectrum hypotheses are verdicts; any other error
@@ -244,10 +265,10 @@ class TestEvaluateHypotheses:
 
     def test_golden_problem_shape(self, e1_problem):
         report = evaluate_hypotheses(e1_problem, 1)
-        assert report.h1_verdict == "pass"
+        assert report.verdicts[0].status == "pass"
         # R decays along the geometric grid
-        assert report.r_samples[-1] < 1e-6
-        assert report.r_samples[-1] < report.r_samples[0]
+        assert report.samples[0][-1] < 1e-6
+        assert report.samples[0][-1] < report.samples[0][0]
         assert report.phi1 == pytest.approx(5.0, rel=1e-9)
         assert len(report.sigma) == 2
         assert isinstance(report.sigma[0], SigmaEstimate)

@@ -17,6 +17,7 @@ import scipy.integrate
 
 from helpers import (
     ScalarModel,
+    coeffs_from_roots,
     make_shifted,
     quad_envelope,
     quad_L,
@@ -387,6 +388,58 @@ class TestBoundedRefinement:
         assert proc.returncode in (0, 2), proc.stdout + proc.stderr
         assert "error:" not in proc.stderr, proc.stderr
         assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+class TestInitialRule:
+    def test_rule_past_the_cap_is_a_named_failure(self):
+        # 5e11 panels of width 2: refused before any edge is made, so the
+        # failure is named instead of a MemoryError
+        with pytest.raises(QuadratureFailure, match=(
+                r"more than 65536 panels by the end of "
+                r"\[0\.0, 1000000000000\.0\]")):
+            kernelquad.integral(decaying(0.0), 0.0, 1e12, 1e-10)
+
+    def test_tail_panels_are_sized_by_the_anticausal_terms(self):
+        # one fast causal and one slow anticausal term: past the last
+        # target only the slow term is read, so its width sizes the tail
+        terms = [kernelquad.ExpTerm(-2.0, True), kernelquad.ExpTerm(1e-4,
+                                                                   False)]
+        smp = kernelquad._sample(decaying(1.0), np.array([1.0, 4.0]), 0.0,
+                                 terms, 1.0, 1e-10)
+        tail = np.diff(smp.edges[smp.edges >= 4.0])
+        assert tail.max() > 8.0 / 2.0  # wider than the causal term allows
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="VmHWM is read from /proc")
+    def test_close_roots_check_stays_small(self, tmp_path):
+        # roots (1, 0.9999, -1): lambda_2's anticausal term decays at
+        # 1e-4, so the tail runs to 4e5.  Sized by the causal -1.9999 it
+        # took 100 062 panels and 558 MB; the peak is read as VmHWM, which
+        # unlike ru_maxrss does not carry over the parent's fork
+        a = ", ".join(repr(float(v))
+                      for v in coeffs_from_roots((1.0, 0.9999, -1.0)))
+        config = tmp_path / "close.conf"
+        config.write_text(f"n = 3\na = [{a}]\n"
+                          'r = ["1/(2*(1+t)^4)", "0", "0"]\nt_max = 160\n',
+                          encoding="utf-8")
+        script = (
+            "import re, sys\n"
+            "from poincarefp.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, re.search(r'VmHWM:\\s+(\\d+) kB', status)[1])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "check", str(config),
+             "--output-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = proc.stdout.splitlines()[-1].split()
+        assert code == "2"  # (R2) fails on every root
+        assert int(peak_kb) < 200 * 1024
 
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=lambda p: p.stem)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from poincarefp.hypotheses import STATUSES
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "poincarefp"
 CONFIGS = ROOT / "configs"
@@ -425,6 +427,106 @@ def test_detector_sees_an_unread_module_name(tmp_path):
     reader.write_text("from . import probe\n"
                       "print(probe.DENSE_C)\n", encoding="utf-8")
     assert unread_module_names([probe, reader]) == ["probe.py: D (line 3)"]
+
+
+def unread_fields(paths, readers) -> list[str]:
+    """Every annotated field of a class in a module among ``paths`` (the
+    fields of a dataclass) whose name no module among ``readers`` reads
+    as an attribute, directly or by ``getattr`` with a literal name.
+    Fields are matched by name alone, so a read of ``x.value`` keeps every
+    field named ``value`` alive; passing a field to the constructor is not
+    a read."""
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found += [f"{path.name}: {cls.name}.{stmt.target.id} "
+                      f"(line {stmt.lineno})" for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id not in read]
+    return found
+
+
+def test_no_dataclass_field_is_unread():
+    # a field nothing reads is state every constructor must still fill
+    # in; the benchmark and the tests count as readers
+    readers = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "perfbench").rglob("*.py")]
+    assert not unread_fields(sorted(SRC.glob("*.py")), readers)
+
+
+def test_detector_sees_an_unread_field(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Check:\n"
+        "    i: int\n"
+        "    ratio: float\n"
+        "    label: str = ''\n"
+        "    LIMIT = 3.0\n"
+        "def use():\n"
+        "    check = Check(i=1, ratio=2.0, label='x')\n"
+        "    return check.ratio\n",
+        encoding="utf-8",
+    )
+    assert unread_fields([probe], [probe]) == [
+        "probe.py: Check.i (line 4)", "probe.py: Check.label (line 6)",
+    ]
+    reader = tmp_path / "reader.py"
+    reader.write_text("print(getattr(check, 'label'))\n", encoding="utf-8")
+    assert unread_fields([probe], [probe, reader]) == [
+        "probe.py: Check.i (line 4)"]
+
+
+def status_prefix_calls(path: Path) -> list[str]:
+    """Every ``startswith`` call in the module whose argument is a string
+    literal that begins with a verdict status."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"startswith({node.args[0].value!r}) (line {node.lineno})"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "startswith"
+            and node.args and isinstance(node.args[0], ast.Constant)
+            and str(node.args[0].value).startswith(STATUSES)]
+
+
+def test_no_verdict_is_matched_by_prefix():
+    # a status is exactly pass, indeterminate or fail; a qualifier such
+    # as "numerical" is a note, so nothing needs to read past the status
+    offenders = {
+        path.name: calls
+        for path in sorted(SRC.glob("*.py"))
+        if (calls := status_prefix_calls(path))
+    }
+    assert not offenders
+
+
+def test_detector_sees_a_prefix_match(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "ok = verdict.startswith('pass')\n"
+        "bad = str(v).startswith(\"fail (\")\n"
+        "plain = name.startswith('sigma')\n",
+        encoding="utf-8",
+    )
+    assert status_prefix_calls(probe) == [
+        "startswith('pass') (line 1)", "startswith('fail (') (line 2)",
+    ]
 
 
 def modules_after(code: str) -> set[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ class TestFindRoots:
     def test_repeated_roots_rejected(self):
         with pytest.raises(RepeatedRoots):
             find_roots((1.0, -2.0))  # (x - 1)^2
+
+    def test_close_roots_reported_as_found(self):
+        # roots (1, 1 - 1e-8, -1): the Newton polish moves both close
+        # roots to 0.97297297, so the message reports the eigenvalues
+        a = coeffs_from_roots([1.0, 1.0 - 1e-8, -1.0])
+        with pytest.raises(RepeatedRoots) as err:
+            find_roots(a)
+        listed = re.search(r"\[(.*)\]", str(err.value))[1].split()
+        assert np.allclose([float(v) for v in listed], [1.0, 1.0, -1.0],
+                           atol=1e-6)
 
     def test_residual_bound(self):
         a = coeffs_from_roots([3.0, 2.0, 1.0, -1.0, -2.0])
