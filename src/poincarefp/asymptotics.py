@@ -25,6 +25,7 @@ import numpy as np
 
 from . import kernelquad
 from .errors import QuadratureFailure
+from .green import upsilon
 from .problem import ProblemSpec
 from .solver import IterateGrid
 from .spectral import Spectrum
@@ -190,13 +191,7 @@ def wronskian_diagnostic(fs: FundamentalSystem, t) -> tuple[float, float]:
     spectrum); the common exponential factor cancels in the ratio
     matrix."""
     ratio = float(np.linalg.det(fs.ratio_matrix(t)))
-    lam = fs.problem.equation.spectrum.lam
-    vandermonde = 1.0
-    n = fs.problem.n
-    for k in range(n):
-        for ell in range(k + 1, n):
-            vandermonde *= lam[ell] - lam[k]
-    return ratio, vandermonde
+    return ratio, upsilon(fs.problem.equation.spectrum.lam, 0)
 
 
 def pi_product(spectrum: Spectrum, i: int) -> float:

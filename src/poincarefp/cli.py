@@ -5,8 +5,10 @@ returns the statuses of its verdicts (a failed stage: "fail"), which
 ``exit_code`` folds into 0 (all pass), 2 (one fails) or 3 (none fails,
 one is indeterminate); 1 is a usage or configuration error.
 
-The config format is flat ``key = value`` text; sequences use bracket
-notation, expression strings may be quoted.  All numeric CSV output uses
+The config format is flat ``key = value`` text.  A value is read as a
+Python literal: a number, a quoted string or a bracketed list of them;
+any other value or list item is kept as its text, so an expression may
+go unquoted.  All numeric CSV output uses
 the shortest round-trip decimal representation (Python ``repr``) so that
 identical inputs reproduce byte-identical files.
 """
@@ -14,6 +16,7 @@ identical inputs reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import ast
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,55 +42,31 @@ ORACLE_BOUNDS = {"value": 1e-4, "log-derivative": 1e-3}
 class Config:
     problem: ProblemSpec
     output_dir: Path
-    beta_overrides: dict = field(default_factory=dict)  # i -> beta
     # (problem, solves) from _solve_all: the solves hold for that exact
     # problem instance only
     _solved: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if (text.startswith('"') and text.endswith('"')) or (
-        text.startswith("'") and text.endswith("'")
-    ):
-        return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _parse_value(text: str):
+    """A number, a quoted string or a list of them as Python reads the
+    literal; any other value, and any other item of a list, as its text,
+    so that an unquoted r expression is kept as written."""
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        parts = []
-        depth = 0
-        quote = ""
-        start = 0
-        for pos, ch in enumerate(inner):
-            if quote:
-                if ch == quote:
-                    quote = ""
-            elif ch in "\"'":
-                quote = ch
-            elif ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:pos])
-                start = pos + 1
-        parts.append(inner[start:])
-        return [_parse_scalar(p) for p in parts]
-    return _parse_scalar(text)
+    try:
+        node = ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        return text
+    items = []
+    for item in node.elts if type(node) is ast.List else [node]:
+        try:
+            value = ast.literal_eval(item)
+        except (ValueError, TypeError):
+            value = None
+        if type(value) not in (int, float, str):
+            value = ast.get_source_segment(text, item)
+        items.append(value)
+    return items if type(node) is ast.List else items[0]
 
 
 def load_config(path) -> Config:
@@ -143,17 +122,6 @@ def load_config(path) -> Config:
         raise ConfigError("r must be a list of expression strings")
     r = [str(src) for src in r]
 
-    beta_overrides = {}
-    for key in [k for k in raw if k.startswith("beta_")]:
-        idx_text = key[len("beta_"):]
-        try:
-            idx = int(idx_text)
-        except ValueError:
-            raise ConfigError(f"bad beta override key {key!r}")
-        if not 1 <= idx <= n:
-            raise ConfigError(f"beta override index {idx} outside 1..{n}")
-        beta_overrides[idx] = number(key)
-
     # an absent setting takes ProblemSpec's default
     problem_kwargs = {key: number(key, kind) for key, kind in (
         ("t0", float), ("t_max", float), ("tol", float), ("eta", float),
@@ -169,9 +137,7 @@ def load_config(path) -> Config:
         )
     except PoincarefpError as exc:
         raise ConfigError(str(exc))
-    return Config(
-        problem=problem, output_dir=output_dir, beta_overrides=beta_overrides
-    )
+    return Config(problem=problem, output_dir=output_dir)
 
 
 def _fmt(value) -> str:
@@ -316,11 +282,6 @@ def cmd_verify(config: Config) -> list[str]:
     earlier stage on the same problem."""
     problem = config.problem
     spectrum = problem.equation.spectrum
-    for i, beta in config.beta_overrides.items():
-        try:
-            asymptotics.check_beta(spectrum, i, beta)
-        except ValueError as exc:
-            raise ConfigError(f"beta_{i}: {exc}") from None
     try:
         results = _solve_all(config)
     except PoincarefpError as exc:
@@ -359,7 +320,7 @@ def cmd_verify(config: Config) -> list[str]:
         record(f"oracle_{comp.mode}", i, "", t_end, comp.max_error, bound,
                comp.max_error < bound)
         lo, hi = asymptotics.admissible_beta_interval(spectrum, i)
-        beta = config.beta_overrides.get(i, (lo + hi) / 2)
+        beta = (lo + hi) / 2
         try:
             base, doubled, status = asymptotics.envelope_stability(
                 problem, grid, i, beta, window

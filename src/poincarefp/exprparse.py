@@ -1,17 +1,18 @@
 """Parser and evaluator for the perturbation-function expression language.
 
-Grammar (ASCII only):
+The language is Python's expression grammar cut down to
 
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | power
-    power   := atom ('^' factor)?          # right associative
-    atom    := number | 't' | name '(' expr (',' expr)* ')' | '(' expr ')'
+    number | t | pi | e | name(expr, ...) | (expr) | -expr
+    | expr + expr | expr - expr | expr * expr | expr / expr | expr ^ expr
 
-so '^' binds tighter than unary minus and '-t^2' reads as '-(t^2)'.
-Known functions: exp, log, sin, cos, sqrt, abs, pow(x, y).
-The only free variable is 't'.  ASTs are immutable and safe to evaluate
-concurrently.
+with ``^`` for Python's ``**``, at its precedence and right associative:
+'-t^2' reads as '-(t^2)' and '2^-1' as '2^(-1)'.  Python's own parser
+reads the text, each ``^`` as ``**``; every other form it accepts is an
+ExpressionError at its position in the caller's text.  Numbers are
+decimal and finite; the only characters are ASCII letters, digits, '_',
+'.', '+', '-', '*', '/', '^', parentheses, commas, spaces and tabs.
+Known functions: exp, log, sin, cos, sqrt, abs, pow(x, y).  The only free
+variable is 't'.  Trees are immutable and safe to evaluate concurrently.
 
 Evaluation maps every operator and function onto a numpy ufunc and runs
 the whole tree under one floating-point guard: literals and t are finite,
@@ -21,7 +22,10 @@ EvalDomainError.
 
 from __future__ import annotations
 
+import ast
 import math
+import string
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,144 +68,88 @@ class Call:
 Expression = Num | Var | Neg | BinOp | Call
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
+_CHARACTERS = frozenset(string.ascii_letters + string.digits
+                        + "_.+-*/^(), \t")
+_LITERAL = frozenset("0123456789.eE+-")  # a decimal number's text
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+              ast.Pow: "^"}
+_NAMES = {"t": Var("t"), "pi": Num(math.pi), "e": Num(math.e)}
 
-    def error(self, message):
-        raise ExpressionError(message, self.pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def take(self, char):
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def parse(self) -> Expression:
-        node = self.expr()
-        if self.peek():
-            self.error(f"unexpected character {self.src[self.pos]!r}")
-        return node
-
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            if self.take("+"):
-                node = BinOp("+", node, self.term())
-            elif self.take("-"):
-                node = BinOp("-", node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            if self.take("*"):
-                node = BinOp("*", node, self.factor())
-            elif self.take("/"):
-                node = BinOp("/", node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expression:
-        if self.take("-"):
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expression:
-        base = self.atom()
-        if self.take("^"):
-            return BinOp("^", base, self.factor())
-        return base
-
-    def atom(self) -> Expression:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return node
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch.isalpha():
-            return self.identifier()
-        if ch:
-            self.error(f"unexpected character {ch!r}")
-        self.error("unexpected end of expression")
-
-    def number(self) -> Num:
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and (src[self.pos].isdigit() or src[self.pos] == "."):
-            self.pos += 1
-        if self.pos < len(src) and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(src) and src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(src) and src[self.pos].isdigit():
-                while self.pos < len(src) and src[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        text = src[start : self.pos]
-        try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
+def _convert(node: ast.expr, python: str, origin: list[int]) -> Expression:
+    """The expression that Python's tree ``node`` of the text ``python``
+    stands for; origin[p] is the caller's position of python[p]."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _OPERATORS:
+        return BinOp(_OPERATORS[type(node.op)],
+                     _convert(node.left, python, origin),
+                     _convert(node.right, python, origin))
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return Neg(_convert(node.operand, python, origin))
+    text = python[node.col_offset:node.end_col_offset]
+    where = origin[node.col_offset]
+    if kind is ast.Constant and type(node.value) in (int, float) \
+            and _LITERAL.issuperset(text):
+        value = float(text)
         if not math.isfinite(value):
-            self.pos = start
-            self.error(f"malformed or non-finite number {text!r}")
+            raise ExpressionError(f"non-finite number {text!r}", where)
         return Num(value)
-
-    def identifier(self) -> Expression:
-        start = self.pos
-        src = self.src
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self.pos += 1
-        name = src[start : self.pos]
-        if self.peek() == "(":
-            if name not in _FUNCTIONS:
-                self.pos = start
-                self.error(f"unknown function {name!r}")
-            self.pos += 1
-            args = [self.expr()]
-            while self.take(","):
-                args.append(self.expr())
-            if not self.take(")"):
-                self.error("expected ')'")
-            arity = _FUNCTIONS[name].nin
-            if len(args) != arity:
-                self.pos = start
-                self.error(
-                    f"{name} takes {arity} argument(s), got {len(args)}"
-                )
-            return Call(name, tuple(args))
-        if name == "t":
-            return Var("t")
-        if name == "pi":
-            return Num(math.pi)
-        if name == "e":
-            return Num(math.e)
-        self.pos = start
-        self.error(f"unknown identifier {name!r}")
+    if kind is ast.Name:
+        if node.id not in _NAMES:
+            raise ExpressionError(f"unknown identifier {node.id!r}", where)
+        return _NAMES[node.id]
+    # a call names its function ('(sin)(t)' starts before the name); with
+    # no '=' among the characters it has no keyword argument
+    if kind is ast.Call and type(node.func) is ast.Name \
+            and node.func.col_offset == node.col_offset:
+        name = node.func.id
+        if name not in _FUNCTIONS:
+            raise ExpressionError(f"unknown function {name!r}", where)
+        arity = _FUNCTIONS[name].nin
+        if len(node.args) != arity:
+            raise ExpressionError(
+                f"{name} takes {arity} argument(s), got {len(node.args)}",
+                where)
+        # only a comma may follow the last argument, before ')'
+        rest = python.find(",", node.args[-1].end_col_offset,
+                           node.end_col_offset)
+        if rest >= 0:
+            raise ExpressionError("trailing comma", origin[rest])
+        return Call(name, tuple(_convert(arg, python, origin)
+                                for arg in node.args))
+    raise ExpressionError(f"{text!r} is not in the expression language",
+                          where)
 
 
 def parse_expression(source: str) -> Expression:
-    """Parse ``source`` into an AST; raises ExpressionError with position."""
+    """Parse ``source`` into an expression tree; raises ExpressionError
+    with the position in ``source``."""
     if not source or not source.strip():
         raise ExpressionError("empty expression")
-    return _Parser(source).parse()
+    for pos, char in enumerate(source):
+        if char not in _CHARACTERS:
+            raise ExpressionError(f"unexpected character {char!r}", pos)
+    if "**" in source:
+        raise ExpressionError("'**' is not an operator; write '^'",
+                              source.index("**"))
+    # leading blanks would be indentation to Python: parse from the first
+    # token on; each '^' of source is two characters of the parsed text
+    lead = len(source) - len(source.lstrip(" \t"))
+    python = source[lead:].replace("^", "**")
+    origin = [pos for pos, char in enumerate(source[lead:], lead)
+              for _ in range(1 + (char == "^"))] + [len(source)]
+    try:
+        with warnings.catch_warnings():
+            # '1if' and the like warn before they fail: reject at once
+            warnings.simplefilter("error")
+            tree = ast.parse(python, mode="eval")
+        return _convert(tree.body, python, origin)
+    except SyntaxError as exc:
+        pos = exc.offset - 1 if exc.offset else len(python)
+        raise ExpressionError(exc.msg, origin[min(pos, len(python))]) \
+            from None
+    except (RecursionError, MemoryError):
+        raise ExpressionError("expression nested too deeply") from None
 
 
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,

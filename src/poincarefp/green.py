@@ -57,7 +57,6 @@ def upsilon(values, ell: int) -> float:
 @dataclass(frozen=True)
 class GreenKernel:
     gamma: ShiftedSpectrum
-    upsilon0: float
     coeffs: tuple[float, ...]  # c_l = 1 / prod_{j != l}(gamma_l - gamma_j)
     causal: tuple[bool, ...]  # True: term lives on t >= s
     jump_sign: float  # sign of the (n-2)-th derivative jump at t = s
@@ -231,7 +230,6 @@ def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:
 
     return GreenKernel(
         gamma=gamma,
-        upsilon0=upsilon(gams, 0),
         coeffs=tuple(coeffs),
         causal=causal,
         jump_sign=jump_sign,

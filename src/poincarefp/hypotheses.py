@@ -15,7 +15,9 @@ Three groups of conditions are checked for a chosen root index i:
 R and every L_k are integrals of a fixed function of s against the
 kernel, evaluated by ``kernelquad`` for the whole t-grid at once; they
 share one pass per root, which samples [Omega_0, M_1, ..., M_n] once on a
-panel rule cut off where the tail drops below the tolerance.
+panel rule cut off where the tail drops below the tolerance; where the
+tail does not drop below it, (R2) reads indeterminate with the error as
+its reason.
 sigma_gamma needs no quadrature: z^n enters F only through (z + mu)^n,
 so its coefficient is the constant 1, M >= 1, and sigma_gamma is infinite
 for every gamma by the derivation in ``estimate_sigma``.  (R3) therefore
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernelquad
-from .errors import ComplexRoots, RepeatedRoots
-from .green import GreenKernel, upsilon
+from .errors import ComplexRoots, QuadratureFailure, RepeatedRoots
+from .green import GreenKernel
 from .problem import ProblemSpec
 
 LIMIT_TOL = 1e-6  # a sampled limit below this counts as zero
@@ -78,14 +80,9 @@ def compute_L(problem: ProblemSpec, i: int, t, k: int):
 
 def compute_phi1(kernel: GreenKernel) -> float:
     """phi_1 = |Upsilon_0|^{-1} sum_l |Upsilon_l| sum_{j=0}^{n-2}
-    |gamma_l|^j."""
-    gams = kernel.gamma.gamma
-    d = len(gams)
-    total = 0.0
-    for ell in range(1, d + 1):
-        gam = abs(gams[ell - 1])
-        total += abs(upsilon(gams, ell)) * sum(gam ** j for j in range(d))
-    return total / abs(kernel.upsilon0)
+    |gamma_l|^j, the sum of the kernel's |amplitudes|: |Upsilon_l /
+    Upsilon_0| = |c_l|."""
+    return float(np.abs(kernel.amplitudes).sum())
 
 
 @dataclass(frozen=True)
@@ -220,17 +217,24 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
             (r1, Verdict("R2", i, "indeterminate", reason=reason),
              Verdict("R3", i, "indeterminate", reason=reason)), phi1=phi1)
 
-    masses = kernel_masses(problem, i, np.array(grid))
-    higher_limsup = float(np.max(masses[2:].sum(axis=0)[-3:]))
-    parts = (
-        _limit_verdict("R", i, masses[0]),
-        _limit_verdict("L_1", i, masses[1]),
-        Verdict("L_k", i, "pass" if higher_limsup < 1.0 else "fail",
-                reason=f"limsup sum_(k>=2) L_k ~ {higher_limsup:.3e}"),
-    )
-    status = worst(part.status for part in parts)
-    r2 = Verdict("R2", i, status, "numerical" if status == "pass" else "",
-                 "; ".join(f"{part.reason} [{part}]" for part in parts))
+    try:
+        masses = kernel_masses(problem, i, np.array(grid))
+    except QuadratureFailure as exc:
+        # a tail that does not decay leaves (R2) unjudged, not the stage
+        parts, samples = (), ()
+        r2 = Verdict("R2", i, "indeterminate", reason=str(exc))
+    else:
+        higher_limsup = float(np.max(masses[2:].sum(axis=0)[-3:]))
+        parts = (
+            _limit_verdict("R", i, masses[0]),
+            _limit_verdict("L_1", i, masses[1]),
+            Verdict("L_k", i, "pass" if higher_limsup < 1.0 else "fail",
+                    reason=f"limsup sum_(k>=2) L_k ~ {higher_limsup:.3e}"),
+        )
+        samples = tuple(map(tuple, masses.tolist()))
+        status = worst(part.status for part in parts)
+        r2 = Verdict("R2", i, status, "numerical" if status == "pass" else "",
+                     "; ".join(f"{part.reason} [{part}]" for part in parts))
 
     sigma = tuple(
         estimate_sigma(problem, gam, shifted.mu) for gam in shifted.gamma
@@ -242,7 +246,7 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
         verdicts=(r1, r2, r3),
         parts=parts,
         t_grid=grid,
-        samples=tuple(map(tuple, masses.tolist())),
+        samples=samples,
         phi1=phi1,
         sigma=sigma,
     )

@@ -1,4 +1,4 @@
-"""Integration against exponential kernels: one rule for the whole package.
+"""Integration against exponential kernels: one scan for the whole package.
 
 Every integral the fixed-point argument asks for is a fixed function f(s)
 integrated against exponentials e^{gamma (t - s)}, over the causal side
@@ -7,7 +7,11 @@ kernel integrals of the Picard operator and the tail constants of its
 zero tail model, the hypothesis quantities R(t) and L_k(t), and the
 envelope of the asymptotic diagnostics.
 
-All of them use one composite Gauss-Legendre rule.  Its breakpoints are
+All of them run the one panel recurrence below.  The Picard operator
+integrates on the panels of its Chebyshev grid (``chebgrid.AnglePanels``
+of the problem's panel rule), with weights from ``exp_weights``.  Every
+other integral, the tail constants included, is taken on a composite
+Gauss-Legendre rule built here by ``exp_integrals``.  Its breakpoints are
 t0, every target t and a tail cutoff beyond which the integrand is below
 TAIL_SAFETY * tol.  A panel is at most PANEL_WIDTH wide and spans at most
 PANEL_EXP_WIDTH e-foldings of the fastest exponential; beyond the last

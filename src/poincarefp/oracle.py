@@ -200,7 +200,6 @@ def initial_jet(fs: FundamentalSystem, i: int) -> np.ndarray:
 class OracleComparison:
     mode: str  # "value" or "log-derivative"
     t: np.ndarray
-    error: np.ndarray
     max_error: float
     nfev: int
 
@@ -235,7 +234,6 @@ def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
     return OracleComparison(
         mode=mode,
         t=t,
-        error=error,
         max_error=float(np.max(error)),
         nfev=sample.nfev,
     )

@@ -78,11 +78,37 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.conf")
 
-    def test_beta_override(self, tmp_path):
-        config = load_config(
-            write_config(tmp_path, MINIMAL + "beta_1 = -0.25\n")
-        )
-        assert config.beta_overrides == {1: -0.25}
+    def test_beta_key_is_unknown(self, tmp_path):
+        # the envelope rate is the midpoint of root i's interval; no key
+        # overrides it
+        with pytest.raises(ConfigError, match=r"unknown config keys: "
+                                              r"\['beta_1'\]"):
+            load_config(write_config(tmp_path, MINIMAL + "beta_1 = -0.25\n"))
+
+    @pytest.mark.parametrize("text, value", [
+        ("[exp(-3 * t)/10, '0']", ["exp(-3 * t)/10", "0"]),
+        ('["a, b", [1, 2], -2.5e-3]', ["a, b", "[1, 2]", -2.5e-3]),
+        ("out_n2", "out_n2"), (" out/a b ", "out/a b"), ("+1", 1),
+        ("1e400", float("inf")), ("True", "True"), ("inf", "inf"),
+        ("[]", []),
+    ])
+    def test_values_are_python_literals_or_text(self, text, value):
+        assert cli._parse_value(text) == value
+
+    @pytest.mark.parametrize("src", ["-" * 1500 + "t",
+                                     "(" * 300 + "t" + ")" * 300],
+                             ids=["minus", "parentheses"])
+    def test_deeply_nested_expression_exits_1(self, tmp_path, capsys, src):
+        # nested past Python's parser: a bad expression, not a traceback
+        text = MINIMAL.replace('["0", "0"]', f'["{src}", "0"]')
+        path = write_config(tmp_path, text)
+        assert main(["roots", str(path)]) == EXIT_USAGE
+        assert "config error: bad expression in r" in capsys.readouterr().err
+
+    def test_unquoted_expressions_load(self, tmp_path):
+        text = MINIMAL.replace('["0", "0"]', "[1/(1+t)^3, 0]")
+        config = load_config(write_config(tmp_path, text))
+        assert config.problem.r_sources == ("1/(1+t)^3", "0")
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         text = "# header\n\n" + MINIMAL + "t0 = 1.0  # trailing\n"
@@ -137,7 +163,6 @@ class TestNumericSettings:
         ("eta = abc", "eta must be a number"),
         ("grid_points = abc", "grid_points must be an integer"),
         ("max_iter = abc", "max_iter must be an integer"),
-        ("beta_1 = abc", "beta_1 must be a number"),
         ("t_max = [1, 2]", "t_max must be a number"),
         ("grid_points = 200.5", "grid_points must be an integer"),
         ("max_iter = 1.5", "max_iter must be an integer"),
@@ -437,16 +462,6 @@ class TestEndToEnd:
         assert run("roots", config) == EXIT_OK
         assert (counts["shift"], counts["kernel"]) == (4, 0)
 
-    def test_out_of_range_beta_override(self, tmp_path, capsys):
-        # beta_1 must lie in [lambda_2 - lambda_1, 0[ = [-2, 0[
-        text = (CONFIGS / "decaying_n2.conf").read_text(encoding="utf-8")
-        path = write_config(tmp_path, text + "beta_1 = 5\n")
-        code = main(["verify", str(path), "--output-dir", str(tmp_path)])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "config error: beta_1: beta 5.0 outside [-2.0" in err
-        assert not (tmp_path / "diagnostics.csv").exists()
-
     def test_verify_passes_on_golden(self, tmp_path):
         out = tmp_path / "out"
         config = load_config(write_config(tmp_path, E1.format(out=out)))
@@ -470,6 +485,25 @@ class TestEndToEnd:
         assert sum(row[-1] == "fail" for row in rows) == 7
         assert [row for row in rows if row[-1] == "indeterminate"] == [
             ["envelope_stability", "3", "", "80.0", "", "", "indeterminate"]]
+
+    def test_tail_that_does_not_decay_leaves_the_other_verdicts(
+            self, tmp_path, capsys):
+        # r_0 = e^{3t}: lambda_2's kernel integrals have no tail cutoff, so
+        # its (R2) reads indeterminate with the error as its reason; both
+        # roots still print three verdicts and the CSV is written
+        text = 'n = 2\na = [-1, 0]\nr = ["exp(3*t)", "0"]\nt_max = 40\n'
+        path = write_config(tmp_path, text)
+        code = main(["check", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_FAIL  # lambda_1's (R2) fails
+        verdicts = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("lambda_")]
+        assert [line[:len("lambda_1: (R1)")] for line in verdicts] == [
+            f"lambda_{i}: (R{k})" for i in (1, 2) for k in (1, 2, 3)]
+        assert verdicts[4] == ("lambda_2: (R2) indeterminate: integrand "
+                               "tail at 52.0 is not below 1e-12")
+        rows = (tmp_path / "hypotheses.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows if row[0] == "2"] == [
+            ["2", "H1"], ["2", "phi1"], ["2", "sigma(2.0)"]]
 
     def test_indeterminate_envelope_alone_exits_3(self, tmp_path, capsys,
                                                   monkeypatch):

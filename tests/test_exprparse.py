@@ -61,11 +61,26 @@ class TestParsing:
     @pytest.mark.parametrize(
         "src",
         ["", "  ", "1+", "foo(1)", "sin(1,2)", "(1", "1..2", "x", "1 $ 2",
-         "1e400"],
+         "1e400",
+         # forms Python's parser accepts and the language does not
+         "2**3", "1 # c", "\uff54", "0x1f", "1_000", "1j", "1" * 400,
+         "+t", "~t", "sin(x=1)", "sin(t,)", "pow(2, t,)", "t if t else 1",
+         "t < 1", "t in t", "t and t", "not t", "'t'", "t[0]", "t.real",
+         "lambda: t", "(t, 1)", "1//2", "(sin)(t)", "sin(*t)", "...",
+         "True", "1\n+2", "(t for t in t)", "1if t else 2"],
     )
     def test_rejects_malformed(self, src):
         with pytest.raises(ExpressionError):
             parse_expression(src)
+
+    @pytest.mark.parametrize("src, position", [
+        ("t + 2**3", 5), ("2^t $", 4), ("t^2^x", 4), ("2^3 + sin(t,)", 11),
+        ("\t t^t^+t", 6), ("t^2 +", 5),
+    ])
+    def test_position_counts_a_caret_as_one_character(self, src, position):
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(src)
+        assert info.value.position == position
 
     def test_error_carries_position(self):
         with pytest.raises(ExpressionError) as info:
@@ -151,12 +166,21 @@ _leaf = st.one_of(
 
 
 def _combine(children):
-    op = st.sampled_from(["+", "-", "*"])
-    return op.flatmap(
+    op = st.sampled_from(["+", "-", "*", "/", "^"])
+    binary = op.flatmap(
         lambda o: st.tuples(children, children).map(
             lambda pair: f"({pair[0]}{o}{pair[1]})"
         )
     )
+    return binary | children.map(lambda child: f"(-{child})")
+
+
+def _outcome(ast, t):
+    """The value of ``ast`` at t, or EvalDomainError if it raises one."""
+    try:
+        return evaluate_expression(ast, t)
+    except EvalDomainError:
+        return EvalDomainError
 
 
 _source = st.recursive(_leaf, _combine, max_leaves=12)
@@ -169,16 +193,25 @@ class TestProperties:
         ast = parse_expression(src)
         again = parse_expression(pretty_print(ast))
         assert again == ast
-        assert evaluate_expression(again, t) == evaluate_expression(ast, t)
+        assert _outcome(again, t) == _outcome(ast, t)
 
     @settings(max_examples=200, deadline=None)
     @given(src=_source, t=st.floats(min_value=-3.0, max_value=3.0))
     def test_matches_python_reference(self, src, t):
         ast = parse_expression(src)
-        reference = eval(src.replace("t", f"({t!r})"))  # arithmetic only
-        assert evaluate_expression(ast, t) == pytest.approx(
-            reference, rel=1e-12, abs=1e-12
-        )
+        python = src.replace("t", f"({t!r})").replace("^", "**")
+        try:
+            reference = eval(python)  # arithmetic only
+        except (ZeroDivisionError, OverflowError):
+            reference = math.nan
+        # Python returns a complex power of a negative base, and
+        # overflows to inf in * and / without raising
+        if isinstance(reference, complex) or not math.isfinite(reference):
+            assert _outcome(ast, t) is EvalDomainError
+        else:
+            assert evaluate_expression(ast, t) == pytest.approx(
+                reference, rel=1e-12, abs=1e-12
+            )
 
     def test_thousand_random_pairs_against_reference(self):
         rng = np.random.default_rng(20260826)

@@ -666,7 +666,6 @@ NOT_ON_THE_RUN_PATH = {
     "hypotheses.compute_L": "benchmark: perfbench wraps it",
     "hypotheses.compute_R": "benchmark: perfbench wraps it",
     "multipoly.Poly.evaluate": "benchmark: perfbench counts its calls",
-    "exprparse._Parser.error": "error path: a malformed expression",
     "asymptotics.log_refined_estimate":
         "ROADMAP item 6: a refined-formula row runs it, or it goes",
     "asymptotics.pi_product": "ROADMAP item 6: log_refined_estimate's factor",
