@@ -27,7 +27,7 @@ from . import asymptotics, oracle
 from .errors import ConfigError, PoincarefpError, QuadratureFailure
 from .hypotheses import Verdict, evaluate_hypotheses, worst
 from .problem import Equation, ProblemSpec
-from .solver import ode_residual, solve_problem
+from .solver import UNOBSERVED, ode_residual, solve_problem
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,16 +297,20 @@ def cmd_verify(config: Config) -> list[str]:
     window = (t0 + min(10.0, length / 4), t0 + min(100.0, length / 2))
     rows = []
 
-    def record(quantity, i, j, t, value, reference, ok):
-        """One row; ok None reads indeterminate."""
+    def record(quantity, i, j, t, value, reference, ok, reason=""):
+        """One row; ok None reads indeterminate, for ``reason``."""
         status = "indeterminate" if ok is None else "pass" if ok else "fail"
-        rows.append(Verdict(quantity, i, status, j=j, t=t, value=value,
-                            reference=reference))
+        rows.append(Verdict(quantity, i, status, reason=reason, j=j, t=t,
+                            value=value, reference=reference))
 
     for i in range(1, problem.n + 1):
         operator, grid, cert = results[i]
-        record("contraction_ratio", i, "", "", cert.contraction_ratio,
-               1.0, cert.contraction_ratio < 1.0)
+        if cert.contraction_ratio is None:
+            record("contraction_ratio", i, "", "", "", 1.0, None,
+                   UNOBSERVED)
+        else:
+            record("contraction_ratio", i, "", "", cert.contraction_ratio,
+                   1.0, cert.contraction_ratio < 1.0)
         record("picard_residual", i, "", "", cert.final_residual,
                1e-8, cert.final_residual < 1e-8)
         res = ode_residual(operator, grid)
@@ -327,8 +331,8 @@ def cmd_verify(config: Config) -> list[str]:
             )
         except QuadratureFailure as exc:
             # one root's envelope is no reason to drop every other row
-            print(f"INDETERMINATE envelope_stability i={i}: {exc}")
-            record("envelope_stability", i, "", window[1], "", "", None)
+            record("envelope_stability", i, "", window[1], "", "", None,
+                   str(exc))
         else:
             record("envelope_stability", i, "", window[1],
                    doubled.sup_ratio, base.sup_ratio,
@@ -349,6 +353,8 @@ def cmd_verify(config: Config) -> list[str]:
         if v.status == "fail":
             print(f"FAIL {v.quantity} i={v.i} value={v.value} "
                   f"ref={v.reference}")
+        elif v.status == "indeterminate":
+            print(f"INDETERMINATE {v.quantity} i={v.i}: {v.reason}")
     statuses = [v.status for v in rows]
     if worst(statuses) == "pass":
         print("all diagnostics pass")

@@ -13,11 +13,14 @@ knobs; a ``dataclasses.replace`` of any of them keeps the equation, so it
 derives nothing again, and parses a replaced ``r_sources``.  It also
 owns the solver's ``panel_rule`` on its window, built on first use and
 shared by every root; a replaced problem builds its own, with its own r.
+Its ``coarse`` problem, the same one on COARSE_POINTS nodes, is built on
+first use too and shared by every root: the solver starts the iteration
+on a much finer grid from its solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import inf
 
@@ -30,6 +33,8 @@ from .green import GreenKernel, build_kernel
 from .reduction import MAX_ORDER, OmegaTable, build_reduced_rhs
 from .spectral import (ShiftedSpectrum, Spectrum, find_roots,
                        shift_spectrum)
+
+COARSE_POINTS = 201  # the grid a fine grid's solve starts from
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,11 @@ class ProblemSpec:
         panels = AnglePanels(self.t0, self.t_max, self.grid_points)
         return PanelRule(nodes, panels,
                          tuple(self.r_list(panels.points.ravel())))
+
+    @cached_property
+    def coarse(self) -> ProblemSpec:
+        """This problem on COARSE_POINTS nodes; it shares the equation."""
+        return replace(self, grid_points=COARSE_POINTS)
 
     def r_value(self, i: int, t):
         """r_i evaluated at scalar or array t."""

@@ -25,7 +25,17 @@ its cosine coefficients; the error estimate, z^(j) and int z at any t,
 and the top derivative of ``ode_residual`` are all read off them.
 Beyond the window the iterate is modelled as zero and the anticausal
 integrals get an explicit constant tail computed from the independent
-forcing term.
+forcing term; it does not depend on the grid.
+
+A grid of at least four times the panels of ``COARSE_POINTS`` nodes is
+solved by nested iteration (Briggs, Henson & McCormick, A Multigrid
+Tutorial, ch. 3): T is iterated to its fixed point on the problem's
+``coarse`` grid, whose operator shares the fine one's tail constants,
+and the fine iteration starts from that fixed point's cosine series,
+zero-padded to the fine length.  T contracts at about the same rate on
+both grids, and the coarse grid already resolves z far below tol, so
+the fine iteration mostly takes one step.  A coarse stage that raises
+leaves the fine one to start from zero.
 """
 
 from __future__ import annotations
@@ -36,13 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chebgrid, kernelquad
-from .errors import DivergenceDetected, InvarianceViolated, MaxIterations
-from .problem import ProblemSpec
+from .errors import (DivergenceDetected, InvarianceViolated, MaxIterations,
+                     PoincarefpError)
+from .problem import COARSE_POINTS, ProblemSpec
 from .spectral import reduced_linear_coefficients
 
 DIVERGENCE_STRIKES = 3
 RETRY_ETA = 0.9
 TAIL_FRACTION = 16  # the error estimate sums the last 1/16 of coefficients
+UNOBSERVED = "no trace holds two nonzero successive differences"
 
 
 @dataclass(frozen=True)
@@ -86,21 +98,38 @@ class IterateGrid:
         return self._series(chebgrid.antiderivative(
             self.coeffs[0], self.t0, self.t_max), t)[()]
 
+    def prolong(self, count: int) -> np.ndarray:
+        """The derivative rows at the nodes of the ``count``-node grid on
+        the same window: the cosine series zero-padded to that length."""
+        coeffs = np.zeros(self.coeffs.shape[:-1] + (count,))
+        coeffs[..., :self.coeffs.shape[-1]] = self.coeffs
+        return chebgrid.series_at_nodes(coeffs)
+
 
 @dataclass(frozen=True)
 class ContractionCertificate:
+    """The Picard trace and what it shows.  ``contraction_ratio`` is None
+    when no trace holds two nonzero successive differences; a coarse
+    start records its node count and trace in ``start_points`` and
+    ``start_diffs``."""
+
     eta: float
     eta_regime: str
     iterations: int
     diffs: tuple[float, ...]
-    contraction_ratio: float
+    contraction_ratio: float | None
     final_residual: float
     discretisation_error: float
     sup_norm: float
     tail_bounds: tuple[float, ...]
     converged: bool
+    start_points: int | None = None
+    start_diffs: tuple[float, ...] = ()
 
     def format(self) -> str:
+        ratio = (f"not observed ({UNOBSERVED})"
+                 if self.contraction_ratio is None
+                 else repr(self.contraction_ratio))
         lines = [
             f"invariance radius eta = {self.eta!r} ({self.eta_regime})",
             f"iterations = {self.iterations}",
@@ -108,20 +137,26 @@ class ContractionCertificate:
             f"residual ||Tz - z||_0 = {self.final_residual!r}",
             f"discretisation error estimate = "
             f"{self.discretisation_error!r}",
-            f"observed contraction ratio = {self.contraction_ratio!r}",
+            f"observed contraction ratio = {ratio}",
             "anticausal tail bounds = "
             + ", ".join(repr(b) for b in self.tail_bounds),
             f"converged = {self.converged}",
             "successive difference norms:",
         ]
         lines += [f"  {d!r}" for d in self.diffs]
+        if self.start_points is not None:
+            lines.append(f"coarse start = {self.start_points} nodes, "
+                         f"{len(self.start_diffs)} iterations")
+            lines.append("coarse successive difference norms:")
+            lines += [f"  {d!r}" for d in self.start_diffs]
         return "\n".join(lines) + "\n"
 
 
 class FixedPointOperator:
     """Precomputed discretisation of root i's T on a fixed Chebyshev grid."""
 
-    def __init__(self, problem: ProblemSpec, i: int):
+    def __init__(self, problem: ProblemSpec, i: int,
+                 tail_constants: dict | None = None):
         self.problem = problem
         self.kernel = problem.equation.kernels[i - 1]
         self.mu = self.kernel.gamma.mu
@@ -139,7 +174,10 @@ class FixedPointOperator:
             for gam, causal in zip(self.kernel.gamma.gamma,
                                    self.kernel.causal)
         ]
-        self.tail_constants = self._tail_constants()
+        # grid-independent: an operator of the same root and window on
+        # another grid passes its own
+        self.tail_constants = (self._tail_constants()
+                               if tail_constants is None else tail_constants)
 
     def _tail_constants(self) -> dict:
         """A_gamma(t_max) under the zero tail model: the forcing beyond
@@ -208,11 +246,28 @@ def _discretisation_error(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs[..., -tail:]).sum(axis=-1)))
 
 
+def _contraction(*traces: tuple[float, ...]) -> float | None:
+    """The largest of the last three ratios of two nonzero successive
+    differences inside each trace, never across traces; None when no
+    trace holds such a pair."""
+    last: list[float] = []
+    for trace in traces:
+        ratios = [b / a for a, b in zip(trace, trace[1:]) if a > 0 and b > 0]
+        last += ratios[-3:]
+    return max(last, default=None)
+
+
 def picard_solve(operator: FixedPointOperator, eta: float | None = None,
                  eta_regime: str = "default",
+                 start: tuple[IterateGrid, ContractionCertificate] | None
+                 = None,
                  ) -> tuple[IterateGrid, ContractionCertificate]:
-    """Iterate T from zero until the successive difference drops below
-    the problem's tol, for at most its max_iter steps.
+    """Iterate T until the successive difference drops below the
+    problem's tol, for at most its max_iter steps.
+
+    The iteration starts from zero, or from ``start``, a solve of the
+    same root on a coarser grid of the same window, prolonged onto the
+    operator's nodes; its trace then goes into the certificate.
 
     Raises InvarianceViolated when an iterate leaves the ball of radius
     eta, DivergenceDetected after three consecutive non-contracting
@@ -221,7 +276,12 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
     problem = operator.problem
     eta = problem.eta if eta is None else eta
 
-    values = operator.zero()
+    if start is None:
+        values, start_points, start_diffs = operator.zero(), None, ()
+    else:
+        coarse, coarse_cert = start
+        values = coarse.prolong(len(operator.nodes))
+        start_points, start_diffs = len(coarse.nodes), coarse_cert.diffs
     diffs: list[float] = []
     strikes = 0
     for _ in range(problem.max_iter):
@@ -253,17 +313,13 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
     # independent residual of the returned iterate
     final = operator.apply(values)
     residual = _norm0(final - values)
-    ratios = tuple(
-        diffs[k + 1] / diffs[k] for k in range(len(diffs) - 1) if diffs[k] > 0
-    )
-    contraction = max(ratios[-3:]) if ratios else 0.0
     grid = operator.grid(values)
     cert = ContractionCertificate(
         eta=eta,
         eta_regime=eta_regime,
         iterations=len(diffs),
         diffs=tuple(diffs),
-        contraction_ratio=contraction,
+        contraction_ratio=_contraction(start_diffs, diffs),
         final_residual=residual,
         discretisation_error=_discretisation_error(grid.coeffs),
         sup_norm=_norm0(values),
@@ -272,6 +328,8 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
             for ell, const in sorted(operator.tail_constants.items())
         ),
         converged=True,
+        start_points=start_points,
+        start_diffs=start_diffs,
     )
     return grid, cert
 
@@ -279,15 +337,27 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
 def solve_problem(problem: ProblemSpec, i: int):
     """End-to-end solve for root index i (1-based).
 
-    Returns (operator, grid, certificate).  An invariance violation at
-    the configured eta is retried once in the relaxed eta = 0.9 regime.
+    Returns (operator, grid, certificate).  A grid of at least four times
+    the panels of the coarse one starts from the coarse solve, or from
+    zero when that raises.  An invariance violation at a configured eta
+    below 0.9 is retried once in the relaxed eta = 0.9 regime.
     """
     operator = FixedPointOperator(problem, i)
+    start = None
+    if problem.grid_points - 1 >= 4 * (COARSE_POINTS - 1):
+        try:
+            start = picard_solve(FixedPointOperator(
+                problem.coarse, i, operator.tail_constants))
+        except PoincarefpError:
+            pass  # the fine iteration starts from zero
     try:
-        grid, cert = picard_solve(operator)
+        grid, cert = picard_solve(operator, start=start)
     except InvarianceViolated:
+        if problem.eta >= RETRY_ETA:
+            raise
         grid, cert = picard_solve(
-            operator, eta=RETRY_ETA, eta_regime="retry at eta = 0.9"
+            operator, eta=RETRY_ETA, eta_regime="retry at eta = 0.9",
+            start=start,
         )
     return operator, grid, cert
 

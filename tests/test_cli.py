@@ -23,7 +23,7 @@ from poincarefp.cli import (
 )
 from poincarefp.errors import ConfigError, QuadratureFailure
 from poincarefp.problem import Equation, ProblemSpec
-from poincarefp.solver import solve_problem
+from poincarefp.solver import UNOBSERVED, solve_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -331,7 +331,9 @@ class TestExitCode:
 
     @pytest.mark.parametrize("text, code", [
         ((CONFIGS / "e1_n3.conf").read_text(), EXIT_FAIL),
-        # R3 is indeterminate on every problem; every diagnostic passes
+        # R3 is indeterminate on every problem, and so is each root's
+        # contraction ratio, which one zero difference does not measure;
+        # every other diagnostic passes
         (MINIMAL, EXIT_INDETERMINATE),
         # check alone exits 3 here, but verify fails derivative_ratio
         (MINIMAL.replace('"0", "0"', '"exp(-t)", "0"') + "t_max = 0.5\n",
@@ -461,6 +463,18 @@ class TestEndToEnd:
         config.output_dir = tmp_path / "roots"
         assert run("roots", config) == EXIT_OK
         assert (counts["shift"], counts["kernel"]) == (4, 0)
+
+    def test_unmeasured_contraction_is_indeterminate(self, tmp_path, capsys):
+        # r = 0: T z = 0 for every z, so each trace is one zero difference
+        path = write_config(tmp_path, MINIMAL)
+        code = main(["verify", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INDETERMINATE
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        for i in (1, 2):
+            assert f"contraction_ratio,{i},,,,1.0,indeterminate" in rows
+        printed = capsys.readouterr().out
+        assert printed.count("INDETERMINATE contraction_ratio i=") == 2
+        assert f"i=1: {UNOBSERVED}" in printed
 
     def test_verify_passes_on_golden(self, tmp_path):
         out = tmp_path / "out"

@@ -658,7 +658,8 @@ def never_called(stage: str, configs, out: Path) -> set[str]:
     return set(proc.stdout.split())
 
 
-# what `all` on the shipped configs never calls, and why it stays
+# what `all` on the shipped configs and e1_n3 at 801 nodes never calls,
+# and why it stays
 NOT_ON_THE_RUN_PATH = {
     "chebgrid.barycentric_matrix": "benchmark: perfbench wraps it",
     "chebgrid.differentiation_matrix": "benchmark: perfbench's checks call it",
@@ -677,10 +678,16 @@ NOT_ON_THE_RUN_PATH = {
 def test_every_function_runs_or_is_listed(tmp_path):
     # a function no stage calls is API nobody runs: it is deleted, moved
     # to the tests, or listed with its reason; a listed name that starts
-    # to run must leave the list
+    # to run must leave the list.  Every shipped grid is coarse, so e1_n3
+    # at 801 nodes runs the solver's coarse start too.
     configs = sorted(CONFIGS.glob("*.conf"))
     assert len(configs) == 3
-    assert never_called("all", configs, tmp_path) == set(NOT_ON_THE_RUN_PATH)
+    fine = tmp_path / "e1_n3_801.conf"
+    fine.write_text((CONFIGS / "e1_n3.conf").read_text().replace(
+        "grid_points = 200", "grid_points = 801"))
+    assert "grid_points = 801" in fine.read_text()
+    assert never_called("all", configs + [fine], tmp_path) == set(
+        NOT_ON_THE_RUN_PATH)
 
 
 def test_census_sees_what_a_stage_does_not_run(tmp_path):

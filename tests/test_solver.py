@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from poincarefp import chebgrid
+from poincarefp import chebgrid, solver
 from poincarefp.cli import load_config
-from poincarefp.errors import DivergenceDetected, InvarianceViolated
+from poincarefp.errors import (DivergenceDetected, InvarianceViolated,
+                               MaxIterations)
 from poincarefp.multipoly import Poly
-from poincarefp.problem import Equation, ProblemSpec
+from poincarefp.problem import COARSE_POINTS, Equation, ProblemSpec
 from poincarefp.reduction import OmegaTable
 from poincarefp.solver import (
+    UNOBSERVED,
     FixedPointOperator,
     ode_residual,
     picard_solve,
@@ -68,6 +70,14 @@ class TestTrivialProblem:
             grid, cert = picard_solve(operator)
             assert cert.iterations == 1
             assert np.max(np.abs(grid.values)) == 0.0
+
+    def test_contraction_is_not_observed(self, trivial_problem):
+        # one zero difference measures no contraction
+        _, _, cert = solve_problem(trivial_problem, 1)
+        assert cert.diffs == (0.0,)
+        assert cert.contraction_ratio is None
+        assert (f"observed contraction ratio = not observed ({UNOBSERVED})"
+                in cert.format().splitlines())
 
     def test_apply_T_of_zero_is_zero(self, trivial_problem):
         operator = FixedPointOperator(trivial_problem, 1)
@@ -192,6 +202,17 @@ class TestFailureModes:
         assert cert.eta == pytest.approx(0.9)
         assert "retry" in cert.eta_regime
 
+    def test_a_larger_configured_eta_is_not_retried_smaller(self):
+        # the iterate norm reaches 1.19 > 1.0: the error names the
+        # configured ball, not the tighter retry ball
+        problem = ProblemSpec(
+            Equation(3, (-6.0, 11.0, -6.0)), r_sources=("4/(1+t)^3", "0", "0"),
+            t_max=220.0, grid_points=200, eta=1.0,
+        )
+        with pytest.raises(InvarianceViolated,
+                           match=r"left the eta = 1\.0 ball"):
+            solve_problem(problem, 2)
+
     def test_divergence_detected_for_strong_coupling(self):
         # blow the perturbation up so Picard stops contracting
         problem = ProblemSpec(
@@ -208,6 +229,89 @@ def e1_at(grid_points):
         Equation(3, (-6.0, 11.0, -6.0)), r_sources=("1/(1+t)^3", "0", "0"),
         t_max=220.0, grid_points=grid_points,
     )
+
+
+def count_applies(monkeypatch) -> list[int]:
+    """Spy on FixedPointOperator.apply: the node count of each call."""
+    calls = []
+    apply = FixedPointOperator.apply
+
+    def spy(self, values):
+        calls.append(len(self.nodes))
+        return apply(self, values)
+
+    monkeypatch.setattr(FixedPointOperator, "apply", spy)
+    return calls
+
+
+class TestCoarseStart:
+    @pytest.mark.parametrize("amplitude", [0.5, 1.0, 1.5])
+    def test_fine_solve_starts_from_the_coarse_fixed_point(
+            self, monkeypatch, amplitude):
+        problem = replace(e1_at(1600),
+                          r_sources=(f"{amplitude}/(1+t)^3", "0", "0"))
+        for i in (1, 2, 3):
+            reference, from_zero = picard_solve(
+                FixedPointOperator(problem, i))
+            calls = count_applies(monkeypatch)
+            _, grid, cert = solve_problem(problem, i)
+            monkeypatch.undo()
+            # one fine step and the independent residual
+            assert calls.count(1600) <= 2, (amplitude, i)
+            assert calls.count(COARSE_POINTS) >= 2
+            assert set(calls) == {1600, COARSE_POINTS}
+            assert np.max(np.abs(grid.values - reference.values)) <= \
+                problem.tol
+            assert cert.final_residual <= problem.tol
+            assert cert.contraction_ratio == pytest.approx(
+                from_zero.contraction_ratio, abs=0.01)
+            assert cert.start_points == COARSE_POINTS
+            lines = cert.format().splitlines()
+            at = lines.index(f"coarse start = {COARSE_POINTS} nodes, "
+                             f"{len(cert.start_diffs)} iterations")
+            assert lines[at + 1] == "coarse successive difference norms:"
+            assert lines[at + 2:] == [f"  {d!r}" for d in cert.start_diffs]
+
+    def test_coarse_and_fine_share_the_tail_constants(self, monkeypatch):
+        problem = e1_at(1600)
+        computed = []
+        tail_constants = FixedPointOperator._tail_constants
+
+        def spy(self):
+            computed.append(len(self.nodes))
+            return tail_constants(self)
+
+        monkeypatch.setattr(FixedPointOperator, "_tail_constants", spy)
+        solve_problem(problem, 2)
+        assert computed == [1600]
+
+    def test_failed_coarse_stage_starts_from_zero(self, monkeypatch):
+        problem = e1_at(1600)
+        reference = picard_solve(FixedPointOperator(problem, 2))
+        solve = solver.picard_solve
+
+        def coarse_fails(operator, *args, **kwargs):
+            if len(operator.nodes) == COARSE_POINTS:
+                raise MaxIterations("coarse stage")
+            return solve(operator, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "picard_solve", coarse_fails)
+        _, grid, cert = solve_problem(problem, 2)
+        assert np.array_equal(grid.values, reference[0].values)
+        assert cert == reference[1]
+        assert cert.format() == reference[1].format()
+        assert "coarse" not in cert.format()
+
+    @pytest.mark.parametrize("points", [200, 800])
+    def test_no_coarse_problem_below_the_threshold(self, monkeypatch,
+                                                   points):
+        # 800 nodes are fewer than four times the coarse panels
+        problem = e1_at(points)
+        calls = count_applies(monkeypatch)
+        _, _, cert = solve_problem(problem, 2)
+        assert set(calls) == {points}
+        assert "coarse" not in vars(problem)
+        assert cert.start_points is None
 
 
 class TestDiscretisationError:
