@@ -12,8 +12,9 @@ product of the spectrum.  Envelope checks compare the iterate's
 derivative mass against the case-dependent exponentially weighted
 integral of |Omega_0(lambda_i, r)| from the equation's table, judging
 stability under window extension instead of asserting an unspecified
-big-O constant.  The envelope, the z-jet and int z (from the iterate's
-Chebyshev coefficients) are evaluated for a whole window of t at once.
+big-O constant.  One envelope quadrature serves a window and its
+double.  The envelope, the z-jet and int z (from the iterate's Chebyshev
+coefficients) are evaluated for a whole window of t at once.
 """
 
 from __future__ import annotations
@@ -91,40 +92,37 @@ class EnvelopeCheck:
     samples: tuple[tuple[float, float], ...]  # (t, ratio) where formed
 
 
-def check_envelope(problem: ProblemSpec, solution: IterateGrid, i: int,
-                   beta: float, window: tuple[float, float]) -> EnvelopeCheck:
-    """sup over the window of sum_j |z^(j)(t)| / envelope(t).
-
-    Points where the envelope underflows are excluded; if every point is,
-    the sup is 0 for a vanishing iterate, and otherwise there is none:
-    QuadratureFailure.
-    """
-    lo = max(window[0], problem.t0)
-    hi = min(window[1], solution.t_max)
-    ts = np.linspace(lo, hi, ENVELOPE_POINTS)
-    envs = envelope(problem, i, beta, ts)
-    masses = np.abs(solution.jet(ts)).sum(axis=0)
-    formed = ~(envs < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
-    if not formed.any() and masses.max() != 0.0:
-        raise QuadratureFailure("envelope underflowed across the whole window")
-    ratios = masses[formed] / envs[formed]
-    return EnvelopeCheck(
-        sup_ratio=float(ratios.max(initial=0.0)),
-        samples=tuple(zip(ts[formed].tolist(), ratios.tolist())),
-    )
-
-
 def envelope_stability(problem: ProblemSpec, solution: IterateGrid, i: int,
                        beta: float, window: tuple[float, float],
                        ) -> tuple[EnvelopeCheck, EnvelopeCheck, str]:
-    """Compare the sup ratio over the window and the doubled window: pass
-    when both vanish or the sup grows by less than STABILITY_FACTOR,
-    fail otherwise."""
-    base = check_envelope(problem, solution, i, beta, window)
+    """sup of sum_j |z^(j)(t)| / envelope(t) over the window and over the
+    doubled window, both from one envelope quadrature: pass when both
+    vanish or the sup grows by less than STABILITY_FACTOR, fail otherwise.
+
+    Points where the envelope underflows are excluded; if every point of
+    a window is, its sup is 0 for a vanishing iterate, and otherwise
+    there is none: QuadratureFailure.
+    """
     lo, hi = window
-    doubled = check_envelope(
-        problem, solution, i, beta, (lo, lo + 2 * (hi - lo))
-    )
+    start = max(lo, problem.t0)
+    ts = np.array([np.linspace(start, min(end, solution.t_max),
+                               ENVELOPE_POINTS)
+                   for end in (hi, lo + 2 * (hi - lo))])
+    checks = []
+    for t, env in zip(ts, envelope(problem, i, beta, ts)):
+        # one jet per window: a round-off mass over a tiny envelope moves
+        # with the batch shape of the series evaluation
+        mass = np.abs(solution.jet(t)).sum(axis=0)
+        formed = ~(env < ENVELOPE_FLOOR)  # a NaN envelope makes sup NaN
+        if not formed.any() and mass.max() != 0.0:
+            raise QuadratureFailure(
+                "envelope underflowed across the whole window")
+        ratios = mass[formed] / env[formed]
+        checks.append(EnvelopeCheck(
+            sup_ratio=float(ratios.max(initial=0.0)),
+            samples=tuple(zip(t[formed].tolist(), ratios.tolist())),
+        ))
+    base, doubled = checks
     stable = (base.sup_ratio == doubled.sup_ratio == 0.0) or (
         base.sup_ratio > 0
         and doubled.sup_ratio / base.sup_ratio < STABILITY_FACTOR)

@@ -27,13 +27,15 @@ panel recurrence
     I(b_{p+1}) = e^{gamma (b_{p+1} - b_p)} I(b_p)
                  + int_{b_p}^{b_{p+1}} e^{gamma (b_{p+1} - s)} f(s) ds
 
-(run from the cutoff backwards for the anticausal side).  A first-order
-linear recurrence is a scan (Blelloch, Prefix Sums and Their Applications,
-1990), so ``recurrence`` evaluates it by cumulative products and sums over
-blocks of panels; ``scan`` runs it for one term and every row of f, for
-``exp_integrals`` and the solver alike.  Between two sign changes of the
-g^(j), sum_j |g^(j)| is an exponential sum, so ``green_integrals`` takes
-the same scans at t shifted by them (``GreenKernel.pieces``).
+(run from the cutoff backwards for the anticausal side; a causal scan
+stops at the last target, past which none of its values is read).  A
+first-order linear recurrence is a scan (Blelloch, Prefix Sums and Their
+Applications, 1990), so ``recurrence`` evaluates it by cumulative products
+and sums over blocks of panels; ``scan`` runs it for one term and every
+row of f, for ``exp_integrals`` and the solver alike.  Between two sign
+changes of the g^(j), sum_j |g^(j)| is an exponential sum, so
+``green_integrals`` takes the same scans at t shifted by them
+(``GreenKernel.pieces``).
 """
 
 from __future__ import annotations
@@ -334,16 +336,17 @@ def exp_integrals(f, t, t0: float, terms, rate: float,
     tail bound; a tail that never gets below TAIL_SAFETY * tol raises
     QuadratureFailure.  So does a value at a target that is not finite:
     a growing weight, such as a causal term with gamma > 0, may overflow.
-    Past the last target, where no value is read, it may do so silently.
     """
     flat = np.ravel(t)
     smp = _sample(f, flat, t0, terms, rate, tol)
+    last = smp.targets.max()  # no causal value past it is read
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.stack([
-            scan(*exp_weights(smp.edges, smp.points, smp.weights,
-                              term.gamma, term.causal),
-                 term.causal, smp.values)[:, smp.targets]
+            scan(*exp_weights(smp.edges[:stop + 1], smp.points[:stop],
+                              smp.weights[:stop], term.gamma, term.causal),
+                 term.causal, smp.values[:, :stop])[:, smp.targets]
             for term in terms
+            for stop in [last if term.causal else len(smp.points)]
         ], axis=1)  # (rows, terms, targets)
     bad = ~np.isfinite(out).all(axis=(0, 1))
     if bad.any():

@@ -204,39 +204,26 @@ class OracleComparison:
     nfev: int
 
 
-def compare_to_fixed_point(fs: FundamentalSystem, i: int, t_end: float,
-                           mode: str | None = None) -> OracleComparison:
+def compare_to_fixed_point(fs: FundamentalSystem, i: int,
+                           t_end: float) -> OracleComparison:
     """Integrate y_i from its reconstructed initial jet to t_end and
-    compare at t0 and every step end of the integration.
-
-    mode "value": relative error of y against exp(log y_i).
-    mode "log-derivative": absolute error of y'/y against the
-    reconstructed ratio.  Default: "value" for the dominant direction
-    (i = 1), "log-derivative" otherwise.
-    """
-    problem = fs.problem
-    if mode is None:
-        mode = "value" if i == 1 else "log-derivative"
-    sample = integrate_original(problem, initial_jet(fs, i), t_end)
+    compare at t0 and every step end of the integration: the relative
+    error of y against exp(log y_i) for the dominant direction (i = 1),
+    the absolute error of y'/y against the reconstructed ratio for every
+    other direction."""
+    sample = integrate_original(fs.problem, initial_jet(fs, i), t_end)
     t = sample.t
-    if mode == "value":
+    if i == 1:
+        mode = "value"
         ref = np.exp(fs.log_y(i, t))
-        got = sample.states[0]
-        scale = np.maximum(np.abs(ref), 1e-300)
-        error = np.abs(got - ref) / scale
-    elif mode == "log-derivative":
-        ref = fs.derivative_ratio(i, 1, t)
+        error = np.abs(sample.states[0] - ref) / np.maximum(np.abs(ref),
+                                                            1e-300)
+    else:
+        mode = "log-derivative"
         with np.errstate(divide="ignore", invalid="ignore"):
             got = sample.states[1] / sample.states[0]
-        error = np.abs(got - ref)
-    else:
-        raise ValueError(f"unknown comparison mode {mode!r}")
-    return OracleComparison(
-        mode=mode,
-        t=t,
-        max_error=float(np.max(error)),
-        nfev=sample.nfev,
-    )
+        error = np.abs(got - fs.derivative_ratio(i, 1, t))
+    return OracleComparison(mode, t, float(np.max(error)), sample.nfev)
 
 
 def abel_check(fs: FundamentalSystem, t: float) -> tuple[float, float]:

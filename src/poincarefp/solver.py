@@ -34,8 +34,11 @@ Tutorial, ch. 3): T is iterated to its fixed point on the problem's
 and the fine iteration starts from that fixed point's cosine series,
 zero-padded to the fine length.  T contracts at about the same rate on
 both grids, and the coarse grid already resolves z far below tol, so
-the fine iteration mostly takes one step.  A coarse stage that raises
-leaves the fine one to start from zero.
+the fine iteration mostly takes one step.  The coarse stage runs the
+Picard loop alone (``picard_iterate``): only its fixed point and
+difference norms are read, so it pays for no residual and builds no
+certificate.  A coarse stage that raises leaves the fine one to start
+from zero.
 """
 
 from __future__ import annotations
@@ -257,31 +260,17 @@ def _contraction(*traces: tuple[float, ...]) -> float | None:
     return max(last, default=None)
 
 
-def picard_solve(operator: FixedPointOperator, eta: float | None = None,
-                 eta_regime: str = "default",
-                 start: tuple[IterateGrid, ContractionCertificate] | None
-                 = None,
-                 ) -> tuple[IterateGrid, ContractionCertificate]:
-    """Iterate T until the successive difference drops below the
-    problem's tol, for at most its max_iter steps.
-
-    The iteration starts from zero, or from ``start``, a solve of the
-    same root on a coarser grid of the same window, prolonged onto the
-    operator's nodes; its trace then goes into the certificate.
+def picard_iterate(operator: FixedPointOperator, values: np.ndarray,
+                   eta: float) -> tuple[IterateGrid, tuple[float, ...]]:
+    """Apply T from ``values`` until the successive difference drops
+    below the problem's tol, for at most its max_iter steps; returns the
+    last iterate, with its cosine coefficients, and the difference norms.
 
     Raises InvarianceViolated when an iterate leaves the ball of radius
     eta, DivergenceDetected after three consecutive non-contracting
     steps, MaxIterations when the budget runs out.
     """
     problem = operator.problem
-    eta = problem.eta if eta is None else eta
-
-    if start is None:
-        values, start_points, start_diffs = operator.zero(), None, ()
-    else:
-        coarse, coarse_cert = start
-        values = coarse.prolong(len(operator.nodes))
-        start_points, start_diffs = len(coarse.nodes), coarse_cert.diffs
     diffs: list[float] = []
     strikes = 0
     for _ in range(problem.max_iter):
@@ -303,26 +292,43 @@ def picard_solve(operator: FixedPointOperator, eta: float | None = None,
             strikes = 0
         values = new
         if diff <= problem.tol:
-            break
+            return operator.grid(values), tuple(diffs)
+    raise MaxIterations(
+        f"no convergence within {problem.max_iter} iterations; last "
+        f"difference {diffs[-1]}"
+    )
+
+
+def picard_solve(operator: FixedPointOperator, eta: float | None = None,
+                 eta_regime: str = "default",
+                 start: tuple[IterateGrid, tuple[float, ...]] | None = None,
+                 ) -> tuple[IterateGrid, ContractionCertificate]:
+    """``picard_iterate`` from zero, or from ``start``: a coarser grid's
+    iterate of the same root and window, prolonged onto the operator's
+    nodes, and its difference norms, which go into the certificate.  The
+    certificate adds the independent residual, the discretisation
+    estimate, the sup norm and the tail bounds.
+    """
+    eta = operator.problem.eta if eta is None else eta
+    if start is None:
+        values, start_points, start_diffs = operator.zero(), None, ()
     else:
-        raise MaxIterations(
-            f"no convergence within {problem.max_iter} iterations; last "
-            f"difference {diffs[-1]}"
-        )
+        coarse, start_diffs = start
+        values = coarse.prolong(len(operator.nodes))
+        start_points = len(coarse.nodes)
+    grid, diffs = picard_iterate(operator, values, eta)
 
     # independent residual of the returned iterate
-    final = operator.apply(values)
-    residual = _norm0(final - values)
-    grid = operator.grid(values)
+    residual = _norm0(operator.apply(grid.values) - grid.values)
     cert = ContractionCertificate(
         eta=eta,
         eta_regime=eta_regime,
         iterations=len(diffs),
-        diffs=tuple(diffs),
+        diffs=diffs,
         contraction_ratio=_contraction(start_diffs, diffs),
         final_residual=residual,
         discretisation_error=_discretisation_error(grid.coeffs),
-        sup_norm=_norm0(values),
+        sup_norm=_norm0(grid.values),
         tail_bounds=tuple(
             float(abs(operator.kernel.coeffs[ell] * const))
             for ell, const in sorted(operator.tail_constants.items())
@@ -338,16 +344,18 @@ def solve_problem(problem: ProblemSpec, i: int):
     """End-to-end solve for root index i (1-based).
 
     Returns (operator, grid, certificate).  A grid of at least four times
-    the panels of the coarse one starts from the coarse solve, or from
-    zero when that raises.  An invariance violation at a configured eta
-    below 0.9 is retried once in the relaxed eta = 0.9 regime.
+    the panels of the coarse one starts from the coarse iteration's
+    fixed point, or from zero when that raises.  An invariance violation
+    at a configured eta below 0.9 is retried once in the relaxed
+    eta = 0.9 regime.
     """
     operator = FixedPointOperator(problem, i)
     start = None
     if problem.grid_points - 1 >= 4 * (COARSE_POINTS - 1):
         try:
-            start = picard_solve(FixedPointOperator(
-                problem.coarse, i, operator.tail_constants))
+            coarse = FixedPointOperator(problem.coarse, i,
+                                        operator.tail_constants)
+            start = picard_iterate(coarse, coarse.zero(), problem.eta)
         except PoincarefpError:
             pass  # the fine iteration starts from zero
     try:

@@ -190,13 +190,11 @@ class TestAcceptance:
         report(5, ok, "; ".join(details) + f"; {elapsed:.1f}s")
 
     def test_criterion_06_oracle_equivalence(self, e1_system):
-        comp1 = compare_to_fixed_point(e1_system, 1, 10.0, mode="value")
+        comp1 = compare_to_fixed_point(e1_system, 1, 10.0)
         ok = comp1.max_error < 1e-4
         details = [f"i=1 value {comp1.max_error:.2e}"]
         for i in (2, 3):
-            comp = compare_to_fixed_point(
-                e1_system, i, 10.0, mode="log-derivative"
-            )
+            comp = compare_to_fixed_point(e1_system, i, 10.0)
             ok = ok and comp.max_error < 1e-3
             details.append(f"i={i} log-deriv {comp.max_error:.2e}")
         report(6, ok, "; ".join(details))

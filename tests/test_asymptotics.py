@@ -4,19 +4,19 @@ double-integral quadrature identity."""
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from helpers import coeffs_from_roots
-from poincarefp import chebgrid
+from poincarefp import chebgrid, kernelquad
 from poincarefp.asymptotics import (
     ENVELOPE_FLOOR,
     ENVELOPE_POINTS,
     admissible_beta_interval,
     build_fundamental_system,
-    check_envelope,
     envelope,
     envelope_stability,
     jet_ratios,
@@ -24,10 +24,13 @@ from poincarefp.asymptotics import (
     pi_product,
     wronskian_diagnostic,
 )
+from poincarefp.cli import load_config
 from poincarefp.errors import QuadratureFailure
 from poincarefp.problem import Equation, ProblemSpec
 from poincarefp.reduction import build_derivative_polynomials
-from poincarefp.solver import IterateGrid
+from poincarefp.solver import IterateGrid, solve_problem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -112,41 +115,100 @@ class TestEnvelope:
 
 class TestEnvelopeCheck:
     def test_trivial_vacuous_pass(self, trivial_problem):
-        from poincarefp.solver import solve_problem
-
         _, grid, _ = solve_problem(trivial_problem, 3)
-        check = check_envelope(trivial_problem, grid, 3, 0.5, (10.0, 20.0))
-        assert check.sup_ratio == 0.0
-        *_, status = envelope_stability(trivial_problem, grid, 3, 0.5,
-                                        (10.0, 20.0))
+        base, doubled, status = envelope_stability(
+            trivial_problem, grid, 3, 0.5, (10.0, 20.0))
+        assert base.sup_ratio == doubled.sup_ratio == 0.0
         assert status == "pass"
+
+    @staticmethod
+    def constant_iterate(problem, value):
+        nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, 32)
+        values = np.full((1, 32), value)
+        return IterateGrid(
+            nodes=nodes, values=values,
+            coeffs=chebgrid.chebyshev_coefficients(values),
+        )
 
     def test_envelope_below_floor_is_left_out(self):
         # r0 = e^{-7t}/10 makes the i = 1 envelope e^{-7t}/80: above
         # the floor up to t = 98, positive but below it from t = 99 on.
         # A constant iterate z = 1e-3 would give ratios up to 1e-3 / 1e-318
-        # there, so those points must be missing from samples and sup.
+        # there, so those points must be missing from samples and sup,
+        # in the window and in the doubled window alike.
         problem = ProblemSpec(
             Equation(2, (-1.0, 0.0)), r_sources=("exp(-7*t)/10", "0"),
             t_max=120.0, grid_points=32,
         )
-        nodes = chebgrid.lobatto_nodes(problem.t0, problem.t_max, 32)
-        values = np.full((1, 32), 1e-3)
-        solution = IterateGrid(
-            nodes=nodes, values=values,
-            coeffs=chebgrid.chebyshev_coefficients(values),
+        solution = self.constant_iterate(problem, 1e-3)
+        checks = envelope_stability(problem, solution, 1, -1.0,
+                                    (80.0, 104.0))[:2]
+        # t = 80, 81, ..., 104 and t = 80, 81 2/3, ..., 120 (t_max); the
+        # points below the floor are positive but for the doubled window's
+        # last nine, where the envelope underflows to 0
+        for check, hi, count, positive in zip(checks, (104.0, 120.0),
+                                              (6, 14), (6, 5)):
+            ts = np.linspace(80.0, hi, ENVELOPE_POINTS)
+            envs = envelope(problem, 1, -1.0, ts)
+            below = envs < ENVELOPE_FLOOR
+            assert below.sum() == count
+            assert (envs[below] > 0.0).sum() == positive
+            sampled = [t for t, _ in check.samples]
+            assert sampled == pytest.approx(list(ts[~below]), abs=1e-12)
+            ratios = [ratio for _, ratio in check.samples]
+            assert check.sup_ratio == max(ratios)
+            assert check.sup_ratio == pytest.approx(
+                1e-3 / envs[~below].min(), rel=1e-6)
+
+    def test_envelope_underflowed_everywhere(self):
+        # past t = 99 no point of either window forms a ratio: a vanishing
+        # iterate reads sup 0, any other has no sup
+        problem = ProblemSpec(
+            Equation(2, (-1.0, 0.0)), r_sources=("exp(-7*t)/10", "0"),
+            t_max=120.0, grid_points=32,
         )
-        ts = np.linspace(80.0, 104.0, ENVELOPE_POINTS)  # t = 80, 81, ..., 104
-        envs = envelope(problem, 1, -1.0, ts)
-        below = (envs > 0.0) & (envs < ENVELOPE_FLOOR)
-        assert below.sum() == 6 and not np.any(envs == 0.0)
-        check = check_envelope(problem, solution, 1, -1.0, (80.0, 104.0))
-        sampled = [t for t, _ in check.samples]
-        assert sampled == pytest.approx(list(ts[~below]), abs=1e-12)
-        ratios = [ratio for _, ratio in check.samples]
-        assert check.sup_ratio == max(ratios)
-        assert check.sup_ratio == pytest.approx(1e-3 / envs[~below].min(),
-                                                rel=1e-6)
+        window = (100.0, 110.0)
+        base, doubled, status = envelope_stability(
+            problem, self.constant_iterate(problem, 0.0), 1, -1.0, window)
+        assert base == doubled
+        assert (base.sup_ratio, base.samples, status) == (0.0, (), "pass")
+        with pytest.raises(QuadratureFailure, match="underflowed"):
+            envelope_stability(problem, self.constant_iterate(problem, 1e-3),
+                               1, -1.0, window)
+
+    @pytest.mark.parametrize("name", ["e1_n3", "spread_n4"])
+    def test_one_quadrature_for_both_windows(self, monkeypatch, name):
+        problem = load_config(CONFIGS / f"{name}.conf").problem
+        spectrum = problem.equation.spectrum
+        window = (problem.t0 + 10.0,
+                  problem.t0 + min(100.0, (problem.t_max - problem.t0) / 2))
+        for i in range(1, problem.n + 1):
+            beta = sum(admissible_beta_interval(spectrum, i)) / 2
+            _, grid, _ = solve_problem(problem, i)
+            # one envelope quadrature per window, as the sup was taken
+            # before both windows shared one
+            reference = []
+            for hi in (window[1], window[0] + 2 * (window[1] - window[0])):
+                ts = np.linspace(window[0], min(hi, grid.t_max),
+                                 ENVELOPE_POINTS)
+                masses = np.abs(grid.jet(ts)).sum(axis=0)
+                reference.append(max(masses / envelope(problem, i, beta,
+                                                       ts)))
+            calls = []
+            exp_integrals = kernelquad.exp_integrals
+
+            def spy(*args, **kwargs):
+                calls.append(args[1])
+                return exp_integrals(*args, **kwargs)
+
+            monkeypatch.setattr(kernelquad, "exp_integrals", spy)
+            base, doubled, _ = envelope_stability(problem, grid, i, beta,
+                                                  window)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert np.shape(calls[0]) == (2, ENVELOPE_POINTS)
+            assert [base.sup_ratio, doubled.sup_ratio] == pytest.approx(
+                reference, rel=1e-13, abs=0)
 
     def test_golden_stability(self, e1_problem, e1_solves):
         results, _ = e1_solves
@@ -164,8 +226,6 @@ class TestFundamentalSystem:
             assert e1_system.log_y(i, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_trivial_is_pure_exponential(self, trivial_problem):
-        from poincarefp.solver import solve_problem
-
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
         fs = build_fundamental_system(trivial_problem, grids)
         for i, lam in zip((1, 2, 3), (3.0, 2.0, 1.0)):
@@ -215,8 +275,6 @@ class TestLeibnizRatios:
 
 class TestWronskian:
     def test_trivial_equals_vandermonde(self, trivial_problem):
-        from poincarefp.solver import solve_problem
-
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
         fs = build_fundamental_system(trivial_problem, grids)
         ratio, vandermonde = wronskian_diagnostic(fs, 4.0)
@@ -244,8 +302,6 @@ class TestRefinedEstimate:
         assert pi_product(spectrum, 3) == pytest.approx(2.0)
 
     def test_trivial_reduces_to_exponential(self, trivial_problem):
-        from poincarefp.solver import solve_problem
-
         _, grid, _ = solve_problem(trivial_problem, 2)
         got = log_refined_estimate(trivial_problem, 2, grid, 3.0)
         assert abs(got - 2.0 * 3.0) <= 1e-10

@@ -442,6 +442,56 @@ class TestInitialRule:
         assert int(peak_kb) < 200 * 1024
 
 
+    def test_causal_scans_stop_at_the_last_target(self, monkeypatch):
+        # roots (1, 0.9999, -1): lambda_2's tail runs to 4e5 for its slow
+        # anticausal term, and its fast causal decay e^{-1.9999 h}
+        # underflows to 0 on the wide tail panels.  No causal value past
+        # the last target is read, so no causal scan goes there.
+        a = tuple(float(v) for v in coeffs_from_roots((1.0, 0.9999, -1.0)))
+        problem = ProblemSpec(Equation(3, a),
+                              r_sources=("1/(2*(1+t)^4)", "0", "0"),
+                              t_max=160.0)
+        grid = np.array(hypothesis_grid(problem))
+        rules, scans = [], []
+        sample, scan = kernelquad._sample, kernelquad.scan
+
+        def sample_spy(*args, **kwargs):
+            rules.append(sample(*args, **kwargs))
+            return rules[-1]
+
+        def scan_spy(weights, decay, causal, *args, **kwargs):
+            scans.append((causal, decay))
+            return scan(weights, decay, causal, *args, **kwargs)
+
+        monkeypatch.setattr(kernelquad, "_sample", sample_spy)
+        monkeypatch.setattr(kernelquad, "scan", scan_spy)
+        got = kernel_masses(problem, 2, grid)
+        monkeypatch.undo()
+        (smp,) = rules
+        last = smp.targets.max()
+        assert smp.edges[last] == grid.max()
+        assert sorted((causal, len(decay)) for causal, decay in scans) == [
+            (False, len(smp.points)), (True, last)]
+        causal_decay = next(decay for causal, decay in scans if causal)
+        assert causal_decay.min() > 0.0  # no width-1 blocks in its scan
+        # rows R, L_1, L_2, L_3 at t = 1, 2, 4, ..., 128, as computed by
+        # causal scans over the whole rule
+        reference = [
+            [0.07081330151474907, 0.01856567828882915,
+             0.0019241054623719313, 0.0001897823692210603,
+             2.2059075670285962e-05, 2.651808312222277e-06,
+             3.241144020876593e-07, 3.9943902362625405e-08],
+            [0.0] * 8,
+            [25004.74215489616, 25005.181005337625, 25005.248442659846,
+             25005.24970069629, 25005.249701118628, 25005.24970111862,
+             25005.249701118602, 25005.249701118577],
+            [5001.1484769189765, 5001.236250518214, 5001.249738522178,
+             5001.249990139532, 5001.249990224002, 5001.2499902240015,
+             5001.249990223999, 5001.249990223994],
+        ]
+        assert got.tolist() == [pytest.approx(row, rel=1e-13, abs=0)
+                                for row in reference]
+
 @pytest.fixture(scope="module", params=CONFIGS, ids=lambda p: p.stem)
 def shipped(request):
     return load_config(request.param).problem

@@ -192,7 +192,7 @@ class TestComparisons:
     def test_trivial_problem_value_agreement(self, trivial_problem):
         grids = [solve_problem(trivial_problem, i)[1] for i in (1, 2, 3)]
         fs = build_fundamental_system(trivial_problem, grids)
-        comp = compare_to_fixed_point(fs, 1, 5.0, mode="value")
+        comp = compare_to_fixed_point(fs, 1, 5.0)
         assert comp.max_error < 1e-9
 
     def test_golden_initial_jet(self, e1_system):
@@ -211,10 +211,6 @@ class TestComparisons:
             comp = compare_to_fixed_point(e1_system, i, 10.0)
             assert comp.mode == "log-derivative"
             assert comp.max_error < 1e-3
-
-    def test_unknown_mode_rejected(self, e1_system):
-        with pytest.raises(ValueError):
-            compare_to_fixed_point(e1_system, 1, 5.0, mode="bogus")
 
 
 class TestAbel:
