@@ -12,12 +12,15 @@ ExpressionError at its position in the caller's text.  Numbers are
 decimal and finite; the only characters are ASCII letters, digits, '_',
 '.', '+', '-', '*', '/', '^', parentheses, commas, spaces and tabs.
 Known functions: exp, log, sin, cos, sqrt, abs, pow(x, y).  The only free
-variable is 't'.  Trees are immutable and safe to evaluate concurrently.
+variable is 't'.
 
-Evaluation maps every operator and function onto a numpy ufunc and runs
-the whole tree under one floating-point guard: literals and t are finite,
-so the first operation that would create an inf or NaN raises
-EvalDomainError.
+Python's compiler evaluates it: the validated tree is rewritten so that
+every operator and function is a call of its numpy ufunc, pi and e are
+float constants and t is the one free name, and compiled once.  An
+Expression holds that code, which is immutable and safe to evaluate
+concurrently; the whole evaluation runs under one floating-point guard:
+literals and t are finite, so the first operation that would create an
+inf or NaN raises EvalDomainError.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import math
 import string
 import warnings
 from dataclasses import dataclass
+from types import CodeType
 
 import numpy as np
 
@@ -35,57 +39,45 @@ from .errors import EvalDomainError, ExpressionError
 # numpy ufuncs; each one's ``nin`` is the arity the parser enforces
 _FUNCTIONS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
               "sqrt": np.sqrt, "abs": np.abs, "pow": np.power}
+_OPERATORS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+              ast.Div: np.divide, ast.Pow: np.power}
+# the compiled code calls each ufunc by its own name and sees no builtins
+_NAMESPACE = {"__builtins__": {}} | {
+    ufunc.__name__: ufunc
+    for ufunc in (*_FUNCTIONS.values(), *_OPERATORS.values())}
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class Expression:
+    """A parsed expression, compiled.  Every node of its rewritten tree
+    sits at the same place, so the code depends on that tree alone, and
+    code objects compare by value: two expressions are equal exactly when
+    their trees are."""
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # always "t"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-
-
-Expression = Num | Var | Neg | BinOp | Call
+    code: CodeType
 
 
 _CHARACTERS = frozenset(string.ascii_letters + string.digits
                         + "_.+-*/^(), \t")
 _LITERAL = frozenset("0123456789.eE+-")  # a decimal number's text
-_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-              ast.Pow: "^"}
-_NAMES = {"t": Var("t"), "pi": Num(math.pi), "e": Num(math.e)}
+_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-def _convert(node: ast.expr, python: str, origin: list[int]) -> Expression:
-    """The expression that Python's tree ``node`` of the text ``python``
-    stands for; origin[p] is the caller's position of python[p]."""
+def _call(ufunc, args: list[ast.expr]) -> ast.Call:
+    return ast.Call(ast.Name(ufunc.__name__, ast.Load()), args, [])
+
+
+def _convert(node: ast.expr, python: str, origin: list[int]) -> ast.expr:
+    """The ufunc-call tree that Python's tree ``node`` of the text
+    ``python`` stands for; origin[p] is the caller's position of
+    python[p]."""
     kind = type(node)
     if kind is ast.BinOp and type(node.op) in _OPERATORS:
-        return BinOp(_OPERATORS[type(node.op)],
-                     _convert(node.left, python, origin),
-                     _convert(node.right, python, origin))
+        return _call(_OPERATORS[type(node.op)],
+                     [_convert(node.left, python, origin),
+                      _convert(node.right, python, origin)])
     if kind is ast.UnaryOp and type(node.op) is ast.USub:
-        return Neg(_convert(node.operand, python, origin))
+        return ast.UnaryOp(node.op, _convert(node.operand, python, origin))
     text = python[node.col_offset:node.end_col_offset]
     where = origin[node.col_offset]
     if kind is ast.Constant and type(node.value) in (int, float) \
@@ -93,11 +85,13 @@ def _convert(node: ast.expr, python: str, origin: list[int]) -> Expression:
         value = float(text)
         if not math.isfinite(value):
             raise ExpressionError(f"non-finite number {text!r}", where)
-        return Num(value)
+        return ast.Constant(value)
     if kind is ast.Name:
-        if node.id not in _NAMES:
+        if node.id == "t":
+            return ast.Name("t", ast.Load())
+        if node.id not in _CONSTANTS:
             raise ExpressionError(f"unknown identifier {node.id!r}", where)
-        return _NAMES[node.id]
+        return ast.Constant(_CONSTANTS[node.id])
     # a call names its function ('(sin)(t)' starts before the name); with
     # no '=' among the characters it has no keyword argument
     if kind is ast.Call and type(node.func) is ast.Name \
@@ -115,15 +109,15 @@ def _convert(node: ast.expr, python: str, origin: list[int]) -> Expression:
                            node.end_col_offset)
         if rest >= 0:
             raise ExpressionError("trailing comma", origin[rest])
-        return Call(name, tuple(_convert(arg, python, origin)
-                                for arg in node.args))
+        return _call(_FUNCTIONS[name], [_convert(arg, python, origin)
+                                        for arg in node.args])
     raise ExpressionError(f"{text!r} is not in the expression language",
                           where)
 
 
 def parse_expression(source: str) -> Expression:
-    """Parse ``source`` into an expression tree; raises ExpressionError
-    with the position in ``source``."""
+    """Parse and compile ``source``; raises ExpressionError with the
+    position in ``source``."""
     if not source or not source.strip():
         raise ExpressionError("empty expression")
     for pos, char in enumerate(source):
@@ -143,7 +137,11 @@ def parse_expression(source: str) -> Expression:
             # '1if' and the like warn before they fail: reject at once
             warnings.simplefilter("error")
             tree = ast.parse(python, mode="eval")
-        return _convert(tree.body, python, origin)
+        body = _convert(tree.body, python, origin)
+        # the new nodes carry no position: all of them get line 1, column 0
+        code = ast.fix_missing_locations(ast.Expression(body))
+        return Expression(compile(code, "<expression>", "eval",
+                                  dont_inherit=True))
     except SyntaxError as exc:
         pos = exc.offset - 1 if exc.offset else len(python)
         raise ExpressionError(exc.msg, origin[min(pos, len(python))]) \
@@ -152,31 +150,16 @@ def parse_expression(source: str) -> Expression:
         raise ExpressionError("expression nested too deeply") from None
 
 
-_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
-           "^": np.power}
-
-
-def _eval(node: Expression, t):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Neg):
-        return -_eval(node.operand, t)
-    if isinstance(node, BinOp):
-        return _BINARY[node.op](_eval(node.left, t), _eval(node.right, t))
-    return _FUNCTIONS[node.func](*(_eval(arg, t) for arg in node.args))
-
-
 def evaluate_expression(e: Expression, t):
     """Value of ``e`` at ``t`` (scalar or numpy array, elementwise).
 
-    The whole tree is evaluated inside one ``np.errstate`` that raises on
-    division by zero, overflow and invalid operations.  Literals and t are
-    finite, so every inf or NaN is trapped at the operation that creates it
-    (log/sqrt of a negative, division by zero, overflow, a negative base
-    with a non-integer exponent) and surfaces as EvalDomainError; an
-    infinity is never propagated or absorbed silently.  0^0 is 1.
+    The whole expression is evaluated inside one ``np.errstate`` that
+    raises on division by zero, overflow and invalid operations.  Literals
+    and t are finite, so every inf or NaN is trapped at the operation that
+    creates it (log/sqrt of a negative, division by zero, overflow, a
+    negative base with a non-integer exponent) and surfaces as
+    EvalDomainError; an infinity is never propagated or absorbed silently.
+    0^0 is 1.
     """
     scalar = np.ndim(t) == 0
     t = float(t) if scalar else np.asarray(t, dtype=float)
@@ -184,7 +167,7 @@ def evaluate_expression(e: Expression, t):
         raise EvalDomainError("t must be finite")
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            out = _eval(e, t)
+            out = eval(e.code, _NAMESPACE, {"t": t})
     except FloatingPointError as exc:
         raise EvalDomainError(str(exc)) from None
     if scalar:
@@ -195,15 +178,7 @@ def evaluate_expression(e: Expression, t):
     return arr
 
 
-def depends_on_t(node: Expression) -> bool:
-    """Whether ``node`` mentions the variable t; if not, its value is the
-    same at every t."""
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, Neg):
-        return depends_on_t(node.operand)
-    if isinstance(node, BinOp):
-        return depends_on_t(node.left) or depends_on_t(node.right)
-    return any(depends_on_t(arg) for arg in node.args)
+def depends_on_t(e: Expression) -> bool:
+    """Whether ``e`` mentions the variable t; if not, its value is the same
+    at every t."""
+    return "t" in e.code.co_names

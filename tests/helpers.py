@@ -8,7 +8,6 @@ import numpy as np
 from scipy import integrate
 
 from poincarefp.errors import QuadratureFailure
-from poincarefp.exprparse import BinOp, Expression, Neg, Num, Var
 from poincarefp.multipoly import Poly
 from poincarefp.spectral import ShiftedSpectrum
 
@@ -55,20 +54,6 @@ def diff_terms(p: Poly, q: Poly) -> dict:
         if delta:
             out[expo] = delta
     return out
-
-
-def pretty_print(node: Expression) -> str:
-    """Fully parenthesized rendering; re-parsing yields an identical AST."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{pretty_print(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({pretty_print(node.left)}{node.op}{pretty_print(node.right)})"
-    args = ", ".join(pretty_print(a) for a in node.args)
-    return f"{node.func}({args})"
 
 
 # ---------------------------------------------------------------------------

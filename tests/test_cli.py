@@ -559,18 +559,18 @@ class TestEndToEnd:
             assert all(problem.t0 < float(row["t"]) <= problem.t_max
                        for row in rows if row["t"]), name
 
-    def test_determinism_byte_identical(self, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        text = MINIMAL
-        config_a = load_config(write_config(tmp_path, text, "a.conf"))
-        config_a.output_dir = out_a
-        config_b = load_config(write_config(tmp_path, text, "b.conf"))
-        config_b.output_dir = out_b
-        run("solve", config_a)
-        run("solve", config_b)
-        for name in ("z_lambda_1.csv", "z_lambda_2.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    @pytest.mark.parametrize("name", ["decaying_n2", "e1_n3", "spread_n4"])
+    def test_determinism_byte_identical(self, tmp_path, name):
+        # each shipped config's r depends on t
+        outputs = []
+        for run_dir in ("a", "b"):
+            config = load_config(CONFIGS / f"{name}.conf")
+            config.output_dir = tmp_path / run_dir
+            assert run("solve", config) == EXIT_OK
+            outputs.append({path.name: path.read_bytes()
+                            for path in config.output_dir.iterdir()})
+        assert len(outputs[0]) == 2 * config.problem.n
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("name", ["e1_n3", "spread_n4"])
     def test_certificates_hold_plain_numbers(self, tmp_path, name):

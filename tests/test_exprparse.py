@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import warnings
 
@@ -10,14 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pretty_print
 from poincarefp.errors import EvalDomainError, ExpressionError
 from poincarefp.exprparse import (
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Var,
     depends_on_t,
     evaluate_expression,
     parse_expression,
@@ -86,6 +81,14 @@ class TestParsing:
         with pytest.raises(ExpressionError) as info:
             parse_expression("1 + $")
         assert info.value.position == 4
+
+    def test_equal_exactly_when_the_trees_are(self):
+        first, *same = [parse_expression(src) for src in
+                        ["t+1", " (t + 1.0)", "((t)+(1))", "t+1e0"]]
+        for expr in same:
+            assert expr == first and hash(expr) == hash(first)
+        for src in ["1+t", "t+2", "t-1", "t+pi", "exp(t)+1", "t+1+0"]:
+            assert parse_expression(src) != first, src
 
 
 class TestDependsOnT:
@@ -156,7 +159,7 @@ class TestEvaluation:
             ev("0*t", t)
 
 
-# strategy for random ASTs rendered back to source text
+# strategy for random expression sources
 _leaf = st.one_of(
     st.just("t"),
     st.floats(
@@ -175,10 +178,10 @@ def _combine(children):
     return binary | children.map(lambda child: f"(-{child})")
 
 
-def _outcome(ast, t):
-    """The value of ``ast`` at t, or EvalDomainError if it raises one."""
+def _outcome(expr, t):
+    """The value of ``expr`` at t, or EvalDomainError if it raises one."""
     try:
-        return evaluate_expression(ast, t)
+        return evaluate_expression(expr, t)
     except EvalDomainError:
         return EvalDomainError
 
@@ -190,15 +193,18 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(src=_source, t=st.floats(min_value=-3.0, max_value=3.0))
     def test_pretty_print_round_trip(self, src, t):
-        ast = parse_expression(src)
-        again = parse_expression(pretty_print(ast))
-        assert again == ast
-        assert _outcome(again, t) == _outcome(ast, t)
+        expr = parse_expression(src)
+        # Python's renderer: its own spacing and only the parentheses
+        # its precedence needs
+        python = ast.unparse(ast.parse(src.replace("^", "**"), mode="eval"))
+        again = parse_expression(python.replace("**", "^"))
+        assert again == expr
+        assert _outcome(again, t) == _outcome(expr, t)
 
     @settings(max_examples=200, deadline=None)
     @given(src=_source, t=st.floats(min_value=-3.0, max_value=3.0))
     def test_matches_python_reference(self, src, t):
-        ast = parse_expression(src)
+        expr = parse_expression(src)
         python = src.replace("t", f"({t!r})").replace("^", "**")
         try:
             reference = eval(python)  # arithmetic only
@@ -207,9 +213,9 @@ class TestProperties:
         # Python returns a complex power of a negative base, and
         # overflows to inf in * and / without raising
         if isinstance(reference, complex) or not math.isfinite(reference):
-            assert _outcome(ast, t) is EvalDomainError
+            assert _outcome(expr, t) is EvalDomainError
         else:
-            assert evaluate_expression(ast, t) == pytest.approx(
+            assert evaluate_expression(expr, t) == pytest.approx(
                 reference, rel=1e-12, abs=1e-12
             )
 
@@ -231,57 +237,59 @@ class TestProperties:
             lambda t: math.cos(t) ** 2 + math.sin(t) ** 2,
             lambda t: t ** 2 + abs(t),
         ]
-        asts = [parse_expression(s) for s in sources]
+        exprs = [parse_expression(s) for s in sources]
         for _ in range(1000):
             idx = int(rng.integers(len(sources)))
             t = float(rng.uniform(0.0, 5.0))
-            got = evaluate_expression(asts[idx], t)
+            got = evaluate_expression(exprs[idx], t)
             assert got == pytest.approx(refs[idx](t), rel=1e-13, abs=1e-13)
 
 
-# random trees over every operator and function, against an unguarded
-# numpy evaluation of each subtree
-_BINARY_REF = {"+": np.add, "-": np.subtract, "*": np.multiply,
-               "/": np.divide, "^": np.power}
+# random sources over every operator and function, against an unguarded
+# numpy evaluation of each subtree of Python's own tree of the source
+_BINARY_REF = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+               ast.Div: np.divide, ast.Pow: np.power}
 _CALL_REF = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
              "sqrt": np.sqrt, "abs": np.abs, "pow": np.power}
 _LEAVES = (0.0, 1e308, 0.5, 2.0, 3.0, 10.0, 1e-3, 700.0)
 _TS = (0.0, -1.0, 0.5, 2.5, -3.0, 100.0, 710.0, 1e308, -1e308, 1e-300)
 
 
-def _random_tree(rng, depth):
+def _random_source(rng, depth):
+    """A random expression's text, fully parenthesized."""
     kind = rng.integers(4) if depth > 0 else 3
     if kind == 0:
-        op = str(rng.choice(list(_BINARY_REF)))
-        return BinOp(op, _random_tree(rng, depth - 1),
-                     _random_tree(rng, depth - 1))
+        op = str(rng.choice(["+", "-", "*", "/", "^"]))
+        left = _random_source(rng, depth - 1)
+        return f"({left}{op}{_random_source(rng, depth - 1)})"
     if kind == 1:
         func = str(rng.choice(list(_CALL_REF)))
-        args = [_random_tree(rng, depth - 1)
+        args = [_random_source(rng, depth - 1)
                 for _ in range(2 if func == "pow" else 1)]
-        return Call(func, tuple(args))
+        return f"{func}({', '.join(args)})"
     if kind == 2:
-        return Neg(_random_tree(rng, depth - 1))
+        return f"(-{_random_source(rng, depth - 1)})"
     if rng.random() < 0.4:
-        return Var("t")
-    return Num(float(rng.choice(_LEAVES)))
+        return "t"
+    return repr(float(rng.choice(_LEAVES)))
 
 
 def _reference(node, t):
-    """(value, whether any subtree was non-finite), errors ignored."""
-    if isinstance(node, Num):
+    """(value, whether any subtree was non-finite) of Python's tree
+    ``node``, errors ignored."""
+    if isinstance(node, ast.Constant):
         return np.float64(node.value), False
-    if isinstance(node, Var):
+    if isinstance(node, ast.Name):
         return t, False
-    if isinstance(node, Neg):
+    if isinstance(node, ast.UnaryOp):
         parts = [_reference(node.operand, t)]
         func = np.negative
-    elif isinstance(node, BinOp):
+    elif isinstance(node, ast.BinOp):
         parts = [_reference(node.left, t), _reference(node.right, t)]
-        func = _BINARY_REF[node.op]
+        func = _BINARY_REF[type(node.op)]
     else:
         parts = [_reference(arg, t) for arg in node.args]
-        func = _CALL_REF[node.func]
+        func = _CALL_REF[node.func.id]
     with np.errstate(all="ignore"):
         value = func(*(v for v, _ in parts))
     bad = any(b for _, b in parts) or not np.all(np.isfinite(value))
@@ -293,23 +301,24 @@ def test_random_trees_raise_exactly_when_a_subtree_is_not_finite():
     mismatches = []
     raised = 0
     for _ in range(12000):
-        tree = _random_tree(rng, int(rng.integers(1, 5)))
+        src = _random_source(rng, int(rng.integers(1, 5)))
         if rng.random() < 0.5:
             t = np.float64(rng.choice(_TS))
         else:
             t = rng.choice(_TS, size=int(rng.integers(1, 5)))
-        expected, bad = _reference(tree, t)
+        tree = ast.parse(src.replace("^", "**"), mode="eval")
+        expected, bad = _reference(tree.body, t)
         try:
-            got = evaluate_expression(tree, t)
+            got = evaluate_expression(parse_expression(src), t)
         except EvalDomainError:
             raised += 1
             if not bad:
-                mismatches.append((pretty_print(tree), t, "raised"))
+                mismatches.append((src, t, "raised"))
             continue
         want = np.broadcast_to(np.asarray(expected, dtype=float),
                                np.shape(t))
         if bad or np.asarray(got).tobytes() != want.tobytes():
-            mismatches.append((pretty_print(tree), t, got))
+            mismatches.append((src, t, got))
     assert not mismatches, mismatches[:5]
     # both outcomes are well represented
     assert 1000 < raised < 11000

@@ -668,10 +668,10 @@ NOT_ON_THE_RUN_PATH = {
     "hypotheses.compute_R": "benchmark: perfbench wraps it",
     "multipoly.Poly.evaluate": "benchmark: perfbench counts its calls",
     "asymptotics.log_refined_estimate":
-        "ROADMAP item 6: a refined-formula row runs it, or it goes",
-    "asymptotics.pi_product": "ROADMAP item 6: log_refined_estimate's factor",
-    "kernelquad.integral": "ROADMAP item 6: log_refined_estimate's quadrature",
-    "oracle.abel_check": "ROADMAP item 7: the k = n plane replaces it",
+        "ROADMAP item 8: a refined-formula row runs it, or it goes",
+    "asymptotics.pi_product": "ROADMAP item 8: log_refined_estimate's factor",
+    "kernelquad.integral": "ROADMAP item 8: log_refined_estimate's quadrature",
+    "oracle.abel_check": "ROADMAP item 9: the k = n plane replaces it",
 }
 
 
