@@ -11,8 +11,8 @@ where a term with gamma_l < 0 lives on t >= s (causal, sign +1) and a
 term with gamma_l > 0 lives on s >= t (anticausal, sign -1).  Partial
 fractions of 1 / prod(s - gamma_l) give the c_l, which also makes the
 jump of the (n-2)-th t-derivative across t = s exactly +1; the jump is
-still measured at construction time and the recorded sign is trusted over
-any printed bookkeeping.
+still measured at construction time, and a kernel whose jump is not +1
+is refused.
 
 Note the support orientation: a spectrum that is entirely negative
 (case 1) yields a kernel supported on s <= t, an entirely positive one
@@ -59,14 +59,13 @@ class GreenKernel:
     gamma: ShiftedSpectrum
     coeffs: tuple[float, ...]  # c_l = 1 / prod_{j != l}(gamma_l - gamma_j)
     causal: tuple[bool, ...]  # True: term lives on t >= s
-    jump_sign: float  # sign of the (n-2)-th derivative jump at t = s
 
     @property
     def n(self) -> int:
         return self.gamma.n
 
     def term_sign(self, ell: int) -> float:
-        return self.jump_sign * (1.0 if self.causal[ell] else -1.0)
+        return 1.0 if self.causal[ell] else -1.0
 
     def derivative(self, t, s, j: int):
         """d^j g / dt^j at (t, s); t and s scalars or arrays that
@@ -206,7 +205,8 @@ def _bisect(h, lo, hi, sign_lo, xtol: float) -> np.ndarray:
 
 
 def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:
-    """Assemble the kernel and pin its global sign with the jump check."""
+    """Assemble the kernel and check that its (n-2)-th derivative jumps
+    by +1 at t = s."""
     gams = gamma.gamma
     d = len(gams)
     if d != len(set(gams)) or any(g == 0.0 for g in gams):
@@ -222,15 +222,10 @@ def build_kernel(gamma: ShiftedSpectrum) -> GreenKernel:
     causal = tuple(g < 0 for g in gams)
 
     # jump of the (n-2)-th t-derivative at t = s: causal terms enter the
-    # t > s side, anticausal ones the t < s side with their minus sign
+    # t > s side, anticausal ones the t < s side with their minus sign;
+    # sum_l c_l gamma_l^(d-1) = 1 is the partial-fraction identity
     jump = sum(c * g ** (d - 1) for c, g in zip(coeffs, gams))
-    if abs(abs(jump) - 1.0) > JUMP_TOL:
-        raise ValueError(f"kernel jump magnitude {jump} is not 1")
-    jump_sign = 1.0 if jump > 0 else -1.0
+    if abs(jump - 1.0) > JUMP_TOL:
+        raise ValueError(f"kernel jump {jump} is not 1")
 
-    return GreenKernel(
-        gamma=gamma,
-        coeffs=tuple(coeffs),
-        causal=causal,
-        jump_sign=jump_sign,
-    )
+    return GreenKernel(gamma=gamma, coeffs=tuple(coeffs), causal=causal)

@@ -91,7 +91,7 @@ class ProblemSpec:
     t_max: float = 220.0
     grid_points: int = 200
     tol: float = 1e-10
-    eta: float = 0.5
+    eta: float = 0.9
     max_iter: int = 80
     r_exprs: tuple[Expression, ...] = field(init=False, repr=False,
                                             compare=False)

@@ -39,6 +39,10 @@ Picard loop alone (``picard_iterate``): only its fixed point and
 difference norms are read, so it pays for no residual and builds no
 certificate.  A coarse stage that raises leaves the fine one to start
 from zero.
+
+Every iterate, coarse or fine, must stay in the ball of the problem's
+eta, on which the fixed-point theorem is applied; an iterate that
+leaves it raises ``InvarianceViolated``, and eta is never relaxed.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .problem import COARSE_POINTS, ProblemSpec
 from .spectral import reduced_linear_coefficients
 
 DIVERGENCE_STRIKES = 3
-RETRY_ETA = 0.9
 TAIL_FRACTION = 16  # the error estimate sums the last 1/16 of coefficients
 UNOBSERVED = "no trace holds two nonzero successive differences"
 
@@ -261,14 +264,14 @@ def _contraction(*traces: tuple[float, ...]) -> float | None:
 
 
 def picard_iterate(operator: FixedPointOperator, values: np.ndarray,
-                   eta: float) -> tuple[IterateGrid, tuple[float, ...]]:
+                   ) -> tuple[IterateGrid, tuple[float, ...]]:
     """Apply T from ``values`` until the successive difference drops
     below the problem's tol, for at most its max_iter steps; returns the
     last iterate, with its cosine coefficients, and the difference norms.
 
-    Raises InvarianceViolated when an iterate leaves the ball of radius
-    eta, DivergenceDetected after three consecutive non-contracting
-    steps, MaxIterations when the budget runs out.
+    Raises InvarianceViolated when an iterate leaves the ball of the
+    problem's eta, DivergenceDetected after three consecutive
+    non-contracting steps, MaxIterations when the budget runs out.
     """
     problem = operator.problem
     diffs: list[float] = []
@@ -278,9 +281,9 @@ def picard_iterate(operator: FixedPointOperator, values: np.ndarray,
         diff = _norm0(new - values)
         diffs.append(diff)
         norm = _norm0(new)
-        if norm > eta:
+        if norm > problem.eta:
             raise InvarianceViolated(
-                f"iterate norm {norm} left the eta = {eta} ball"
+                f"iterate norm {norm} left the eta = {problem.eta} ball"
             )
         if len(diffs) >= 2 and diffs[-2] > 0 and diff >= diffs[-2]:
             strikes += 1
@@ -299,30 +302,28 @@ def picard_iterate(operator: FixedPointOperator, values: np.ndarray,
     )
 
 
-def picard_solve(operator: FixedPointOperator, eta: float | None = None,
-                 eta_regime: str = "default",
+def picard_solve(operator: FixedPointOperator,
                  start: tuple[IterateGrid, tuple[float, ...]] | None = None,
                  ) -> tuple[IterateGrid, ContractionCertificate]:
     """``picard_iterate`` from zero, or from ``start``: a coarser grid's
     iterate of the same root and window, prolonged onto the operator's
     nodes, and its difference norms, which go into the certificate.  The
-    certificate adds the independent residual, the discretisation
-    estimate, the sup norm and the tail bounds.
+    certificate adds the problem's eta, the independent residual, the
+    discretisation estimate, the sup norm and the tail bounds.
     """
-    eta = operator.problem.eta if eta is None else eta
     if start is None:
         values, start_points, start_diffs = operator.zero(), None, ()
     else:
         coarse, start_diffs = start
         values = coarse.prolong(len(operator.nodes))
         start_points = len(coarse.nodes)
-    grid, diffs = picard_iterate(operator, values, eta)
+    grid, diffs = picard_iterate(operator, values)
 
     # independent residual of the returned iterate
     residual = _norm0(operator.apply(grid.values) - grid.values)
     cert = ContractionCertificate(
-        eta=eta,
-        eta_regime=eta_regime,
+        eta=operator.problem.eta,
+        eta_regime="default",  # the only regime; perfbench reads it
         iterations=len(diffs),
         diffs=diffs,
         contraction_ratio=_contraction(start_diffs, diffs),
@@ -345,9 +346,8 @@ def solve_problem(problem: ProblemSpec, i: int):
 
     Returns (operator, grid, certificate).  A grid of at least four times
     the panels of the coarse one starts from the coarse iteration's
-    fixed point, or from zero when that raises.  An invariance violation
-    at a configured eta below 0.9 is retried once in the relaxed
-    eta = 0.9 regime.
+    fixed point, or from zero when that raises.  An iterate that leaves
+    the problem's eta ball raises InvarianceViolated.
     """
     operator = FixedPointOperator(problem, i)
     start = None
@@ -355,18 +355,10 @@ def solve_problem(problem: ProblemSpec, i: int):
         try:
             coarse = FixedPointOperator(problem.coarse, i,
                                         operator.tail_constants)
-            start = picard_iterate(coarse, coarse.zero(), problem.eta)
+            start = picard_iterate(coarse, coarse.zero())
         except PoincarefpError:
-            pass  # the fine iteration starts from zero
-    try:
-        grid, cert = picard_solve(operator, start=start)
-    except InvarianceViolated:
-        if problem.eta >= RETRY_ETA:
-            raise
-        grid, cert = picard_solve(
-            operator, eta=RETRY_ETA, eta_regime="retry at eta = 0.9",
-            start=start,
-        )
+            pass  # the fine iteration starts from zero, in the same ball
+    grid, cert = picard_solve(operator, start)
     return operator, grid, cert
 
 

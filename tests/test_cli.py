@@ -57,7 +57,7 @@ class TestLoadConfig:
         assert config.problem.n == 2
         assert config.problem.a == (-1.0, 0.0)
         assert config.problem.t_max > config.problem.t0
-        assert config.problem.eta == 0.5
+        assert config.problem.eta == 0.9
         assert config.output_dir.name == "out"
 
     def test_mismatched_lengths_name_the_field(self, tmp_path):

@@ -96,7 +96,7 @@ class TestKernelAnalytics:
         eps = 1e-12
         above = k.derivative(t, t, d - 1)  # t >= s branch
         below = k.derivative(t, t + eps, d - 1)
-        assert abs(above - below) == pytest.approx(1.0, abs=1e-9)
+        assert above - below == pytest.approx(1.0, abs=1e-9)
 
     def test_derivative_matches_finite_difference(self):
         k = build_kernel(make_shifted((1.5, -0.5, -2.0)))

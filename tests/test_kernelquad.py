@@ -388,6 +388,11 @@ class TestBoundedRefinement:
         assert proc.returncode in (0, 2), proc.stdout + proc.stderr
         assert "error:" not in proc.stderr, proc.stderr
         assert (tmp_path / "out" / "diagnostics.csv").exists()
+        # no eta is configured: lambda_2's sup norm of 0.56 lies inside
+        # the default ball
+        certificate = tmp_path / "out" / "certificate_2.txt"
+        assert certificate.read_text(encoding="utf-8").splitlines()[0] == \
+            "invariance radius eta = 0.9 (default)"
 
 
 class TestInitialRule:

@@ -185,6 +185,57 @@ def test_detector_sees_a_scipy_import(tmp_path):
     ]
 
 
+def caught(path: Path, names) -> list[str]:
+    """Every ``except`` clause in the module that names an exception in
+    names: alone, in a tuple, or as an attribute such as ``errors.X``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        for part in ast.walk(node.type):
+            name = part.attr if isinstance(part, ast.Attribute) else getattr(
+                part, "id", None)
+            if name in names:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_no_module_catches_an_invariance_violation():
+    # eta is a hypothesis of the fixed-point theorem, never relaxed: an
+    # iterate that leaves its ball fails the solve, and no handler solves
+    # again in a larger one.  The coarse start's fallback catches
+    # PoincarefpError, and its fine iteration checks the same ball.
+    offenders = {
+        path.name: handlers
+        for path in sorted(SRC.glob("*.py"))
+        if (handlers := caught(path, ("InvarianceViolated",)))
+    }
+    assert not offenders
+
+
+def test_detector_sees_a_caught_invariance_violation(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "try:\n"
+        "    solve()\n"
+        "except InvarianceViolated:\n"
+        "    solve(eta=0.9)\n"
+        "try:\n"
+        "    solve()\n"
+        "except (MaxIterations, errors.InvarianceViolated) as exc:\n"
+        "    raise InvarianceViolated('left') from exc\n"
+        "except PoincarefpError:\n"
+        "    pass\n"
+        "except:\n"
+        "    raise\n",
+        encoding="utf-8",
+    )
+    assert caught(probe, ("InvarianceViolated",)) == [
+        "InvarianceViolated (line 3)", "InvarianceViolated (line 7)",
+    ]
+
+
 def multipoly_imports(path: Path) -> list[str]:
     """Every import of the exact-polynomial module, in any form."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -186,25 +186,25 @@ class TestPicardOnGolden:
 
 class TestFailureModes:
     def test_invariance_violation_raised(self, e1_problem):
-        operator = FixedPointOperator(e1_problem, 2)
+        operator = FixedPointOperator(replace(e1_problem, eta=1e-4), 2)
         with pytest.raises(InvarianceViolated):
-            picard_solve(operator, eta=1e-4)
+            picard_solve(operator)
 
-    def test_solve_problem_retries_eta(self):
-        # a perturbation big enough to leave a small default ball but
-        # still contracting: force the retry path via a tiny eta default
+    def test_configured_eta_is_never_relaxed(self):
+        # Picard still contracts here, but lambda_2's iterate leaves the
+        # configured ball: the error names that ball, and no larger one
+        # is tried instead
         problem = ProblemSpec(
             Equation(3, (-6.0, 11.0, -6.0)), r_sources=("1/(1+t)^3", "0", "0"),
             t_max=120.0, grid_points=120, eta=0.2,
         )
-        operator, grid, cert = solve_problem(problem, 2)
-        assert cert.converged
-        assert cert.eta == pytest.approx(0.9)
-        assert "retry" in cert.eta_regime
+        with pytest.raises(InvarianceViolated,
+                           match=r"left the eta = 0\.2 ball"):
+            solve_problem(problem, 2)
 
     def test_a_larger_configured_eta_is_not_retried_smaller(self):
         # the iterate norm reaches 1.19 > 1.0: the error names the
-        # configured ball, not the tighter retry ball
+        # configured ball
         problem = ProblemSpec(
             Equation(3, (-6.0, 11.0, -6.0)), r_sources=("4/(1+t)^3", "0", "0"),
             t_max=220.0, grid_points=200, eta=1.0,
@@ -313,6 +313,20 @@ class TestCoarseStart:
         assert set(calls) == {points}
         assert "coarse" not in vars(problem)
         assert cert.start_points is None
+
+
+class TestBenchmarkMargin:
+    @pytest.mark.parametrize("points", [200, 1600])
+    def test_top_amplitude_stays_in_the_configured_ball(self, points):
+        # the benchmark draws e1_n3's r_0 amplitude from [0.5, 1.5] and
+        # configures eta = 0.5; an iterate that left that ball would fail
+        # the solve, so the top of the range must converge inside it
+        problem = replace(e1_at(points), eta=0.5,
+                          r_sources=("1.5/(1+t)^3", "0", "0"))
+        for i in (1, 2, 3):
+            _, _, cert = solve_problem(problem, i)
+            assert cert.converged, i
+            assert cert.sup_norm <= cert.eta == 0.5, i
 
 
 class TestDiscretisationError:
