@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, oracle
-from .errors import ConfigError, PoincarefpError, QuadratureFailure
+from .errors import (ConfigError, IntegrationFailure, PoincarefpError,
+                     QuadratureFailure)
 from .hypotheses import Verdict, evaluate_hypotheses, worst
 from .problem import Equation, ProblemSpec
 from .solver import UNOBSERVED, ode_residual, solve_problem
@@ -42,8 +43,8 @@ ORACLE_BOUNDS = {"value": 1e-4, "log-derivative": 1e-3}
 class Config:
     problem: ProblemSpec
     output_dir: Path
-    # (problem, solves) from _solve_all: the solves hold for that exact
-    # problem instance only
+    # (problem, {root index: solve or its error}) from _solve: the solves
+    # hold for that exact problem instance only
     _solved: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -228,9 +229,12 @@ def cmd_check(config: Config) -> list[str]:
             rows += [(i, name, t, value, verdict)
                      for t, value in zip(report.t_grid, samples)]
         rows.append((i, "phi1", "", report.phi1, ""))
-        for est in report.sigma:
-            rows.append((i, f"sigma({_fmt(est.gamma)})", "", est.value,
-                         est.status))
+        if report.sigma is not None:
+            # one sigma serves every shifted root, and it is derived only
+            # as divergent
+            rows += [(i, f"sigma({_fmt(gam)})", "", report.sigma,
+                      "divergent")
+                     for gam in problem.equation.shifted[i - 1].gamma]
     _write_csv(
         config.output_dir / "hypotheses.csv",
         ("i", "quantity", "t", "value", "verdict"),
@@ -240,31 +244,40 @@ def cmd_check(config: Config) -> list[str]:
     return statuses
 
 
-def _solve_all(config: Config) -> dict:
-    """Root index -> (operator, grid, certificate) for config.problem.
+def _solve(config: Config, i: int):
+    """Root i's (operator, grid, certificate) for config.problem, or the
+    PoincarefpError its solve raised.
 
-    Every root is solved once per problem: the solves are kept with the
+    Every root is solved once per problem: the outcome is kept with the
     config and reused until its ``problem`` is replaced."""
     problem = config.problem
     if config._solved is None or config._solved[0] is not problem:
-        solves = {i: solve_problem(problem, i)
-                  for i in range(1, problem.n + 1)}
-        config._solved = (problem, solves)
-    return config._solved[1]
+        config._solved = (problem, {})
+    solves = config._solved[1]
+    if i not in solves:
+        try:
+            solves[i] = solve_problem(problem, i)
+        except PoincarefpError as exc:
+            solves[i] = exc.with_traceback(None)  # keeps no solver frame
+    return solves[i]
 
 
 def cmd_solve(config: Config) -> list[str]:
-    """Solve every root and write its z CSV and certificate."""
+    """Solve the roots one by one and write each z CSV and certificate as
+    its root converges; a root whose solve raises is named, and the
+    other roots still run."""
     problem = config.problem
-    try:
-        results = _solve_all(config)
-    except PoincarefpError as exc:
-        print(f"solve failed: {exc}")
-        return ["fail"]
     header = ["t", "z"] + [f"z{j}" for j in range(1, problem.n - 1)]
     # every root is solved on the problem's nodes: one t column for all
     t_cells = _render(problem.panel_rule.nodes)
-    for i, (operator, grid, cert) in results.items():
+    statuses = []
+    for i in range(1, problem.n + 1):
+        result = _solve(config, i)
+        if isinstance(result, PoincarefpError):
+            print(f"solve failed: lambda_{i}: {result}")
+            statuses.append("fail")
+            continue
+        operator, grid, cert = result
         csv_path = config.output_dir / f"z_lambda_{i}.csv"
         _write_csv(csv_path, header, [t_cells, *map(_render, grid.values)])
         cert_path = config.output_dir / f"certificate_{i}.txt"
@@ -274,18 +287,21 @@ def cmd_solve(config: Config) -> list[str]:
             f"residual {_fmt(cert.final_residual)}; wrote {csv_path} and "
             f"{cert_path}"
         )
-    return []
+    return statuses
 
 
 def cmd_verify(config: Config) -> list[str]:
     """Diagnostics on the solves of every root; reuses those of an
-    earlier stage on the same problem."""
+    earlier stage on the same problem.  A root whose solve raised is
+    named, and then no row is written."""
     problem = config.problem
     spectrum = problem.equation.spectrum
-    try:
-        results = _solve_all(config)
-    except PoincarefpError as exc:
-        print(f"verify: solve stage failed: {exc}")
+    results = {i: _solve(config, i) for i in range(1, problem.n + 1)}
+    failed = {i: result for i, result in results.items()
+              if isinstance(result, PoincarefpError)}
+    for i, exc in failed.items():
+        print(f"verify: solve stage failed: lambda_{i}: {exc}")
+    if failed:
         return ["fail"]
     fs = asymptotics.build_fundamental_system(
         problem, [results[i][1] for i in range(1, problem.n + 1)]
@@ -319,10 +335,17 @@ def cmd_verify(config: Config) -> list[str]:
         lam = spectrum.lam[i - 1]
         record("derivative_ratio", i, 1, t_diag, ratio, lam,
                abs(ratio - lam) < 0.01)
-        comp = oracle.compare_to_fixed_point(fs, i, t_end)
-        bound = ORACLE_BOUNDS[comp.mode]
-        record(f"oracle_{comp.mode}", i, "", t_end, comp.max_error, bound,
-               comp.max_error < bound)
+        try:
+            comp = oracle.compare_to_fixed_point(fs, i, t_end)
+        except IntegrationFailure as exc:
+            # one root's oracle is no reason to drop every other row
+            mode = oracle.comparison_mode(i)
+            record(f"oracle_{mode}", i, "", t_end, "", ORACLE_BOUNDS[mode],
+                   None, str(exc))
+        else:
+            bound = ORACLE_BOUNDS[comp.mode]
+            record(f"oracle_{comp.mode}", i, "", t_end, comp.max_error,
+                   bound, comp.max_error < bound)
         lo, hi = asymptotics.admissible_beta_interval(spectrum, i)
         beta = (lo + hi) / 2
         try:

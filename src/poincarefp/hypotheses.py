@@ -20,7 +20,8 @@ tail does not drop below it, (R2) reads indeterminate with the error as
 its reason.
 sigma_gamma needs no quadrature: z^n enters F only through (z + mu)^n,
 so its coefficient is the constant 1, M >= 1, and sigma_gamma is infinite
-for every gamma by the derivation in ``estimate_sigma``.  (R3) therefore
+for every gamma by the derivation in ``estimate_sigma``, which is made
+once per root and holds for each of its shifted roots.  (R3) therefore
 reads indeterminate on every problem.
 
 Each condition's verdict is a ``Verdict``: pass, indeterminate or fail.
@@ -85,18 +86,10 @@ def compute_phi1(kernel: GreenKernel) -> float:
     return float(np.abs(kernel.amplitudes).sum())
 
 
-@dataclass(frozen=True)
-class SigmaEstimate:
-    gamma: float
-    value: float  # inf: no table has a finite sigma (estimate_sigma)
-    arg_t: float  # nan: no grid point attains the supremum
-    status: str  # "divergent"
-
-
-def estimate_sigma(problem: ProblemSpec, gamma: float,
-                   mu: float) -> SigmaEstimate:
+def estimate_sigma(problem: ProblemSpec, mu: float) -> float:
     """sigma_gamma = sup_t int_{t0}^inf e^{-gamma (t - s)} M(s) ds with
-    M = sum_{k>=1} M_k, by derivation instead of quadrature.
+    M = sum_{k>=1} M_k at the root mu, for every shifted root gamma at
+    once, by derivation instead of quadrature.
 
     Let m be the largest |Omega_alpha(mu)| over the table's rows with
     |alpha| >= 1 that do not depend on r; then M(s) >= m for every s.
@@ -104,10 +97,10 @@ def estimate_sigma(problem: ProblemSpec, gamma: float,
     every s >= t0, so the integral diverges as s -> inf.  For gamma < 0
     the part over [t0, t] alone is at least
     m (e^{|gamma| (t - t0)} - 1) / |gamma|, which is unbounded in t.
-    Either way sigma_gamma = inf whenever m > 0, and every table that
-    ``build_reduced_rhs`` makes has m >= 1: z^n enters F only through
-    (z + mu)^n, so Omega_(n, 0, ..., 0) is the constant 1.  A table
-    without such a row is a defect, not a verdict: ValueError.
+    Either way sigma_gamma = inf whenever m > 0, whatever gamma is, and
+    every table that ``build_reduced_rhs`` makes has m >= 1: z^n enters F
+    only through (z + mu)^n, so Omega_(n, 0, ..., 0) is the constant 1.
+    A table without such a row is a defect, not a verdict: ValueError.
     """
     table = problem.equation.table
     n = problem.n
@@ -115,8 +108,7 @@ def estimate_sigma(problem: ProblemSpec, gamma: float,
     rows = r_free & (table.exponents.sum(axis=1) >= 1)
     omegas = table.omega_values(mu, [0.0] * n)[rows]
     if np.abs(omegas).max(initial=0.0) > 0:
-        return SigmaEstimate(gamma=gamma, value=np.inf, arg_t=np.nan,
-                             status="divergent")
+        return np.inf
     z_n = (n,) + (0,) * (n - 2)
     raise ValueError(
         f"Omega table has no nonzero r-free row of order >= 1 (such as "
@@ -164,15 +156,17 @@ def worst(statuses) -> str:
 @dataclass(frozen=True)
 class HypothesisReport:
     """Root i's (R1), (R2) and (R3), or (R1) alone when it fails; the
-    parts of (R2): R -> 0, L_1 -> 0 and limsup sum_{k>=2} L_k < 1; and
-    the samples, row 0 of R and row k of L_k, on ``t_grid``."""
+    parts of (R2): R -> 0, L_1 -> 0 and limsup sum_{k>=2} L_k < 1; the
+    samples, row 0 of R and row k of L_k, on ``t_grid``; and sigma, the
+    one value of every sigma_gamma of the root, None when there is no
+    sample point."""
 
     verdicts: tuple[Verdict, ...]
     parts: tuple[Verdict, ...] = ()
     t_grid: tuple[float, ...] = ()
     samples: tuple[tuple[float, ...], ...] = ()
     phi1: float = np.nan
-    sigma: tuple[SigmaEstimate, ...] = ()
+    sigma: float | None = None
 
 
 def _limit_verdict(quantity: str, i: int, samples: np.ndarray) -> Verdict:
@@ -236,12 +230,10 @@ def evaluate_hypotheses(problem: ProblemSpec, i: int) -> HypothesisReport:
         r2 = Verdict("R2", i, status, "numerical" if status == "pass" else "",
                      "; ".join(f"{part.reason} [{part}]" for part in parts))
 
-    sigma = tuple(
-        estimate_sigma(problem, gam, shifted.mu) for gam in shifted.gamma
-    )
+    sigma = estimate_sigma(problem, shifted.mu)
     r3 = Verdict("R3", i, "indeterminate", reason=(
         f"phi1 = {phi1:.6g}; " + "; ".join(
-            f"sigma({est.gamma:g}) {est.status}" for est in sigma)))
+            f"sigma({gam:g}) divergent" for gam in shifted.gamma)))
     return HypothesisReport(
         verdicts=(r1, r2, r3),
         parts=parts,

@@ -196,34 +196,37 @@ def initial_jet(fs: FundamentalSystem, i: int) -> np.ndarray:
     return np.array(fs.ratios(i, fs.problem.t0))
 
 
+def comparison_mode(i: int) -> str:
+    """How root i is compared: by value for the dominant direction
+    (i = 1), by log-derivative for every other."""
+    return "value" if i == 1 else "log-derivative"
+
+
 @dataclass(frozen=True)
 class OracleComparison:
-    mode: str  # "value" or "log-derivative"
-    t: np.ndarray
+    mode: str  # comparison_mode of the root
     max_error: float
-    nfev: int
 
 
 def compare_to_fixed_point(fs: FundamentalSystem, i: int,
                            t_end: float) -> OracleComparison:
     """Integrate y_i from its reconstructed initial jet to t_end and
     compare at t0 and every step end of the integration: the relative
-    error of y against exp(log y_i) for the dominant direction (i = 1),
-    the absolute error of y'/y against the reconstructed ratio for every
-    other direction."""
+    error of y against exp(log y_i) in the value mode, the absolute error
+    of y'/y against the reconstructed ratio in the log-derivative mode.
+    IntegrationFailure propagates."""
     sample = integrate_original(fs.problem, initial_jet(fs, i), t_end)
     t = sample.t
-    if i == 1:
-        mode = "value"
+    mode = comparison_mode(i)
+    if mode == "value":
         ref = np.exp(fs.log_y(i, t))
         error = np.abs(sample.states[0] - ref) / np.maximum(np.abs(ref),
                                                             1e-300)
     else:
-        mode = "log-derivative"
         with np.errstate(divide="ignore", invalid="ignore"):
             got = sample.states[1] / sample.states[0]
         error = np.abs(got - fs.derivative_ratio(i, 1, t))
-    return OracleComparison(mode, t, float(np.max(error)), sample.nfev)
+    return OracleComparison(mode, float(np.max(error)))
 
 
 def abel_check(fs: FundamentalSystem, t: float) -> tuple[float, float]:

@@ -8,7 +8,8 @@ and Green ``kernels``, derived once, on first use.  A failed spectrum
 raises again on every access (and so do the values built on it), as a
 raise is not cached.
 A ``ProblemSpec`` adds the perturbations r_0..r_{n-1} (expression sources
-of t, parsed on construction), the window [t0, t_max] and the tuning
+of t, parsed on construction and required to be finite at the grid's
+nodes), the window [t0, t_max] and the tuning
 knobs; a ``dataclasses.replace`` of any of them keeps the equation, so it
 derives nothing again, and parses a replaced ``r_sources``.  It also
 owns the solver's ``panel_rule`` on its window, built on first use and
@@ -118,6 +119,15 @@ class ProblemSpec:
                 exprs.append(parse_expression(src))
             except PoincarefpError as exc:
                 raise ConfigError(f"bad expression in r: {src!r}: {exc}")
+        # every r_i must be finite where ode_residual reads it: at the
+        # grid's nodes, t0 and t_max included
+        nodes = lobatto_nodes(self.t0, self.t_max, self.grid_points)
+        for i, (src, expr) in enumerate(zip(self.r_sources, exprs)):
+            try:
+                evaluate_expression(expr, nodes)
+            except PoincarefpError as exc:
+                raise ConfigError(f"r_{i} = {src!r} is not finite on the "
+                                  f"grid of [{self.t0}, {self.t_max}]: {exc}")
         object.__setattr__(self, "r_exprs", tuple(exprs))
 
     @property

@@ -141,7 +141,6 @@ class OmegaTable:
     """
 
     n: int
-    a: tuple[float, ...]
     table: dict
     f_poly: Poly  # sum_alpha Omega_alpha v^alpha, all variables
     exponents: np.ndarray = field(init=False, repr=False, compare=False)
@@ -280,4 +279,4 @@ def build_reduced_rhs(a, n: int | None = None) -> OmegaTable:
         coeff_expo = expo[: n + 1] + (0,) * (n + 1)
         entry = table.setdefault(alpha, Poly(_nvars(n)))
         table[alpha] = entry + Poly(_nvars(n), {coeff_expo: coeff})
-    return OmegaTable(n=n, a=tuple(float(v) for v in a), table=table, f_poly=f_poly)
+    return OmegaTable(n=n, table=table, f_poly=f_poly)

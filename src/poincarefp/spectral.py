@@ -29,7 +29,6 @@ class Spectrum:
     """All n characteristic roots, sorted strictly decreasing."""
 
     lam: tuple[float, ...]
-    a: tuple[float, ...]
 
     @property
     def n(self) -> int:
@@ -111,7 +110,7 @@ def find_roots(a) -> Spectrum:
         raise RepeatedRoots(
             f"root residuals {residuals} exceed {bound}"
         )
-    return Spectrum(lam=tuple(real), a=a)
+    return Spectrum(lam=tuple(real))
 
 
 def shift_spectrum(s: Spectrum, i: int) -> ShiftedSpectrum:

@@ -149,6 +149,22 @@ class TestNumericSettings:
                            match=r"bad expression in r: '1\+\('"):
             replace(problem, r_sources=("1+(", "0"))
 
+    def test_r_not_finite_at_a_node_exits_1(self, tmp_path, capsys):
+        # log(t) is finite at every panel point inside the window, which
+        # check and solve sample, but not at the node t0 = 0, which
+        # ode_residual reads: the config is rejected when it is loaded
+        text = E1.format(out=tmp_path).replace("1/(1+t)^3",
+                                               "log(t)/(1+t)^3")
+        path = write_config(tmp_path, text)
+        assert main(["check", str(path)]) == EXIT_USAGE
+        assert ("config error: r_0 = 'log(t)/(1+t)^3' is not finite on "
+                "the grid of [0.0, 120.0]: divide by zero encountered in "
+                "log") in capsys.readouterr().err
+        assert not (tmp_path / "hypotheses.csv").exists()
+        # from t0 = 1 on it is finite at every node
+        path = write_config(tmp_path, text.replace("t0 = 0.0", "t0 = 1.0"))
+        assert load_config(path).problem.t0 == 1.0
+
     @pytest.mark.parametrize("line", ["t_max = inf", "tol = -1",
                                       "tol = nan", "max_iter = 0",
                                       "eta = inf"])
@@ -400,6 +416,31 @@ class TestEndToEnd:
         run("verify", fresh)
         assert sorted(calls) == [1, 2]
 
+    def test_solve_writes_each_root_as_it_converges(self, tmp_path,
+                                                    capsys):
+        # at eta = 0.2 lambda_1 converges inside the ball while lambda_2
+        # and lambda_3 leave it: lambda_1's files are written, each
+        # failure names its root, and verify names them the same way
+        path = write_config(tmp_path, E1.format(out=tmp_path)
+                            + "eta = 0.2\n")
+        assert main(["solve", str(path)]) == EXIT_FAIL
+        failures = [
+            "lambda_2: iterate norm 0.2981736811615967 left the eta = 0.2 "
+            "ball",
+            "lambda_3: iterate norm 0.22265723377644478 left the eta = "
+            "0.2 ball",
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("lambda_1: converged in ")
+        assert lines[1:] == [f"solve failed: {line}" for line in failures]
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if p.suffix != ".conf") == ["certificate_1.txt",
+                                                  "z_lambda_1.csv"]
+        assert main(["verify", str(path)]) == EXIT_FAIL
+        assert capsys.readouterr().out.splitlines() == [
+            f"verify: solve stage failed: {line}" for line in failures]
+        assert not (tmp_path / "diagnostics.csv").exists()
+
     def test_all_derives_the_algebra_once(self, tmp_path, monkeypatch):
         # one spectrum, one Omega table, one set of P_j, one shifted
         # spectrum, Green kernel and solve per root, one parse per r
@@ -499,6 +540,25 @@ class TestEndToEnd:
         assert sum(row[-1] == "fail" for row in rows) == 7
         assert [row for row in rows if row[-1] == "indeterminate"] == [
             ["envelope_stability", "3", "", "80.0", "", "", "indeterminate"]]
+
+    def test_oracle_failure_leaves_the_other_rows(self, tmp_path, capsys):
+        # roots +-80: the reference integration overflows before t0 + 10
+        # on both roots, so both oracle rows read indeterminate with the
+        # error as their reason, and every other row is still written
+        text = 'n = 2\na = [-6400, 0]\nr = ["exp(-t)/10", "0"]\nt_max = 40\n'
+        path = write_config(tmp_path, text)
+        code = main(["verify", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_FAIL
+        out = capsys.readouterr().out
+        assert ("INDETERMINATE oracle_value i=1: reference integration "
+                "failed: error estimate nan is not finite") in out
+        lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 13 and all(len(row) == 7 for row in rows)
+        assert [row for row in rows if row[-1] == "indeterminate"] == [
+            ["oracle_value", "1", "", "10.0", "", "0.0001", "indeterminate"],
+            ["oracle_log-derivative", "2", "", "10.0", "", "0.001",
+             "indeterminate"]]
 
     def test_tail_that_does_not_decay_leaves_the_other_verdicts(
             self, tmp_path, capsys):

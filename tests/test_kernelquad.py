@@ -526,9 +526,8 @@ class TestAgainstQuadOracle:
         for i in range(1, problem.n + 1):
             model = ScalarModel(problem, i)
             shifted = problem.equation.kernels[i - 1].gamma
+            assert estimate_sigma(problem, shifted.mu) == np.inf
             for gam in shifted.gamma:
-                est = estimate_sigma(problem, gam, shifted.mu)
-                assert est.status == "divergent"
                 try:
                     ref = [quad_sigma(model, gam, t) for t in grid[-2:]]
                 except QuadratureFailure:

@@ -480,68 +480,128 @@ def test_detector_sees_an_unread_module_name(tmp_path):
     assert unread_module_names([probe, reader]) == ["probe.py: D (line 3)"]
 
 
-def unread_fields(paths, readers) -> list[str]:
-    """Every annotated field of a class in a module among ``paths`` (the
-    fields of a dataclass) whose name no module among ``readers`` reads
-    as an attribute, directly or by ``getattr`` with a literal name.
-    Fields are matched by name alone, so a read of ``x.value`` keeps every
-    field named ``value`` alive; passing a field to the constructor is not
-    a read."""
-    read = set()
-    for path in readers:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
-            elif (isinstance(node, ast.Call)
-                  and getattr(node.func, "id", None) == "getattr"
-                  and len(node.args) > 1
-                  and isinstance(node.args[1], ast.Constant)):
-                read.add(node.args[1].value)
-    found = []
-    for path in paths:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(dec.func if isinstance(dec, ast.Call) else dec,
+                       "id", None) == "dataclass"
+               for dec in cls.decorator_list)
+
+
+def _literal(node: ast.expr | None):
+    """The text of a literal's value: a constant, a negated number, a
+    tuple of literals, or inf or nan read off a module (np.inf,
+    math.nan); None for anything else."""
+    if isinstance(node, ast.Attribute) and node.attr in ("inf", "nan"):
+        return node.attr
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError, MemoryError,
+            RecursionError):
+        return None
+
+
+def fixed_fields(paths) -> list[str]:
+    """Every field of a dataclass in a module among ``paths`` that every
+    construction among them sets to the same literal or leaves at its
+    default.  A construction is a call of the class by name, ``Cls(...)``
+    or ``module.Cls(...)``; a field of a class that is never constructed,
+    or with ``init=False``, is not judged.  A value that is not a literal
+    varies, and so does every field that a ``*`` or ``**`` argument may
+    fill."""
+    trees = [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+             for path in paths]
+    classes = {}  # name -> (module, [(field, line, key of its default)])
+    for name, tree in trees:
         for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
                 continue
-            found += [f"{path.name}: {cls.name}.{stmt.target.id} "
-                      f"(line {stmt.lineno})" for stmt in cls.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and isinstance(stmt.target, ast.Name)
-                      and stmt.target.id not in read]
-    return found
+            fields = []
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    continue
+                default = stmt.value
+                if isinstance(default, ast.Call) and getattr(
+                        default.func, "id", None) == "field":
+                    options = {kw.arg: kw.value for kw in default.keywords}
+                    if _literal(options.get("init")) == "False":
+                        continue
+                    default = options.get("default")
+                fields.append((stmt.target.id, stmt.lineno,
+                               _literal(default) or "default"))
+            classes[cls.name] = (name, fields)
+    values = {}  # (class, field) -> keys of the values it is given
+    for _, tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            cls = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if cls not in classes:
+                continue
+            given = {kw.arg: kw.value for kw in call.keywords}
+            spread = None in given or any(isinstance(arg, ast.Starred)
+                                          for arg in call.args)
+            given.update(zip((f for f, _, _ in classes[cls][1]), call.args))
+            for field, _, default in classes[cls][1]:
+                if field in given and not isinstance(given[field],
+                                                     ast.Starred):
+                    key = _literal(given[field]) or id(given[field])
+                else:
+                    key = object() if spread else default
+                values.setdefault((cls, field), set()).add(key)
+    return [f"{module}: {cls}.{field} (line {line})"
+            for cls, (module, fields) in classes.items()
+            for field, line, _ in fields
+            if len(keys := values.get((cls, field), ())) == 1
+            and isinstance(next(iter(keys)), str)]
 
 
-def test_no_dataclass_field_is_unread():
-    # a field nothing reads is state every constructor must still fill
-    # in; the benchmark and the tests count as readers
-    readers = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-               *(ROOT / "perfbench").rglob("*.py")]
-    assert not unread_fields(sorted(SRC.glob("*.py")), readers)
+def test_no_dataclass_field_holds_a_fixed_value():
+    # a field that every construction sets to one value carries no
+    # information: it is a constant stored in every record
+    assert not fixed_fields(sorted(SRC.glob("*.py")))
 
 
-def test_detector_sees_an_unread_field(tmp_path):
+def test_detector_sees_a_fixed_field(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text(
-        "from dataclasses import dataclass\n"
+        "import numpy as np\n"
+        "from dataclasses import dataclass, field\n"
         "@dataclass(frozen=True)\n"
-        "class Check:\n"
-        "    i: int\n"
-        "    ratio: float\n"
-        "    label: str = ''\n"
+        "class Estimate:\n"
+        "    gamma: float\n"
+        "    value: float\n"
+        "    status: str\n"
+        "    note: str = ''\n"
+        "    extra: tuple = field(default=(), repr=False)\n"
+        "    cache: dict = field(init=False)\n"
         "    LIMIT = 3.0\n"
-        "def use():\n"
-        "    check = Check(i=1, ratio=2.0, label='x')\n"
-        "    return check.ratio\n",
+        "@dataclass\n"
+        "class Opened:\n"
+        "    flag: bool = True\n"
+        "class Plain:\n"
+        "    label: str\n"
+        "def make(g, kwargs, args):\n"
+        "    Plain('x')\n"
+        "    Opened(**kwargs)\n"
+        "    Estimate(g, np.inf, 'divergent')\n"
+        "    Estimate(gamma=-g, value=np.inf, status='divergent', note='')\n"
+        "    return Estimate(g, value=np.inf, status='divergent', note=g)\n",
         encoding="utf-8",
     )
-    assert unread_fields([probe], [probe]) == [
-        "probe.py: Check.i (line 4)", "probe.py: Check.label (line 6)",
+    assert fixed_fields([probe]) == [
+        "probe.py: Estimate.value (line 6)",
+        "probe.py: Estimate.status (line 7)",
+        "probe.py: Estimate.extra (line 9)",
     ]
-    reader = tmp_path / "reader.py"
-    reader.write_text("print(getattr(check, 'label'))\n", encoding="utf-8")
-    assert unread_fields([probe], [probe, reader]) == [
-        "probe.py: Check.i (line 4)"]
+    other = tmp_path / "other.py"
+    other.write_text("from . import probe\n"
+                     "probe.Estimate(0.0, np.nan, 'divergent', extra=(1,))\n",
+                     encoding="utf-8")
+    assert fixed_fields([probe, other]) == [
+        "probe.py: Estimate.status (line 7)",
+    ]
 
 
 def status_prefix_calls(path: Path) -> list[str]:
@@ -644,7 +704,7 @@ def test_benchmark_hooks_find_every_name(tmp_path):
 
 
 CENSUS = """
-import contextlib, importlib, inspect, io, sys
+import contextlib, dataclasses, importlib, inspect, io, sys
 from functools import cached_property
 from pathlib import Path
 
@@ -677,6 +737,51 @@ def functions(module):
 
 
 ran = set()
+sources = {module.__file__ for module in modules}
+read = set()
+GENERATED = {"__eq__", "__hash__", "__repr__"}
+
+
+class Field:
+    # stands in for one dataclass field on its class: the value stays in
+    # the instance's __dict__, and the first read that is not the
+    # dataclass machinery's own (a generated comparison, hash or repr, or
+    # replace() copying the field) is recorded; then the field is plain
+    # again, so later reads cost nothing
+    def __init__(self, cls, name, key):
+        self.cls, self.name, self.key = cls, name, key
+        self.saved = vars(cls).get(name, self)  # the default, if any
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        code = sys._getframe(1).f_code
+        generated = code.co_name in GENERATED and (
+            code.co_filename not in sources)
+        if not generated and code.co_filename != dataclasses.__file__:
+            read.add(self.key)
+            if self.saved is self:
+                delattr(self.cls, self.name)
+            else:
+                setattr(self.cls, self.name, self.saved)
+        if self.name in obj.__dict__:
+            return obj.__dict__[self.name]
+        if self.saved is not self:  # an init=False field's default
+            return self.saved
+        raise AttributeError(self.name)
+
+
+def fields(module):
+    # module.Class.field of every dataclass the module defines
+    short = module.__name__.split(".", 1)[1]
+    for name, obj in vars(module).items():
+        if (inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__):
+            for field in dataclasses.fields(obj):
+                yield obj, field.name, f"{short}.{name}.{field.name}"
 
 
 def hook(frame, event, arg):
@@ -684,6 +789,11 @@ def hook(frame, event, arg):
         ran.add(frame.f_code)
 
 
+every_field = []
+for module in modules:
+    for cls, name, key in fields(module):
+        setattr(cls, name, Field(cls, name, key))
+        every_field.append(key)
 sys.setprofile(hook)
 with contextlib.redirect_stdout(io.StringIO()):
     for k, config in enumerate(configs):
@@ -693,13 +803,18 @@ for module in modules:
     short = module.__name__.split(".", 1)[1]
     print(*sorted({f"{short}.{name}" for name, func in functions(module)
                    if func.__code__ not in ran}), sep="\\n")
+print(*sorted(set(every_field) - read), sep="\\n")
 """
 
 
-def never_called(stage: str, configs, out: Path) -> set[str]:
+def never_used(stage: str, configs, out: Path) -> set[str]:
     """Every module-level function and class method of the package (no
     nested function, no dunder) that a run of ``stage`` on ``configs``,
-    one after another in one interpreter, never calls."""
+    one after another in one interpreter, never calls, and every field of
+    a package dataclass that the run never reads, as module.Class.field.
+    The dataclass machinery's own reads do not count: a generated
+    ``__eq__``, ``__hash__`` or ``__repr__``, or ``dataclasses.replace``
+    copying the field."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
         [sys.executable, "-c", CENSUS, str(SRC), stage, str(out),
@@ -709,8 +824,8 @@ def never_called(stage: str, configs, out: Path) -> set[str]:
     return set(proc.stdout.split())
 
 
-# what `all` on the shipped configs and e1_n3 at 801 nodes never calls,
-# and why it stays
+# what `all` on the shipped configs and e1_n3 at 801 nodes never calls or
+# reads, and why it stays
 NOT_ON_THE_RUN_PATH = {
     "chebgrid.barycentric_matrix": "benchmark: perfbench wraps it",
     "chebgrid.differentiation_matrix": "benchmark: perfbench's checks call it",
@@ -723,25 +838,38 @@ NOT_ON_THE_RUN_PATH = {
     "asymptotics.pi_product": "ROADMAP item 8: log_refined_estimate's factor",
     "kernelquad.integral": "ROADMAP item 8: log_refined_estimate's quadrature",
     "oracle.abel_check": "ROADMAP item 9: the k = n plane replaces it",
+    "asymptotics.EnvelopeCheck.samples":
+        "tests read which sample times formed a ratio; the acceptance "
+        "gate reads the record's sup_ratio",
+    "reduction.OmegaTable.f_poly":
+        "acceptance criterion 2's exact sum rule reads it",
+    "oracle.TrajectorySample.nfev":
+        "benchmark: perfbench counts oracle.nfev, and tests compare it "
+        "with SciPy's",
 }
 
 
 def test_every_function_runs_or_is_listed(tmp_path):
-    # a function no stage calls is API nobody runs: it is deleted, moved
-    # to the tests, or listed with its reason; a listed name that starts
-    # to run must leave the list.  Every shipped grid is coarse, so e1_n3
-    # at 801 nodes runs the solver's coarse start too.
+    # a function no stage calls is API nobody runs, and a field no stage
+    # reads is state every construction must still fill in: each is
+    # deleted, moved to the tests, or listed with its reason; a listed
+    # name that starts to run must leave the list.  Every shipped grid is
+    # coarse, so e1_n3 at 801 nodes runs the solver's coarse start too.
     configs = sorted(CONFIGS.glob("*.conf"))
     assert len(configs) == 3
     fine = tmp_path / "e1_n3_801.conf"
     fine.write_text((CONFIGS / "e1_n3.conf").read_text().replace(
         "grid_points = 200", "grid_points = 801"))
     assert "grid_points = 801" in fine.read_text()
-    assert never_called("all", configs + [fine], tmp_path) == set(
+    assert never_used("all", configs + [fine], tmp_path) == set(
         NOT_ON_THE_RUN_PATH)
 
 
 def test_census_sees_what_a_stage_does_not_run(tmp_path):
-    unused = never_called("check", [CONFIGS / "decaying_n2.conf"], tmp_path)
+    unused = never_used("check", [CONFIGS / "decaying_n2.conf"], tmp_path)
     assert "solver.picard_solve" in unused
     assert "hypotheses.evaluate_hypotheses" not in unused
+    # fields are told apart by their class, not by their name alone
+    assert "asymptotics.EnvelopeCheck.samples" in unused
+    assert "hypotheses.HypothesisReport.samples" not in unused
+    assert "solver.ContractionCertificate.diffs" in unused

@@ -196,8 +196,8 @@ class TestCompiledTable:
 
     def test_missing_rows_read_as_zero(self):
         n = 3
-        table = OmegaTable(n=n, a=(0.0, 0.0, 0.0),
-                           table={(1, 0): _r(n, 1)}, f_poly=Poly(_nvars(n)))
+        table = OmegaTable(n=n, table={(1, 0): _r(n, 1)},
+                           f_poly=Poly(_nvars(n)))
         mu, rv, zv = 0.7, [0.3, -0.4, 0.2], [0.5, 0.25]
         assert table.omega_value((0, 0), mu, rv) == 0.0
         assert table.omega_value((0, 1), mu, rv) == 0.0
@@ -212,7 +212,7 @@ class TestCompiledTable:
         n = 3
         for poly in (_r(n, 0) * _r(n, 1), _r(n, 2) ** 2, _v(n, 0)):
             with pytest.raises(ValueError, match="affine"):
-                OmegaTable(n=n, a=(0.0, 0.0, 0.0), table={(0, 0): poly},
+                OmegaTable(n=n, table={(0, 0): poly},
                            f_poly=Poly(_nvars(n)))
 
     def test_mass_by_order_sums_in_table_order(self):
