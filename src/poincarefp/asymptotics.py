@@ -8,7 +8,8 @@ rebuilt in log space,
 so nothing overflows.  Read backwards, y' = (lambda_i + z) y, so the
 Leibniz rule gives y^(j)/y from the z-jet; the Wronskian diagnostic is
 the determinant of that ratio matrix, whose limit is the Vandermonde
-product of the spectrum.  Envelope checks compare the iterate's
+product of the spectrum, and the same ratios at the nodes give the
+defect of the original equation.  Envelope checks compare the iterate's
 derivative mass against the case-dependent exponentially weighted
 integral of |Omega_0(lambda_i, r)| from the equation's table, judging
 stability under window extension instead of asserting an unspecified
@@ -139,6 +140,69 @@ def jet_ratios(lam: float, zjet) -> list:
         rho.append(sum(comb(m - 1, k) * w[k] * rho[m - 1 - k]
                        for k in range(m)))
     return rho
+
+
+def equation_defect(problem: ProblemSpec, grid: IterateGrid, i: int,
+                    discretisation_error: float) -> tuple[float, float]:
+    """(defect, bound): how far y_i = exp(int (lambda_i + z)) is from
+    solving the original equation at the interior nodes, and how far the
+    solve's own accepted error can move it.
+
+    With rho_k = y^(k)/y from the z-jet (``jet_ratios``, z^(n-1) from the
+    differentiated z^(n-2) series) and c_k = a_k + r_k(t), c_n = 1, the
+    defect of the original equation divided by y is
+    D(t) = sum_{k=0}^{n} c_k rho_k(t).  The value is
+    max_t |D| / sum_k |c_k| |rho_k|: the smallest relative change of the
+    coefficients c_k that makes y_i solve the equation at t (Oettli and
+    Prager's backward error).  It reads neither the Omega table nor the
+    kernel, so it checks the reduction and the solve at once, and it is
+    the same pointwise test for every root.
+
+    The bound, to first order in the jet error delta_j:
+    |D| <= sum_{j<n-1} |dD/dz^(j)| delta_j + delta_{n-1}, since z^(n-1)
+    enters only rho_n = ... + z^(n-1), with unit weight.  Each lower order
+    is within e = tol + E of the fixed point: the stop rule's tol, and the
+    discretisation estimate E (the certificate's) for the cut-off cosine
+    tail.  The iterate is a kernel integral, so the stop rule's error is
+    smooth and reaches z^(n-1) through the equation, that is through the
+    lower orders; only the cut-off tail is differentiated.  By Markov's
+    inequality the derivative of a degree-(N-1) polynomial on [t0, t_max]
+    is at most 2 (N-1)^2 / (t_max - t0) times its sup, so
+    delta_{n-1} = 2 (N-1)^2 E / (t_max - t0).  Every rho_k is a
+    polynomial in w = lambda_i + z and its derivatives with nonnegative
+    coefficients, so the sensitivities are majorised at the absolute jet:
+    sum_k |c_k| (rho_k(|w| + delta) - rho_k(|w|)) bounds |D| (it keeps
+    the higher orders in delta too).  The bound is that majorant over the
+    same scale, max over the same nodes.
+
+    |D| never exceeds the scale, so a node where the bound reaches it
+    cannot fail, and both maxima skip it: at a root near 0 every term
+    decays with r, and far out the scale is round-off.  With no node left
+    the bound reads 1.0, the largest relative defect there is, and the
+    defect 0.0: nothing was judged.
+    """
+    lam = problem.equation.spectrum.lam[i - 1]
+    inner = slice(1, -1)  # the differentiated series is worst at the ends
+    t = grid.nodes[inner]
+    zjet = [*grid.values[:, inner], grid.top_derivative()[inner]]
+    c = [a + r for a, r in zip(problem.a, problem.r_list(t))] + [1.0]
+    rho = jet_ratios(lam, zjet)
+    scale = sum(abs(ck) * np.abs(rk) for ck, rk in zip(c, rho))
+    defect = np.abs(sum(ck * rk for ck, rk in zip(c, rho)))
+
+    top = 2 * (len(grid.nodes) - 1) ** 2 / (grid.t_max - grid.t0)
+    error = problem.tol + discretisation_error
+    delta = [error] * (problem.n - 1) + [top * discretisation_error]
+    size = [np.abs(lam + zjet[0]), *map(np.abs, zjet[1:])]
+    high = jet_ratios(0.0, [s + d for s, d in zip(size, delta)])
+    low = jet_ratios(0.0, size)
+    bound = sum(abs(ck) * (h - lo) for ck, h, lo in zip(c, high, low))
+    judged = bound < scale
+    if not judged.any():
+        return 0.0, 1.0
+    scale = scale[judged]
+    return (float(np.max(defect[judged] / scale)),
+            float(np.max(bound[judged] / scale)))
 
 
 @dataclass(frozen=True)

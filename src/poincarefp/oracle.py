@@ -1,4 +1,13 @@
-"""Independent verification against a standard adaptive integrator.
+"""Reference integration of the original equation with DOP853.
+
+No stage runs this module, and the CLI does not import it: ``verify``
+judges each root by the original equation's pointwise defect
+(``asymptotics.equation_defect``), which is sound for every root.  A
+forward integration is not: on a dominated root the dominant mode
+contaminates it at about rtol e^{(lambda_1 - lambda_i) t}, so the
+log-derivative comparison below measures amplified round-off there.  The
+module stays as library code while the benchmark wraps
+``compare_to_fixed_point`` and ``integrate_original`` by name.
 
 The original order-n equation is integrated as its first-order companion
 system y' = M(t) y with DOP853 and compared against the fixed-point

@@ -99,6 +99,12 @@ class IterateGrid:
         return np.where(np.asarray(t) > self.t_max, 0.0,
                         self._series(self.coeffs, t))
 
+    def top_derivative(self) -> np.ndarray:
+        """z^(n-1) at the nodes: the derivative of the cosine series of
+        z^(n-2), the last row, independent of the kernel recurrence."""
+        return chebgrid.series_at_nodes(
+            chebgrid.derivative(self.coeffs[-1], self.t0, self.t_max))
+
     def integral(self, t):
         """int_{t0}^t z(s) ds at scalar or array t; constant beyond t_max."""
         return self._series(chebgrid.antiderivative(
@@ -372,9 +378,7 @@ def ode_residual(operator: FixedPointOperator, grid: IterateGrid) -> float:
     """
     problem = operator.problem
     n = problem.n
-    lhs = chebgrid.series_at_nodes(
-        chebgrid.derivative(grid.coeffs[n - 2], grid.t0, grid.t_max)
-    )
+    lhs = grid.top_derivative()
     b = reduced_linear_coefficients(problem.a, operator.mu)
     for j in range(n - 1):
         lhs += b[j] * grid.values[j]

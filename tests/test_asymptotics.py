@@ -4,6 +4,7 @@ double-integral quadrature identity."""
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from poincarefp.asymptotics import (
     build_fundamental_system,
     envelope,
     envelope_stability,
+    equation_defect,
     jet_ratios,
     log_refined_estimate,
     pi_product,
@@ -27,7 +29,7 @@ from poincarefp.asymptotics import (
 from poincarefp.cli import load_config
 from poincarefp.errors import QuadratureFailure
 from poincarefp.problem import Equation, ProblemSpec
-from poincarefp.reduction import build_derivative_polynomials
+from poincarefp.reduction import OmegaTable, build_derivative_polynomials
 from poincarefp.solver import IterateGrid, solve_problem
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -271,6 +273,101 @@ class TestLeibnizRatios:
             single = jet_ratios(2.0, zjet[:, col])
             assert [rho[col] for rho in got] == single
         assert got[0].shape == (3,)
+
+
+# Negative controls of the defect row.  Each must fail every root of
+# every shipped config; neither scale was tuned until it failed.
+#
+# z scaled by 1 + Z_SCALE: for small z the defect moves by about
+# Z_SCALE |z^(n-1) + sum_j b_j z^(j)| = Z_SCALE |F(z)|, and F is about
+# Omega_0(lambda_i, r) = r_0 on the shipped configs: 0.1, 1 and 0.5 at
+# t0, over a scale sum_k |c_k| |rho_k| of 2 to 120.  So the row should
+# read at least 8e-3 Z_SCALE, and 1e-6 predicts 8e-9 or more against
+# bounds of at most 1.1e-9 (tol = 1e-10 and estimates up to 1.1e-10).
+Z_SCALE = 1e-6
+# One nonlinear Omega row scaled by 1 + OMEGA_SCALE and re-solved: the new
+# z solves the reduced equation of the wrong table, so y_i misses the
+# original one by OMEGA_SCALE Omega_alpha z^alpha.  At the heaviest row
+# that is at most 1e-2 x its weight (2e-4 .. 0.26) over the scale, and
+# 1.4e-7 to 1.3e-5 in fact (the weight takes sup_norm for every factor),
+# against bounds of at most 1.1e-9.
+OMEGA_SCALE = Fraction(1, 100)
+
+
+def heaviest_nonlinear_row(problem, i, sup_norm):
+    """The alpha with |alpha| >= 2 of largest weight
+    sup_t |Omega_alpha(lambda_i, r(t))| sup_norm^|alpha|.  A row's position
+    says nothing of its size: the first row of spread_n4's table is z^4,
+    which weighs sup_norm^4 ~ 2e-5 there, against 0.025 .. 0.05 for
+    z z' (alpha = (1, 1, 0)).  The linear rows carry only
+    r_1 .. r_{n-1}, zero on the shipped configs, and Omega_0 is the
+    forcing r itself, so the rows that the change of variables produces
+    are the nonlinear ones."""
+    table = problem.equation.table
+    lam = problem.equation.spectrum.lam[i - 1]
+    omegas = table.omega_values(lam, problem.r_list(problem.panel_rule.nodes))
+    weights = {
+        tuple(alpha): float(np.max(np.abs(omega))) * sup_norm ** sum(alpha)
+        for alpha, omega in zip(table.exponents.tolist(), omegas)
+        if sum(alpha) >= 2
+    }
+    return max(weights, key=weights.get)
+
+
+def with_scaled_row(problem, alpha, factor):
+    """The problem with Omega_alpha of its table scaled by factor; the
+    equation's a, r and everything else are unchanged."""
+    table = problem.equation.table
+    rows = dict(table.table)
+    rows[alpha] = rows[alpha] * factor
+    equation = Equation(problem.n, problem.a)
+    equation.__dict__["table"] = OmegaTable(n=problem.n, table=rows,
+                                            f_poly=table.f_poly)
+    return replace(problem, equation=equation)
+
+
+class TestEquationDefect:
+    def test_zero_perturbation_is_round_off(self, trivial_problem):
+        # r = 0: z = 0 and y_i = e^{lambda_i t}, so D is the characteristic
+        # polynomial at the float root
+        for i in (1, 2, 3):
+            _, grid, cert = solve_problem(trivial_problem, i)
+            defect, bound = equation_defect(trivial_problem, grid, i,
+                                            cert.discretisation_error)
+            assert defect < 1e-15 and defect <= bound
+
+    @pytest.mark.parametrize("name", ["decaying_n2", "e1_n3", "spread_n4"])
+    def test_passes_and_both_controls_fail_every_root(self, name):
+        problem = load_config(CONFIGS / f"{name}.conf").problem
+        for i in range(1, problem.n + 1):
+            _, grid, cert = solve_problem(problem, i)
+            error = cert.discretisation_error
+            defect, bound = equation_defect(problem, grid, i, error)
+            assert defect <= bound, (i, defect, bound)
+
+            scaled = replace(grid, values=grid.values * (1 + Z_SCALE),
+                             coeffs=grid.coeffs * (1 + Z_SCALE))
+            moved, _ = equation_defect(problem, scaled, i, error)
+            assert moved > bound, (i, "z", moved, bound)
+
+            alpha = heaviest_nonlinear_row(problem, i, cert.sup_norm)
+            wrong = with_scaled_row(problem, alpha, 1 + OMEGA_SCALE)
+            _, grid_w, cert_w = solve_problem(wrong, i)
+            # judged against the original equation
+            moved, bound_w = equation_defect(problem, grid_w, i,
+                                             cert_w.discretisation_error)
+            assert moved > bound_w, (i, alpha, moved, bound_w)
+
+    def test_reads_the_original_equation_not_the_table(self, e1_problem,
+                                                       e1_solves):
+        # the same z judged against a problem whose table is wrong: the
+        # defect does not move, since it never reads the table
+        results, _ = e1_solves
+        _, grid, cert = results[2]
+        wrong = with_scaled_row(e1_problem, (1, 1), 2)
+        assert equation_defect(wrong, grid, 2, cert.discretisation_error) \
+            == equation_defect(e1_problem, grid, 2,
+                               cert.discretisation_error)
 
 
 class TestWronskian:

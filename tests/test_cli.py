@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import replace
@@ -537,28 +538,48 @@ class TestEndToEnd:
         lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 25 and all(len(row) == 7 for row in rows)
-        assert sum(row[-1] == "fail" for row in rows) == 7
+        # three ode_residual rows and lambda_1's envelope; every defect
+        # row passes
+        assert sum(row[-1] == "fail" for row in rows) == 4
+        assert [row[-1] for row in rows if row[0] == "defect"] == \
+            ["pass"] * 4
         assert [row for row in rows if row[-1] == "indeterminate"] == [
             ["envelope_stability", "3", "", "80.0", "", "", "indeterminate"]]
 
-    def test_oracle_failure_leaves_the_other_rows(self, tmp_path, capsys):
-        # roots +-80: the reference integration overflows before t0 + 10
-        # on both roots, so both oracle rows read indeterminate with the
-        # error as their reason, and every other row is still written
+    def test_defect_is_finite_where_a_reference_integration_overflowed(
+            self, tmp_path, capsys):
+        # roots +-80: a forward integration of the original equation
+        # overflows before t0 + 10 on both roots; the defect is pointwise,
+        # so both roots get a finite defect row within its bound
         text = 'n = 2\na = [-6400, 0]\nr = ["exp(-t)/10", "0"]\nt_max = 40\n'
         path = write_config(tmp_path, text)
         code = main(["verify", str(path), "--output-dir", str(tmp_path)])
-        assert code == EXIT_FAIL
-        out = capsys.readouterr().out
-        assert ("INDETERMINATE oracle_value i=1: reference integration "
-                "failed: error estimate nan is not finite") in out
+        assert code == EXIT_FAIL  # lambda_1's ode_residual and envelope
+        assert "INDETERMINATE" not in capsys.readouterr().out
         lines = (tmp_path / "diagnostics.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 13 and all(len(row) == 7 for row in rows)
-        assert [row for row in rows if row[-1] == "indeterminate"] == [
-            ["oracle_value", "1", "", "10.0", "", "0.0001", "indeterminate"],
-            ["oracle_log-derivative", "2", "", "10.0", "", "0.001",
-             "indeterminate"]]
+        defects = [row for row in rows if row[0] == "defect"]
+        assert [row[1] for row in defects] == ["1", "2"]
+        for row in defects:
+            value, bound = float(row[4]), float(row[5])
+            assert math.isfinite(value) and value <= bound
+            assert row[-1] == "pass"
+
+    def test_defect_with_no_scale_is_indeterminate(self, tmp_path, capsys):
+        # roots (1, 0) and r = 0: y_2 = 1, so every term of the defect and
+        # of its scale is 0 at every node; no node is judged, and the row
+        # says so instead of passing
+        text = 'n = 2\na = [0, -1]\nr = ["0", "0"]\nt_max = 40\n'
+        path = write_config(tmp_path, text)
+        code = main(["verify", str(path), "--output-dir", str(tmp_path)])
+        assert code == EXIT_INDETERMINATE
+        assert (f"INDETERMINATE defect i=2: {cli.UNRESOLVED}"
+                in capsys.readouterr().out)
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        assert "defect,2,,,,1.0,indeterminate" in rows
+        assert [row.split(",")[-1] for row in rows
+                if row.startswith("defect,1,")] == ["pass"]
 
     def test_tail_that_does_not_decay_leaves_the_other_verdicts(
             self, tmp_path, capsys):
@@ -595,14 +616,14 @@ class TestEndToEnd:
         assert verdicts.count("indeterminate") == 3
         assert "fail" not in verdicts
 
-    def test_oracle_horizon_stays_in_the_solved_window(self, tmp_path):
-        # with t_max - t0 < 10 the dominant root is compared up to t_max
-        # too, not against the zero tail beyond the solved window; every
-        # sample time is measured from t0, so a later t0 moves them all
-        for name, window, end in (("short", "t_max = 8", "8.0"),
-                                  ("late_short", "t0 = 20\nt_max = 28",
-                                   "28.0"),
-                                  ("late", "t0 = 20", "30.0")):
+    def test_sample_times_stay_in_the_solved_window(self, tmp_path):
+        # every sample time is measured from t0 and clipped to the solved
+        # window, not read from the zero tail beyond it, so a later t0 or
+        # a window shorter than the sample offsets moves them all; the
+        # defect row is over the interior nodes and has no t
+        for name, window in (("short", "t_max = 8"),
+                             ("late_short", "t0 = 20\nt_max = 28"),
+                             ("late", "t0 = 20")):
             config = load_config(write_config(tmp_path, MINIMAL + window
                                               + "\n"))
             config.output_dir = tmp_path / name
@@ -611,10 +632,11 @@ class TestEndToEnd:
             lines = diag.read_text().splitlines()
             header = lines[0].split(",")
             rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
-            oracle_t = {row["quantity"]: row["t"] for row in rows
-                        if row["quantity"].startswith("oracle_")}
-            assert oracle_t == {"oracle_value": end,
-                                "oracle_log-derivative": end}, name
+            timed = {row["quantity"] for row in rows if row["t"]}
+            assert timed == {"derivative_ratio", "envelope_stability",
+                             "wronskian_ratio"}, name
+            assert [row["t"] for row in rows
+                    if row["quantity"] == "defect"] == ["", ""], name
             problem = config.problem
             assert all(problem.t0 < float(row["t"]) <= problem.t_max
                        for row in rows if row["t"]), name

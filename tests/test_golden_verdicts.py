@@ -65,13 +65,13 @@ diagnostics 1 contraction_ratio: pass
 diagnostics 1 picard_residual: pass
 diagnostics 1 ode_residual: pass
 diagnostics 1 derivative_ratio: pass
-diagnostics 1 oracle_value: pass
+diagnostics 1 defect: pass
 diagnostics 1 envelope_stability: fail
 diagnostics 2 contraction_ratio: pass
 diagnostics 2 picard_residual: pass
 diagnostics 2 ode_residual: pass
 diagnostics 2 derivative_ratio: pass
-diagnostics 2 oracle_log-derivative: fail
+diagnostics 2 defect: pass
 diagnostics 2 envelope_stability: fail
 diagnostics - wronskian_ratio: pass
 """,
@@ -105,19 +105,19 @@ diagnostics 1 contraction_ratio: pass
 diagnostics 1 picard_residual: pass
 diagnostics 1 ode_residual: pass
 diagnostics 1 derivative_ratio: pass
-diagnostics 1 oracle_value: pass
+diagnostics 1 defect: pass
 diagnostics 1 envelope_stability: pass
 diagnostics 2 contraction_ratio: pass
 diagnostics 2 picard_residual: pass
 diagnostics 2 ode_residual: pass
 diagnostics 2 derivative_ratio: pass
-diagnostics 2 oracle_log-derivative: pass
+diagnostics 2 defect: pass
 diagnostics 2 envelope_stability: pass
 diagnostics 3 contraction_ratio: pass
 diagnostics 3 picard_residual: pass
 diagnostics 3 ode_residual: pass
 diagnostics 3 derivative_ratio: pass
-diagnostics 3 oracle_log-derivative: pass
+diagnostics 3 defect: pass
 diagnostics 3 envelope_stability: pass
 diagnostics - wronskian_ratio: pass
 """,
@@ -163,25 +163,25 @@ diagnostics 1 contraction_ratio: pass
 diagnostics 1 picard_residual: pass
 diagnostics 1 ode_residual: pass
 diagnostics 1 derivative_ratio: pass
-diagnostics 1 oracle_value: pass
+diagnostics 1 defect: pass
 diagnostics 1 envelope_stability: pass
 diagnostics 2 contraction_ratio: pass
 diagnostics 2 picard_residual: pass
 diagnostics 2 ode_residual: pass
 diagnostics 2 derivative_ratio: pass
-diagnostics 2 oracle_log-derivative: pass
+diagnostics 2 defect: pass
 diagnostics 2 envelope_stability: pass
 diagnostics 3 contraction_ratio: pass
 diagnostics 3 picard_residual: pass
 diagnostics 3 ode_residual: pass
 diagnostics 3 derivative_ratio: pass
-diagnostics 3 oracle_log-derivative: fail
+diagnostics 3 defect: pass
 diagnostics 3 envelope_stability: pass
 diagnostics 4 contraction_ratio: pass
 diagnostics 4 picard_residual: pass
 diagnostics 4 ode_residual: pass
 diagnostics 4 derivative_ratio: pass
-diagnostics 4 oracle_log-derivative: fail
+diagnostics 4 defect: pass
 diagnostics 4 envelope_stability: pass
 diagnostics - wronskian_ratio: pass
 """,

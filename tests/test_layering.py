@@ -670,6 +670,14 @@ def test_check_does_not_load_numpy_ma(tmp_path):
     assert "numpy.ma" not in modules
 
 
+def test_cli_import_loads_no_oracle():
+    # verify judges each root by the original equation's defect, so the
+    # CLI compiles neither the reference integrator nor its tableau
+    modules = modules_after("import poincarefp.cli")
+    assert "poincarefp.cli" in modules
+    assert not modules & {"poincarefp.oracle", "poincarefp.dop853"}
+
+
 def test_benchmark_hooks_find_every_name(tmp_path):
     # perfbench wraps package functions and methods by name, imports
     # others, and calls some while it judges a run: a traced run of every
@@ -824,6 +832,14 @@ def never_used(stage: str, configs, out: Path) -> set[str]:
     return set(proc.stdout.split())
 
 
+# the DOP853 oracle left verify's run path for the defect row; it stays
+# while the benchmark names it
+ORACLE = "benchmark: perfbench wraps it (item 2), then item 14 deletes it"
+UNDER_ORACLE = ("benchmark: only compare_to_fixed_point, which perfbench "
+                "wraps, runs it (item 2); then item 14 deletes it")
+ORACLE_READS = ("the oracle's value mode and abel_check read it; acceptance "
+                "criterion 11 reads log y; item 14 decides")
+
 # what `all` on the shipped configs and e1_n3 at 801 nodes never calls or
 # reads, and why it stays
 NOT_ON_THE_RUN_PATH = {
@@ -837,7 +853,27 @@ NOT_ON_THE_RUN_PATH = {
         "ROADMAP item 8: a refined-formula row runs it, or it goes",
     "asymptotics.pi_product": "ROADMAP item 8: log_refined_estimate's factor",
     "kernelquad.integral": "ROADMAP item 8: log_refined_estimate's quadrature",
-    "oracle.abel_check": "ROADMAP item 9: the k = n plane replaces it",
+    "oracle.abel_check": "ROADMAP item 14 deletes it with the oracle",
+    "oracle.compare_to_fixed_point": ORACLE,
+    "oracle.integrate_original": ORACLE,
+    "oracle._coefficient_rows": UNDER_ORACLE,
+    "oracle._companion": UNDER_ORACLE,
+    "oracle._error_norm": UNDER_ORACLE,
+    "oracle._initial_step": UNDER_ORACLE,
+    "oracle._rms": UNDER_ORACLE,
+    "oracle.comparison_mode": UNDER_ORACLE,
+    "oracle.initial_jet": UNDER_ORACLE,
+    "oracle.OracleComparison.max_error": UNDER_ORACLE,
+    "oracle.OracleComparison.mode": UNDER_ORACLE,
+    "oracle.TrajectorySample.states": UNDER_ORACLE,
+    "oracle.TrajectorySample.t": UNDER_ORACLE,
+    "exprparse.depends_on_t":
+        "benchmark: only the oracle calls it (item 2); item 15 may reuse "
+        "it to skip constant r_i, else item 14 deletes it",
+    "asymptotics.FundamentalSystem.log_y": ORACLE_READS,
+    "solver.IterateGrid.integral": "log_y's int z; " + ORACLE_READS,
+    "chebgrid.antiderivative": "IterateGrid.integral's series; "
+                               + ORACLE_READS,
     "asymptotics.EnvelopeCheck.samples":
         "tests read which sample times formed a ratio; the acceptance "
         "gate reads the record's sup_ratio",
